@@ -9,54 +9,13 @@ BranchPredictor::BranchPredictor(const PredictorParams &params)
     : params_(params), stats_("bpred")
 {
     DISE_ASSERT(isPow2(params_.gshareEntries), "gshare size must be pow2");
-    DISE_ASSERT(isPow2(params_.btbEntries / params_.btbAssoc),
-                "btb sets must be pow2");
+    const uint32_t sets = params_.btbEntries / params_.btbAssoc;
+    DISE_ASSERT(isPow2(sets), "btb sets must be pow2");
+    btbSetMask_ = sets - 1;
+    btbSetShift_ = log2i(sets);
     counters_.assign(params_.gshareEntries, 1); // weakly not-taken
     btb_.assign(params_.btbEntries, BtbEntry());
     ras_.assign(params_.rasEntries, 0);
-}
-
-unsigned
-BranchPredictor::gshareIndex(Addr pc) const
-{
-    const uint64_t hist = history_ & ((uint64_t(1) << params_.historyBits) - 1);
-    return static_cast<unsigned>(((pc >> 2) ^ hist) &
-                                 (params_.gshareEntries - 1));
-}
-
-BranchPredictor::BtbEntry *
-BranchPredictor::btbLookup(Addr pc)
-{
-    const uint32_t sets = params_.btbEntries / params_.btbAssoc;
-    const uint64_t set = (pc >> 2) & (sets - 1);
-    const uint64_t tag = (pc >> 2) / sets;
-    BtbEntry *way = &btb_[set * params_.btbAssoc];
-    for (uint32_t w = 0; w < params_.btbAssoc; ++w)
-        if (way[w].valid && way[w].tag == tag)
-            return &way[w];
-    return nullptr;
-}
-
-void
-BranchPredictor::btbInsert(Addr pc, Addr target)
-{
-    const uint32_t sets = params_.btbEntries / params_.btbAssoc;
-    const uint64_t set = (pc >> 2) & (sets - 1);
-    const uint64_t tag = (pc >> 2) / sets;
-    BtbEntry *way = &btb_[set * params_.btbAssoc];
-    BtbEntry *victim = &way[0];
-    for (uint32_t w = 0; w < params_.btbAssoc; ++w) {
-        if (way[w].valid && way[w].tag == tag) {
-            victim = &way[w];
-            break;
-        }
-        if (!way[w].valid || way[w].lastUse < victim->lastUse)
-            victim = &way[w];
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->target = target;
-    victim->lastUse = ++useCounter_;
 }
 
 BranchPredictor::Prediction
@@ -66,87 +25,11 @@ BranchPredictor::predict(Addr pc, OpClass cls, Addr fallThrough)
     return predictHot(pc, cls, fallThrough);
 }
 
-BranchPredictor::Prediction
-BranchPredictor::predictHot(Addr pc, OpClass cls, Addr fallThrough)
-{
-    Prediction pred;
-    pred.target = fallThrough;
-
-    switch (cls) {
-      case OpClass::CondBranch: {
-        const unsigned idx = gshareIndex(pc);
-        pred.taken = counters_[idx] >= 2;
-        if (pred.taken) {
-            if (BtbEntry *entry = btbLookup(pc)) {
-                entry->lastUse = ++useCounter_;
-                pred.target = entry->target;
-                pred.targetKnown = true;
-            } else {
-                // Taken prediction without a target is useless; fetch
-                // falls through and the branch resolves as a mispredict.
-                pred.taken = false;
-            }
-        } else {
-            pred.targetKnown = true;
-        }
-        break;
-      }
-      case OpClass::UncondBranch:
-      case OpClass::Call:
-        pred.taken = true;
-        if (BtbEntry *entry = btbLookup(pc)) {
-            entry->lastUse = ++useCounter_;
-            pred.target = entry->target;
-            pred.targetKnown = true;
-        }
-        break;
-      case OpClass::Return:
-        pred.taken = true;
-        if (rasTop_ > 0) {
-            --rasTop_;
-            pred.target = ras_[rasTop_ % params_.rasEntries];
-            pred.targetKnown = true;
-        } else if (BtbEntry *entry = btbLookup(pc)) {
-            pred.target = entry->target;
-            pred.targetKnown = true;
-        }
-        break;
-      case OpClass::Jump:
-      case OpClass::CallIndirect:
-        pred.taken = true;
-        if (BtbEntry *entry = btbLookup(pc)) {
-            entry->lastUse = ++useCounter_;
-            pred.target = entry->target;
-            pred.targetKnown = true;
-        }
-        break;
-      default:
-        break;
-    }
-    return pred;
-}
-
 void
 BranchPredictor::update(Addr pc, OpClass cls, bool taken, Addr target)
 {
     stats_.add("updates");
     updateHot(pc, cls, taken, target);
-}
-
-void
-BranchPredictor::updateHot(Addr pc, OpClass cls, bool taken, Addr target)
-{
-    if (cls == OpClass::CondBranch) {
-        const unsigned idx = gshareIndex(pc);
-        uint8_t &counter = counters_[idx];
-        if (taken && counter < 3)
-            ++counter;
-        else if (!taken && counter > 0)
-            --counter;
-        history_ = (history_ << 1) | (taken ? 1 : 0);
-    }
-    if (taken && cls != OpClass::Return)
-        btbInsert(pc, target);
 }
 
 void

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bits.hpp"
 #include "src/common/stats.hpp"
 #include "src/isa/inst.hpp"
 
@@ -68,7 +69,8 @@ class BranchPredictor
      * behaviour is identical by construction. Hot consumers (the
      * trace-feed timing path and sampled-mode warming) call these and
      * bump cached StatGroup::cell() pointers themselves, keeping the
-     * per-branch path free of map lookups.
+     * per-branch path free of map lookups. Defined inline below so
+     * they inline into the timing model's per-record loop.
      */
     /// @{
     Prediction predictHot(Addr pc, OpClass cls, Addr fallThrough);
@@ -95,6 +97,10 @@ class BranchPredictor
     void btbInsert(Addr pc, Addr target);
 
     PredictorParams params_;
+    /** BTB set index mask and tag shift (the set count is a power of
+     *  two): keeps integer division off the per-branch path. */
+    uint64_t btbSetMask_ = 0;
+    uint32_t btbSetShift_ = 0;
     std::vector<uint8_t> counters_;
     uint64_t history_ = 0;
     std::vector<BtbEntry> btb_;
@@ -103,6 +109,123 @@ class BranchPredictor
     uint64_t useCounter_ = 0;
     StatGroup stats_;
 };
+
+inline unsigned
+BranchPredictor::gshareIndex(Addr pc) const
+{
+    const uint64_t hist = history_ & ((uint64_t(1) << params_.historyBits) - 1);
+    return static_cast<unsigned>(((pc >> 2) ^ hist) &
+                                 (params_.gshareEntries - 1));
+}
+
+inline BranchPredictor::BtbEntry *
+BranchPredictor::btbLookup(Addr pc)
+{
+    const uint64_t set = (pc >> 2) & btbSetMask_;
+    const uint64_t tag = (pc >> 2) >> btbSetShift_;
+    BtbEntry *way = &btb_[set * params_.btbAssoc];
+    for (uint32_t w = 0; w < params_.btbAssoc; ++w)
+        if (way[w].valid && way[w].tag == tag)
+            return &way[w];
+    return nullptr;
+}
+
+inline void
+BranchPredictor::btbInsert(Addr pc, Addr target)
+{
+    const uint64_t set = (pc >> 2) & btbSetMask_;
+    const uint64_t tag = (pc >> 2) >> btbSetShift_;
+    BtbEntry *way = &btb_[set * params_.btbAssoc];
+    BtbEntry *victim = &way[0];
+    for (uint32_t w = 0; w < params_.btbAssoc; ++w) {
+        if (way[w].valid && way[w].tag == tag) {
+            victim = &way[w];
+            break;
+        }
+        if (!way[w].valid || way[w].lastUse < victim->lastUse)
+            victim = &way[w];
+    }
+    victim->valid = true;
+    victim->tag = tag;
+    victim->target = target;
+    victim->lastUse = ++useCounter_;
+}
+
+DISE_ALWAYS_INLINE BranchPredictor::Prediction
+BranchPredictor::predictHot(Addr pc, OpClass cls, Addr fallThrough)
+{
+    Prediction pred;
+    pred.target = fallThrough;
+
+    switch (cls) {
+      case OpClass::CondBranch: {
+        const unsigned idx = gshareIndex(pc);
+        pred.taken = counters_[idx] >= 2;
+        if (pred.taken) {
+            if (BtbEntry *entry = btbLookup(pc)) {
+                entry->lastUse = ++useCounter_;
+                pred.target = entry->target;
+                pred.targetKnown = true;
+            } else {
+                // Taken prediction without a target is useless; fetch
+                // falls through and the branch resolves as a mispredict.
+                pred.taken = false;
+            }
+        } else {
+            pred.targetKnown = true;
+        }
+        break;
+      }
+      case OpClass::UncondBranch:
+      case OpClass::Call:
+        pred.taken = true;
+        if (BtbEntry *entry = btbLookup(pc)) {
+            entry->lastUse = ++useCounter_;
+            pred.target = entry->target;
+            pred.targetKnown = true;
+        }
+        break;
+      case OpClass::Return:
+        pred.taken = true;
+        if (rasTop_ > 0) {
+            --rasTop_;
+            pred.target = ras_[rasTop_ % params_.rasEntries];
+            pred.targetKnown = true;
+        } else if (BtbEntry *entry = btbLookup(pc)) {
+            pred.target = entry->target;
+            pred.targetKnown = true;
+        }
+        break;
+      case OpClass::Jump:
+      case OpClass::CallIndirect:
+        pred.taken = true;
+        if (BtbEntry *entry = btbLookup(pc)) {
+            entry->lastUse = ++useCounter_;
+            pred.target = entry->target;
+            pred.targetKnown = true;
+        }
+        break;
+      default:
+        break;
+    }
+    return pred;
+}
+
+DISE_ALWAYS_INLINE void
+BranchPredictor::updateHot(Addr pc, OpClass cls, bool taken, Addr target)
+{
+    if (cls == OpClass::CondBranch) {
+        const unsigned idx = gshareIndex(pc);
+        uint8_t &counter = counters_[idx];
+        if (taken && counter < 3)
+            ++counter;
+        else if (!taken && counter > 0)
+            --counter;
+        history_ = (history_ << 1) | (taken ? 1 : 0);
+    }
+    if (taken && cls != OpClass::Return)
+        btbInsert(pc, target);
+}
 
 } // namespace dise
 

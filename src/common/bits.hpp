@@ -1,6 +1,7 @@
 /**
  * @file
- * Bit-manipulation utilities shared by the ISA, DISE engine and caches.
+ * Bit-manipulation utilities shared by the ISA, DISE engine and caches,
+ * plus the force-inline attribute of the per-instruction hot paths.
  */
 
 #ifndef DISE_COMMON_BITS_HPP
@@ -8,6 +9,17 @@
 
 #include <cstdint>
 #include <type_traits>
+
+/**
+ * Force inlining of a small hot-path helper whose caller keeps its state
+ * in locals: one out-of-line call would make that state escape to
+ * memory. Plain `inline` elsewhere (and on non-GNU compilers).
+ */
+#if defined(__GNUC__)
+#define DISE_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define DISE_ALWAYS_INLINE inline
+#endif
 
 namespace dise {
 

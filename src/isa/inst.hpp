@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bits.hpp"
 #include "src/isa/opcodes.hpp"
 #include "src/isa/regs.hpp"
 
@@ -124,7 +125,7 @@ struct DecodedInst
      * exhaustive test asserts equivalence over the whole opcode space.
      */
     /// @{
-    RegIndex
+    DISE_ALWAYS_INLINE RegIndex
     destRegFast() const
     {
         switch (cls) {
@@ -155,54 +156,69 @@ struct DecodedInst
         }
     }
 
-    SrcRegList
-    srcRegListFast() const
+    /**
+     * Call @p visit on each source operand register in srcRegListFast()
+     * order, zero-register operands included (SrcRegList::push drops
+     * them). A walk that needs no list — the timing model's ready-time
+     * max, where the zero register reads as 0 — stays in registers this
+     * way; a SrcRegList filled at a variable index lives in memory, and
+     * reloading it after its byte-wise fill stalls the host.
+     */
+    template <typename Visit>
+    DISE_ALWAYS_INLINE void
+    visitSrcRegsFast(Visit &&visit) const
     {
-        SrcRegList srcs;
         switch (cls) {
           case OpClass::IntAlu:
             if (op == Opcode::LDA || op == Opcode::LDAH) {
-                srcs.push(rb); // memory-format: base register only
+                visit(rb); // memory-format: base register only
                 break;
             }
             [[fallthrough]];
           case OpClass::IntMult:
-            srcs.push(ra);
+            visit(ra);
             if (!useLit)
-                srcs.push(rb);
+                visit(rb);
             if (op == Opcode::CMOVEQ || op == Opcode::CMOVNE)
-                srcs.push(rc); // partial write reads the old dest
+                visit(rc); // partial write reads the old dest
             break;
           case OpClass::Load:
-            srcs.push(rb);
+            visit(rb);
             if (op == Opcode::FLDOP)
-                srcs.push(rc); // fused load-op's ALU operand
+                visit(rc); // fused load-op's ALU operand
             break;
           case OpClass::Store:
-            srcs.push(rb);
-            srcs.push(ra);
+            visit(rb);
+            visit(ra);
             break;
           case OpClass::CondBranch:
-            srcs.push(ra);
+            visit(ra);
             if (op == Opcode::FCMPBR && !useLit)
-                srcs.push(rb); // fused compare's register operand
+                visit(rb); // fused compare's register operand
             break;
           case OpClass::DiseBranch:
-            srcs.push(ra);
+            visit(ra);
             break;
           case OpClass::Jump:
           case OpClass::CallIndirect:
           case OpClass::Return:
-            srcs.push(rb);
+            visit(rb);
             break;
           case OpClass::Syscall:
-            srcs.push(kRetReg);
-            srcs.push(kArg0Reg);
-            srcs.push(static_cast<RegIndex>(kArg0Reg + 1));
+            visit(kRetReg);
+            visit(kArg0Reg);
+            visit(static_cast<RegIndex>(kArg0Reg + 1));
             break;
           default:
             break;
         }
+    }
+
+    DISE_ALWAYS_INLINE SrcRegList
+    srcRegListFast() const
+    {
+        SrcRegList srcs;
+        visitSrcRegsFast([&srcs](RegIndex r) { srcs.push(r); });
         return srcs;
     }
     /// @}

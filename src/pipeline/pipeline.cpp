@@ -96,15 +96,16 @@ PipelineSim::setSampling(uint64_t period, uint64_t detail)
 // ---------------------------------------------------------------------
 // Leaf accessors: the ONLY divergence between the step-driven reference
 // (kFast = false: public stat-counting component entry points) and the
-// trace-feed path (kFast = true: inline hot variants + cached cells).
+// trace-feed path (kFast = true: inline hot variants + the batch tally
+// of the cached stat cells).
 // ---------------------------------------------------------------------
 
 template <bool kFast>
-uint32_t
-PipelineSim::fetchAccessT(Addr pc)
+DISE_ALWAYS_INLINE uint32_t
+PipelineSim::fetchAccessT(Tally &c, Addr pc)
 {
     if constexpr (kFast) {
-        ++*icAccCell_;
+        ++c.icAccesses;
         return mem_.icache().accessHot(pc, false);
     } else {
         return mem_.fetchAccess(pc);
@@ -112,13 +113,12 @@ PipelineSim::fetchAccessT(Addr pc)
 }
 
 template <bool kFast>
-uint32_t
-PipelineSim::dataAccessT(Addr addr, bool write)
+DISE_ALWAYS_INLINE uint32_t
+PipelineSim::dataAccessT(Tally &c, Addr addr, bool write)
 {
     if constexpr (kFast) {
-        ++*dcAccCell_;
-        if (write)
-            ++*dcWrCell_;
+        ++c.dcAccesses;
+        c.dcWrites += write;
         return mem_.dcache().accessHot(addr, write);
     } else {
         return mem_.dataAccess(addr, write);
@@ -126,11 +126,11 @@ PipelineSim::dataAccessT(Addr addr, bool write)
 }
 
 template <bool kFast>
-BranchPredictor::Prediction
-PipelineSim::predictT(Addr pc, OpClass cls, Addr fallThrough)
+DISE_ALWAYS_INLINE BranchPredictor::Prediction
+PipelineSim::predictT(Tally &c, Addr pc, OpClass cls, Addr fallThrough)
 {
     if constexpr (kFast) {
-        ++*bpPredCell_;
+        ++c.predictions;
         return bpred_.predictHot(pc, cls, fallThrough);
     } else {
         return bpred_.predict(pc, cls, fallThrough);
@@ -138,11 +138,12 @@ PipelineSim::predictT(Addr pc, OpClass cls, Addr fallThrough)
 }
 
 template <bool kFast>
-void
-PipelineSim::updateT(Addr pc, OpClass cls, bool taken, Addr target)
+DISE_ALWAYS_INLINE void
+PipelineSim::updateT(Tally &c, Addr pc, OpClass cls, bool taken,
+                     Addr target)
 {
     if constexpr (kFast) {
-        ++*bpUpdCell_;
+        ++c.updates;
         bpred_.updateHot(pc, cls, taken, target);
     } else {
         bpred_.update(pc, cls, taken, target);
@@ -154,91 +155,95 @@ PipelineSim::updateT(Addr pc, OpClass cls, bool taken, Addr target)
 // ---------------------------------------------------------------------
 
 template <bool kFast>
-void
-PipelineSim::newFetchGroupT(uint64_t cycle, Addr pc, bool accessICache)
+DISE_ALWAYS_INLINE void
+PipelineSim::newFetchGroupT(Hot &h, Tally &c, uint64_t cycle, Addr pc,
+                            bool accessICache)
 {
-    feCycle_ = std::max(feCycle_, cycle);
-    feSlots_ = 0;
+    h.feCycle = std::max(h.feCycle, cycle);
+    h.feSlots = 0;
     const uint64_t line = fetchLine(pc);
-    if (accessICache || line != curLine_) {
-        const uint32_t lat = fetchAccessT<kFast>(pc);
+    if (accessICache || line != h.curLine) {
+        const uint32_t lat = fetchAccessT<kFast>(c, pc);
         if (lat > params_.mem.l1Latency) {
-            feCycle_ += lat - params_.mem.l1Latency;
-            pend_.imiss += lat - params_.mem.l1Latency;
+            h.feCycle += lat - params_.mem.l1Latency;
+            h.pend.imiss += lat - params_.mem.l1Latency;
         }
-        curLine_ = line;
+        h.curLine = line;
     }
 }
 
-void
-PipelineSim::raiseRedirect(uint64_t cycle, StallCause cause)
+DISE_ALWAYS_INLINE void
+PipelineSim::raiseRedirect(Hot &h, uint64_t cycle, StallCause cause)
 {
-    if (cycle > pendingRedirect_) {
-        pendingRedirect_ = cycle;
-        redirectCause_ = cause;
+    if (cycle > h.pendingRedirect) {
+        h.pendingRedirect = cycle;
+        h.redirectCause = cause;
     }
 }
 
 template <bool kFast>
-uint64_t
-PipelineSim::frontendT(const DynInst &dyn)
+DISE_ALWAYS_INLINE uint64_t
+PipelineSim::frontendT(Hot &h, Tally &c, const DynInst &dyn)
 {
     const bool appBoundary = !dyn.expanded || dyn.firstOfSeq;
 
     if (appBoundary) {
         // Honour any pending redirect (mispredict resolution, flush).
-        if (pendingRedirect_ > 0) {
-            if (pendingRedirect_ > feCycle_) {
-                const uint64_t wait = pendingRedirect_ - feCycle_;
-                switch (redirectCause_) {
+        if (h.pendingRedirect > 0) {
+            if (h.pendingRedirect > h.feCycle) {
+                const uint64_t wait = h.pendingRedirect - h.feCycle;
+                switch (h.redirectCause) {
                   case StallCause::Branch:
-                    pend_.branch += wait;
+                    h.pend.branch += wait;
                     break;
                   case StallCause::Dise:
-                    pend_.dise += wait;
+                    h.pend.dise += wait;
                     break;
                   case StallCause::Drain:
-                    pend_.drain += wait;
+                    h.pend.drain += wait;
                     break;
                   case StallCause::None:
                     break;
                 }
             }
-            newFetchGroupT<kFast>(std::max(pendingRedirect_, feCycle_),
+            newFetchGroupT<kFast>(h, c,
+                                  std::max(h.pendingRedirect, h.feCycle),
                                   dyn.pc, true);
-            pendingRedirect_ = 0;
-            redirectCause_ = StallCause::None;
+            h.pendingRedirect = 0;
+            h.redirectCause = StallCause::None;
         }
         // PT/RT miss: flush the front end and stall for the fill.
         if (dyn.missPenalty > 0) {
-            result_.missStallCycles += dyn.missPenalty;
-            pend_.dise += dyn.missPenalty;
-            newFetchGroupT<kFast>(feCycle_ + dyn.missPenalty, dyn.pc, true);
+            c.missStallCycles += dyn.missPenalty;
+            h.pend.dise += dyn.missPenalty;
+            newFetchGroupT<kFast>(h, c, h.feCycle + dyn.missPenalty,
+                                  dyn.pc, true);
         }
         // Expansion stall placement: one bubble per expansion.
         if (dyn.firstOfSeq && stallPerExpansion_) {
-            ++result_.expansionStalls;
-            pend_.dise += 1;
-            feCycle_ += 1;
+            ++c.expansionStalls;
+            h.pend.dise += 1;
+            h.feCycle += 1;
         }
         const uint64_t line = fetchLine(dyn.pc);
-        if (line != curLine_) {
+        if (line != h.curLine) {
             // Line crossing: new fetch group with an I-cache access.
-            newFetchGroupT<kFast>(feSlots_ > 0 ? feCycle_ + 1 : feCycle_,
-                                  dyn.pc, true);
-        } else if (feSlots_ >= params_.width) {
-            newFetchGroupT<kFast>(feCycle_ + 1, dyn.pc, false);
+            newFetchGroupT<kFast>(
+                h, c, h.feSlots > 0 ? h.feCycle + 1 : h.feCycle, dyn.pc,
+                true);
+        } else if (h.feSlots >= params_.width) {
+            newFetchGroupT<kFast>(h, c, h.feCycle + 1, dyn.pc, false);
         }
     } else {
         // Replacement instruction: consumes a decode slot, no fetch.
-        if (feSlots_ >= params_.width) {
-            feCycle_ += 1;
-            feSlots_ = 0;
+        if (h.feSlots >= params_.width) {
+            h.feCycle += 1;
+            h.feSlots = 0;
         }
     }
 
-    ++feSlots_;
-    return feCycle_;
+    ++h.feSlots;
+    return h.feCycle;
 }
 
 uint32_t
@@ -255,9 +260,10 @@ PipelineSim::instLatency(const DynInst &dyn) const
 }
 
 template <bool kFast>
-void
-PipelineSim::resolveControlT(Addr pc, OpClass cls, bool taken, Addr target,
-                             uint64_t resolveCycle, uint64_t decodeCycle,
+DISE_ALWAYS_INLINE void
+PipelineSim::resolveControlT(Hot &h, Tally &c, Addr pc, OpClass cls,
+                             bool taken, Addr target, uint64_t resolveCycle,
+                             uint64_t decodeCycle,
                              const BranchPredictor::Prediction &pred)
 {
     const bool wrongDir = pred.taken != taken;
@@ -267,22 +273,22 @@ PipelineSim::resolveControlT(Addr pc, OpClass cls, bool taken, Addr target,
         if ((cls == OpClass::UncondBranch || cls == OpClass::Call) &&
             !wrongDir) {
             // Direct target computable at decode: cheap redirect.
-            ++result_.decodeRedirects;
-            raiseRedirect(decodeCycle + params_.decodeRedirectPenalty,
+            ++c.decodeRedirects;
+            raiseRedirect(h, decodeCycle + params_.decodeRedirectPenalty,
                           StallCause::Branch);
         } else {
-            ++result_.mispredicts;
-            raiseRedirect(resolveCycle + 1, StallCause::Branch);
+            ++c.mispredicts;
+            raiseRedirect(h, resolveCycle + 1, StallCause::Branch);
         }
     } else if (taken) {
         // Correctly predicted taken: fetch continues at the target in
         // the next cycle.
-        feCycle_ += 1;
-        feSlots_ = 0;
-        curLine_ = ~uint64_t(0);
+        h.feCycle += 1;
+        h.feSlots = 0;
+        h.curLine = ~uint64_t(0);
     }
     if (cls != OpClass::Nop) {
-        updateT<kFast>(pc, cls, taken, target);
+        updateT<kFast>(c, pc, cls, taken, target);
         if (cls == OpClass::Call || cls == OpClass::CallIndirect)
             bpred_.pushReturn(pc + 4);
     }
@@ -290,208 +296,256 @@ PipelineSim::resolveControlT(Addr pc, OpClass cls, bool taken, Addr target,
 
 template <bool kFast>
 void
-PipelineSim::timeInst(const DynInst &dyn)
+PipelineSim::timeBatch(const DynInst *recs, size_t n)
 {
-    // ---- Front end: decode timestamp. ----
-    const uint64_t decodeCycle = frontendT<kFast>(dyn);
+    // The feed times a batch on a register-resident copy (see Hot),
+    // written back once after the last record; the reference times one
+    // record per call, where copying the state in and out would cost
+    // more than it saves, and works on the members.
+    Hot local;
+    Hot &h = kFast ? (local = hot_) : hot_;
+    Tally c;
+    uint64_t *const regReady = regReady_.data();
+    uint64_t *const commitRing = commitRing_.data();
+    uint64_t *const issueRing = issueRing_.data();
+    const uint32_t width = params_.width;
+    const uint32_t robEntries = params_.robEntries;
+    const uint32_t rsEntries = params_.rsEntries;
+    const uint32_t l1Latency = params_.mem.l1Latency;
+    const uint64_t feDepth = feDepth_;
 
-    // ---- Dispatch. ----
-    uint64_t dispatch = decodeCycle + feDepth_;
-    // Ring slots for this instruction. The feed path keeps incremental
-    // wraparound cursors (a runtime-divisor modulo costs measurable time
-    // per instruction, and these fire four times per inst); the
-    // reference derives the identical slot the original way.
-    const size_t robIdx =
-        kFast ? robIdx_ : size_t(instIndex_ % params_.robEntries);
-    const size_t rsIdx =
-        kFast ? rsIdx_ : size_t(instIndex_ % params_.rsEntries);
-    // ROB entry must be free.
-    const uint64_t robFree = commitRing_[robIdx];
-    if (robFree > dispatch) {
-        pend_.hazard += robFree - dispatch;
-        dispatch = robFree;
-    }
-    // RS entry must be free (freed at issue).
-    const uint64_t rsFree = issueRing_[rsIdx] + 1;
-    if (rsFree > dispatch) {
-        pend_.hazard += rsFree - dispatch;
-        dispatch = rsFree;
-    }
-    // In-order dispatch, width per cycle.
-    if (dispatch < dispatchCycleCur_)
-        dispatch = dispatchCycleCur_;
-    if (dispatch == dispatchCycleCur_) {
-        if (dispatchSlots_ >= params_.width) {
-            ++dispatch;
-            dispatchCycleCur_ = dispatch;
-            dispatchSlots_ = 0;
+    for (const DynInst *rec = recs, *const end = recs + n; rec != end;
+         ++rec) {
+        const DynInst &dyn = *rec;
+
+        // ---- Front end: decode timestamp. ----
+        const uint64_t decodeCycle = frontendT<kFast>(h, c, dyn);
+
+        // ---- Dispatch. ----
+        uint64_t dispatch = decodeCycle + feDepth;
+        // Ring slots for this instruction. The feed path keeps
+        // incremental wraparound cursors (a runtime-divisor modulo
+        // costs measurable time per instruction); the reference derives
+        // the identical slot the original way.
+        const size_t robIdx =
+            kFast ? h.robIdx : size_t(h.instIndex % robEntries);
+        const size_t rsIdx =
+            kFast ? h.rsIdx : size_t(h.instIndex % rsEntries);
+        // ROB entry must be free.
+        const uint64_t robFree = commitRing[robIdx];
+        if (robFree > dispatch) {
+            h.pend.hazard += robFree - dispatch;
+            dispatch = robFree;
         }
-    } else {
-        dispatchCycleCur_ = dispatch;
-        dispatchSlots_ = 0;
-    }
-    ++dispatchSlots_;
-
-    // ---- Issue: dataflow-limited. ----
-    uint64_t ready = dispatch + 1;
-    if constexpr (kFast) {
-        const SrcRegList srcs = dyn.inst.srcRegListFast();
-        for (const RegIndex src : srcs)
-            ready = std::max(ready, regReady_[src]);
-    } else {
-        for (const RegIndex src : dyn.inst.srcRegList())
-            ready = std::max(ready, regReady_[src]);
-    }
-    if (ready > dispatch + 1)
-        pend_.hazard += ready - (dispatch + 1);
-    const uint64_t issue = ready;
-    issueRing_[rsIdx] = issue;
-
-    // ---- Complete. ----
-    uint64_t complete = issue + instLatency(dyn);
-    if (dyn.isMem && !dyn.isStore) {
-        // Loads: AGU + D-cache access.
-        const uint32_t lat = dataAccessT<kFast>(dyn.memAddr, false);
-        if (lat > params_.mem.l1Latency)
-            pend_.dmiss += lat - params_.mem.l1Latency;
-        complete = issue + 1 + lat;
-    }
-    const RegIndex dest =
-        kFast ? dyn.inst.destRegFast() : dyn.inst.destReg();
-    if (dest != kZeroReg)
-        regReady_[dest] = complete;
-
-    // ---- Commit: in order, width per cycle. ----
-    const uint64_t prevCommitClock = lastCommit_;
-    uint64_t commit = std::max(complete + 1, lastCommit_);
-    if (commit == commitCycleCur_) {
-        if (commitSlots_ >= params_.width) {
-            ++commit;
-            commitCycleCur_ = commit;
-            commitSlots_ = 0;
+        // RS entry must be free (freed at issue).
+        const uint64_t rsFree = issueRing[rsIdx] + 1;
+        if (rsFree > dispatch) {
+            h.pend.hazard += rsFree - dispatch;
+            dispatch = rsFree;
         }
-    } else {
-        commitCycleCur_ = commit;
-        commitSlots_ = 0;
-    }
-    ++commitSlots_;
-    lastCommit_ = commit;
-    commitRing_[robIdx] = commit;
-
-    // ---- Cycle accounting (see CycleBreakdown): charge this
-    // instruction's commit-clock advance to its observed stall
-    // causes in priority order; the remainder is base issue work.
-    // Amounts left unconsumed overlapped older work — drop them.
-    {
-        uint64_t remaining = commit - prevCommitClock;
-        // Most instructions observe no stall at all: every charge below
-        // would be a no-op, so short-circuit straight to the issue
-        // bucket (bit-identical — charging zeros changes nothing).
-        const uint64_t anyStall = pend_.dise | pend_.imiss |
-                                  pend_.branch | pend_.drain |
-                                  pend_.dmiss | pend_.hazard;
-        if (anyStall == 0) {
-            result_.buckets.issue += remaining;
+        // In-order dispatch, width per cycle.
+        if (dispatch < h.dispatchCycleCur)
+            dispatch = h.dispatchCycleCur;
+        if (dispatch == h.dispatchCycleCur) {
+            if (h.dispatchSlots >= width) {
+                ++dispatch;
+                h.dispatchCycleCur = dispatch;
+                h.dispatchSlots = 0;
+            }
         } else {
-            const auto charge = [&remaining](uint64_t &bucket,
-                                             uint64_t amount) {
-                const uint64_t take = std::min(remaining, amount);
-                bucket += take;
-                remaining -= take;
-            };
-            charge(result_.buckets.diseStall, pend_.dise);
-            charge(result_.buckets.imissStall, pend_.imiss);
-            charge(result_.buckets.branchFlush, pend_.branch);
-            charge(result_.buckets.drain, pend_.drain);
-            charge(result_.buckets.dmissStall, pend_.dmiss);
-            charge(result_.buckets.hazard, pend_.hazard);
-            result_.buckets.issue += remaining;
-            pend_ = PendingStalls{};
+            h.dispatchCycleCur = dispatch;
+            h.dispatchSlots = 0;
         }
-    }
+        ++h.dispatchSlots;
 
-    if (dyn.isStore) {
-        // Store buffer: D-cache updated at commit, off the critical
-        // path.
-        dataAccessT<kFast>(dyn.memAddr, true);
-    }
-    if (dyn.isSyscall) {
-        // Syscalls serialize the pipeline.
-        raiseRedirect(commit + 1, StallCause::Drain);
-    }
-
-    // ---- Control flow and prediction. ----
-    //
-    // The front end predicts once per fetched (application-level)
-    // PC. For an expansion, that single prediction covers the whole
-    // replacement sequence: internal branches are never predicted
-    // separately (paper Section 2.2) — a sequence whose outcome
-    // differs from the trigger-PC prediction costs a mispredict
-    // resolved when its deciding branch executes.
-    if (!dyn.expanded) {
-        if (dyn.isAppControl) {
-            const auto pred =
-                predictT<kFast>(dyn.pc, dyn.inst.cls, dyn.pc + 4);
-            resolveControlT<kFast>(dyn.pc, dyn.inst.cls, dyn.taken,
-                                   dyn.actualTarget, complete, decodeCycle,
-                                   pred);
+        // ---- Issue: dataflow-limited. ----
+        uint64_t ready = dispatch + 1;
+        if constexpr (kFast) {
+            // The zero register is never a destination, so its ready
+            // time stays 0 and the walk need not skip it.
+            dyn.inst.visitSrcRegsFast([&ready, regReady](RegIndex src) {
+                ready = std::max(ready, regReady[src]);
+            });
+        } else {
+            for (const RegIndex src : dyn.inst.srcRegList())
+                ready = std::max(ready, regReady[src]);
         }
-    } else {
-        if (dyn.firstOfSeq) {
-            seqPredCls_ = dyn.seqPredClass;
-            seqTriggerPC_ = dyn.pc;
-            seqTrigTaken_ = false;
-            seqTrigTarget_ = 0;
-            seqRedirected_ = false;
-            seqRedirTarget_ = 0;
-            seqResolve_ = complete;
-            if (seqPredCls_ != OpClass::Nop) {
-                seqPred_ =
-                    predictT<kFast>(dyn.pc, seqPredCls_, dyn.pc + 4);
+        if (ready > dispatch + 1)
+            h.pend.hazard += ready - (dispatch + 1);
+        const uint64_t issue = ready;
+        issueRing[rsIdx] = issue;
+
+        // ---- Complete. ----
+        uint64_t complete = issue + instLatency(dyn);
+        if (dyn.isMem && !dyn.isStore) {
+            // Loads: AGU + D-cache access.
+            const uint32_t lat = dataAccessT<kFast>(c, dyn.memAddr, false);
+            if (lat > l1Latency)
+                h.pend.dmiss += lat - l1Latency;
+            complete = issue + 1 + lat;
+        }
+        const RegIndex dest =
+            kFast ? dyn.inst.destRegFast() : dyn.inst.destReg();
+        if (dest != kZeroReg)
+            regReady[dest] = complete;
+
+        // ---- Commit: in order, width per cycle. ----
+        const uint64_t prevCommitClock = h.lastCommit;
+        uint64_t commit = std::max(complete + 1, h.lastCommit);
+        if (commit == h.commitCycleCur) {
+            if (h.commitSlots >= width) {
+                ++commit;
+                h.commitCycleCur = commit;
+                h.commitSlots = 0;
+            }
+        } else {
+            h.commitCycleCur = commit;
+            h.commitSlots = 0;
+        }
+        ++h.commitSlots;
+        h.lastCommit = commit;
+        commitRing[robIdx] = commit;
+
+        // ---- Cycle accounting (see CycleBreakdown): charge this
+        // instruction's commit-clock advance to its observed stall
+        // causes in priority order; the remainder is base issue work.
+        // Amounts left unconsumed overlapped older work — drop them.
+        {
+            uint64_t remaining = commit - prevCommitClock;
+            // Most instructions observe no stall at all: every charge
+            // below would be a no-op, so short-circuit straight to the
+            // issue bucket (bit-identical — charging zeros changes
+            // nothing).
+            const PendingStalls &p = h.pend;
+            const uint64_t anyStall = p.dise | p.imiss | p.branch |
+                                      p.drain | p.dmiss | p.hazard;
+            if (anyStall == 0) {
+                c.buckets.issue += remaining;
             } else {
-                seqPred_ = BranchPredictor::Prediction{};
-                seqPred_.target = dyn.pc + 4;
-                seqPred_.targetKnown = true;
+                const auto charge = [&remaining](uint64_t &bucket,
+                                                 uint64_t amount) {
+                    const uint64_t take = std::min(remaining, amount);
+                    bucket += take;
+                    remaining -= take;
+                };
+                charge(c.buckets.diseStall, p.dise);
+                charge(c.buckets.imissStall, p.imiss);
+                charge(c.buckets.branchFlush, p.branch);
+                charge(c.buckets.drain, p.drain);
+                charge(c.buckets.dmissStall, p.dmiss);
+                charge(c.buckets.hazard, p.hazard);
+                c.buckets.issue += remaining;
+                h.pend = PendingStalls{};
             }
         }
-        if (dyn.inst.isDiseBranch() && dyn.taken) {
-            // Taken DISE branch: fetch restarts at the same PC, new
-            // DISEPC — interpreted as a misprediction.
-            ++result_.diseMispredicts;
-            raiseRedirect(complete + 1, StallCause::Dise);
+
+        if (dyn.isStore) {
+            // Store buffer: D-cache updated at commit, off the critical
+            // path.
+            dataAccessT<kFast>(c, dyn.memAddr, true);
         }
-        if (dyn.isAppControl) {
-            seqResolve_ = std::max(seqResolve_, complete);
-            if (dyn.taken) {
-                if (dyn.triggerSlot) {
-                    // Deferred: applied at sequence end unless a
-                    // later non-trigger branch redirects first.
-                    seqTrigTaken_ = true;
-                    seqTrigTarget_ = dyn.actualTarget;
+        if (dyn.isSyscall) {
+            // Syscalls serialize the pipeline.
+            raiseRedirect(h, commit + 1, StallCause::Drain);
+        }
+
+        // ---- Control flow and prediction. ----
+        //
+        // The front end predicts once per fetched (application-level)
+        // PC. For an expansion, that single prediction covers the whole
+        // replacement sequence: internal branches are never predicted
+        // separately (paper Section 2.2) — a sequence whose outcome
+        // differs from the trigger-PC prediction costs a mispredict
+        // resolved when its deciding branch executes.
+        if (!dyn.expanded) {
+            if (dyn.isAppControl) {
+                const auto pred =
+                    predictT<kFast>(c, dyn.pc, dyn.inst.cls, dyn.pc + 4);
+                resolveControlT<kFast>(h, c, dyn.pc, dyn.inst.cls,
+                                       dyn.taken, dyn.actualTarget,
+                                       complete, decodeCycle, pred);
+            }
+        } else {
+            if (dyn.firstOfSeq) {
+                seqPredCls_ = dyn.seqPredClass;
+                seqTriggerPC_ = dyn.pc;
+                seqTrigTaken_ = false;
+                seqTrigTarget_ = 0;
+                seqRedirected_ = false;
+                seqRedirTarget_ = 0;
+                seqResolve_ = complete;
+                if (seqPredCls_ != OpClass::Nop) {
+                    seqPred_ = predictT<kFast>(c, dyn.pc, seqPredCls_,
+                                               dyn.pc + 4);
                 } else {
-                    seqRedirected_ = true;
-                    seqRedirTarget_ = dyn.actualTarget;
+                    seqPred_ = BranchPredictor::Prediction{};
+                    seqPred_.target = dyn.pc + 4;
+                    seqPred_.targetKnown = true;
                 }
             }
+            if (dyn.inst.isDiseBranch() && dyn.taken) {
+                // Taken DISE branch: fetch restarts at the same PC, new
+                // DISEPC — interpreted as a misprediction.
+                ++c.diseMispredicts;
+                raiseRedirect(h, complete + 1, StallCause::Dise);
+            }
+            if (dyn.isAppControl) {
+                seqResolve_ = std::max(seqResolve_, complete);
+                if (dyn.taken) {
+                    if (dyn.triggerSlot) {
+                        // Deferred: applied at sequence end unless a
+                        // later non-trigger branch redirects first.
+                        seqTrigTaken_ = true;
+                        seqTrigTarget_ = dyn.actualTarget;
+                    } else {
+                        seqRedirected_ = true;
+                        seqRedirTarget_ = dyn.actualTarget;
+                    }
+                }
+            }
+            if (dyn.lastOfSeq) {
+                const bool taken = seqRedirected_ || seqTrigTaken_;
+                const Addr next = seqRedirected_
+                                      ? seqRedirTarget_
+                                      : (seqTrigTaken_ ? seqTrigTarget_
+                                                       : dyn.pc + 4);
+                resolveControlT<kFast>(h, c, seqTriggerPC_, seqPredCls_,
+                                       taken, next,
+                                       std::max(seqResolve_, complete),
+                                       decodeCycle, seqPred_);
+            }
         }
-        if (dyn.lastOfSeq) {
-            const bool taken = seqRedirected_ || seqTrigTaken_;
-            const Addr next = seqRedirected_
-                                  ? seqRedirTarget_
-                                  : (seqTrigTaken_ ? seqTrigTarget_
-                                                   : dyn.pc + 4);
-            resolveControlT<kFast>(seqTriggerPC_, seqPredCls_, taken, next,
-                                   std::max(seqResolve_, complete),
-                                   decodeCycle, seqPred_);
+
+        ++h.instIndex;
+        if constexpr (kFast) {
+            if (++h.robIdx == robEntries)
+                h.robIdx = 0;
+            if (++h.rsIdx == rsEntries)
+                h.rsIdx = 0;
         }
     }
 
-    ++instIndex_;
+    if constexpr (kFast)
+        hot_ = h;
+    CycleBreakdown &b = result_.buckets;
+    b.issue += c.buckets.issue;
+    b.imissStall += c.buckets.imissStall;
+    b.dmissStall += c.buckets.dmissStall;
+    b.branchFlush += c.buckets.branchFlush;
+    b.diseStall += c.buckets.diseStall;
+    b.hazard += c.buckets.hazard;
+    b.drain += c.buckets.drain;
+    result_.mispredicts += c.mispredicts;
+    result_.decodeRedirects += c.decodeRedirects;
+    result_.diseMispredicts += c.diseMispredicts;
+    result_.expansionStalls += c.expansionStalls;
+    result_.missStallCycles += c.missStallCycles;
     if constexpr (kFast) {
-        if (++robIdx_ == params_.robEntries)
-            robIdx_ = 0;
-        if (++rsIdx_ == params_.rsEntries)
-            rsIdx_ = 0;
+        *icAccCell_ += c.icAccesses;
+        *dcAccCell_ += c.dcAccesses;
+        *dcWrCell_ += c.dcWrites;
+        *bpPredCell_ += c.predictions;
+        *bpUpdCell_ += c.updates;
     }
 }
 
@@ -510,12 +564,12 @@ PipelineSim::warmInst(const DynInst &dyn)
     const bool appBoundary = !dyn.expanded || dyn.firstOfSeq;
     if (appBoundary) {
         if (dyn.missPenalty > 0)
-            curLine_ = ~uint64_t(0); // PT/RT fill flushes the front end
+            hot_.curLine = ~uint64_t(0); // PT/RT fill flushes front end
         const uint64_t line = fetchLine(dyn.pc);
-        if (line != curLine_) {
+        if (line != hot_.curLine) {
             ++*icAccCell_;
             mem_.icache().accessHot(dyn.pc, false);
-            curLine_ = line;
+            hot_.curLine = line;
         }
     }
 
@@ -547,7 +601,7 @@ PipelineSim::warmInst(const DynInst &dyn)
                 dyn.inst.cls == OpClass::CallIndirect)
                 bpred_.pushReturn(dyn.pc + 4);
             if (dyn.taken || pred.taken)
-                curLine_ = ~uint64_t(0);
+                hot_.curLine = ~uint64_t(0);
         }
     } else {
         if (dyn.firstOfSeq) {
@@ -568,7 +622,7 @@ PipelineSim::warmInst(const DynInst &dyn)
             }
         }
         if (dyn.inst.isDiseBranch() && dyn.taken)
-            curLine_ = ~uint64_t(0); // unpredicted redirect, refetch
+            hot_.curLine = ~uint64_t(0); // unpredicted redirect, refetch
         if (dyn.isAppControl && dyn.taken) {
             if (dyn.triggerSlot) {
                 seqTrigTaken_ = true;
@@ -592,11 +646,11 @@ PipelineSim::warmInst(const DynInst &dyn)
                     bpred_.pushReturn(seqTriggerPC_ + 4);
             }
             if (taken || seqPred_.taken)
-                curLine_ = ~uint64_t(0);
+                hot_.curLine = ~uint64_t(0);
         }
     }
     if (dyn.isSyscall)
-        curLine_ = ~uint64_t(0); // drain forces a refetch
+        hot_.curLine = ~uint64_t(0); // drain forces a refetch
 }
 
 // ---------------------------------------------------------------------
@@ -610,8 +664,8 @@ PipelineSim::runStepDriven(uint64_t maxInsts, uint64_t maxCycles)
     RunStop stop;
     while (stop.steps < maxInsts && core_.step(dyn)) {
         ++stop.steps;
-        timeInst<false>(dyn);
-        if (maxCycles != 0 && lastCommit_ > maxCycles) {
+        timeBatch<false>(&dyn, 1);
+        if (maxCycles != 0 && hot_.lastCommit > maxCycles) {
             stop.cycleBudgetExpired = true;
             break;
         }
@@ -623,8 +677,9 @@ PipelineSim::runStepDriven(uint64_t maxInsts, uint64_t maxCycles)
         // stretch the poll interval. A trip is the cycle-watchdog
         // outcome.
         if ((stop.steps & 0x3ff) == 0 ||
-            lastCommit_ - lastCancelPollCommit_ >= kCancelPollCycles) {
-            lastCancelPollCommit_ = lastCommit_;
+            hot_.lastCommit - lastCancelPollCommit_ >=
+                kCancelPollCycles) {
+            lastCancelPollCommit_ = hot_.lastCommit;
             if (core_.cancelRequested()) {
                 stop.cycleBudgetExpired = true;
                 break;
@@ -634,6 +689,28 @@ PipelineSim::runStepDriven(uint64_t maxInsts, uint64_t maxCycles)
     return stop;
 }
 
+bool
+PipelineSim::samplePhase(const DynInst &dyn)
+{
+    if (phaseLeft_ == 0 && (!dyn.expanded || dyn.firstOfSeq)) {
+        if (phaseDetail_) {
+            const uint64_t warmLen = samplePeriod_ - sampleDetail_;
+            if (warmLen > 0) {
+                phaseDetail_ = false;
+                phaseLeft_ = warmLen;
+            } else {
+                phaseLeft_ = sampleDetail_; // detail == period
+            }
+        } else {
+            phaseDetail_ = true;
+            phaseLeft_ = sampleDetail_;
+        }
+    }
+    if (phaseLeft_ > 0)
+        --phaseLeft_;
+    return phaseDetail_;
+}
+
 PipelineSim::RunStop
 PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
 {
@@ -641,10 +718,10 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
         ring_.resize(kFeedBatch);
     const bool sampling = samplePeriod_ != 0;
     // Derived ring cursors for the kFast structural-hazard walk (see
-    // timeInst): recomputed here rather than checkpointed, so snapshot
+    // Hot): recomputed here rather than checkpointed, so snapshot
     // layout stays independent of the feed implementation.
-    robIdx_ = size_t(instIndex_ % params_.robEntries);
-    rsIdx_ = size_t(instIndex_ % params_.rsEntries);
+    hot_.robIdx = size_t(hot_.instIndex % params_.robEntries);
+    hot_.rsIdx = size_t(hot_.instIndex % params_.rsEntries);
     RunStop stop;
     while (stop.steps < maxInsts) {
         uint64_t want =
@@ -653,10 +730,13 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
         if (maxCycles != 0 && phaseDetail_) {
             // Size the batch so a full batch cannot overshoot the
             // budget; once the remaining headroom is under one
-            // per-instruction bound, run record-at-a-time so the budget
+            // per-instruction bound — or gone, when a run resumes after
+            // a cycle-budget stop — run record-at-a-time so the budget
             // check below stops on exactly the same instruction as the
             // per-step reference.
-            const uint64_t headroom = maxCycles - lastCommit_;
+            const uint64_t headroom = hot_.lastCommit < maxCycles
+                                          ? maxCycles - hot_.lastCommit
+                                          : 0;
             const uint64_t allowed = headroom / perInstCycleBound_;
             if (allowed == 0) {
                 want = 1;
@@ -672,41 +752,30 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
                 stop.cycleBudgetExpired = true;
             break;
         }
+        const DynInst *const ring = ring_.data();
         if (!sampling) {
-            // Dedicated full-detail loop: no per-record mode dispatch in
-            // the common (unsampled) configuration.
-            for (size_t i = 0; i < n; ++i)
-                timeInst<true>(ring_[i]);
+            timeBatch<true>(ring, n);
         } else {
-            for (size_t i = 0; i < n; ++i) {
-                const DynInst &dyn = ring_[i];
-                // Phase switches wait for an application boundary so a
-                // replacement sequence is never split across modes.
-                if (phaseLeft_ == 0 &&
-                    (!dyn.expanded || dyn.firstOfSeq)) {
-                    if (phaseDetail_) {
-                        const uint64_t warmLen =
-                            samplePeriod_ - sampleDetail_;
-                        if (warmLen > 0) {
-                            phaseDetail_ = false;
-                            phaseLeft_ = warmLen;
-                        } else {
-                            phaseLeft_ = sampleDetail_; // detail==period
-                        }
-                    } else {
-                        phaseDetail_ = true;
-                        phaseLeft_ = sampleDetail_;
-                    }
-                }
-                if (phaseLeft_ > 0)
-                    --phaseLeft_;
-                if (phaseDetail_) {
-                    timeInst<true>(dyn);
-                    ++result_.sampling.sampledInsts;
+            // Split the batch into maximal same-phase runs: each detail
+            // run is one timeBatch, each warm run goes record by record.
+            // The phase schedule depends only on the records, so it can
+            // run ahead of the timing of the run it closes.
+            bool detail = samplePhase(ring[0]);
+            for (size_t i = 0; i < n;) {
+                size_t j = i + 1;
+                bool next = detail;
+                while (j < n && (next = samplePhase(ring[j])) == detail)
+                    ++j;
+                if (detail) {
+                    timeBatch<true>(ring + i, j - i);
+                    result_.sampling.sampledInsts += j - i;
                 } else {
-                    warmInst(dyn);
-                    ++result_.sampling.warmedInsts;
+                    for (size_t k = i; k < j; ++k)
+                        warmInst(ring[k]);
+                    result_.sampling.warmedInsts += j - i;
                 }
+                i = j;
+                detail = next;
             }
         }
         stop.steps += n;
@@ -716,17 +785,17 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
                 // here means the bound is wrong — fail loudly rather
                 // than stop on a different instruction than the
                 // reference would.
-                DISE_ASSERT(lastCommit_ <= maxCycles,
+                DISE_ASSERT(hot_.lastCommit <= maxCycles,
                             "per-instruction cycle bound violated by a "
                             "trace-feed batch");
-            } else if (lastCommit_ > maxCycles) {
+            } else if (hot_.lastCommit > maxCycles) {
                 stop.cycleBudgetExpired = true;
                 break;
             }
         }
         // Deadline poll once per batch (finer than the reference's
         // 1024-instruction stride).
-        lastCancelPollCommit_ = lastCommit_;
+        lastCancelPollCommit_ = hot_.lastCommit;
         if (core_.cancelRequested()) {
             stop.cycleBudgetExpired = true;
             break;
@@ -743,7 +812,7 @@ PipelineSim::run(uint64_t maxInsts, uint64_t maxCycles)
     const RunStop stop = traceFeed_ ? runFeed(maxInsts, maxCycles)
                                     : runStepDriven(maxInsts, maxCycles);
 
-    result_.cycles = lastCommit_;
+    result_.cycles = hot_.lastCommit;
     result_.arch = core_.result();
     // Watchdog expiry (instruction cap or cycle budget) with the core
     // still live is a Hang outcome, mirroring ExecCore::run.
@@ -757,7 +826,7 @@ PipelineSim::run(uint64_t maxInsts, uint64_t maxCycles)
     if (result_.sampling.enabled) {
         // Warming never advances the commit clock, so the cycle count
         // is exactly the cycles measured inside the detailed windows.
-        result_.sampling.measuredCycles = lastCommit_;
+        result_.sampling.measuredCycles = hot_.lastCommit;
     }
     // The accounting identity: every commit-clock advance was charged
     // to exactly one bucket, so the buckets partition the cycle count.
@@ -776,23 +845,23 @@ PipelineSim::saveSnapshot(TimingSnapshot &out) const
     out.mem = std::make_unique<MemHierarchy>(params_.mem);
     out.mem->adoptState(mem_);
     out.bpred = std::make_unique<BranchPredictor>(bpred_);
-    out.scalars = {feCycle_,
-                   feSlots_,
-                   curLine_,
-                   pendingRedirect_,
-                   uint64_t(redirectCause_),
-                   pend_.imiss,
-                   pend_.dise,
-                   pend_.branch,
-                   pend_.drain,
-                   pend_.dmiss,
-                   pend_.hazard,
-                   instIndex_,
-                   dispatchCycleCur_,
-                   dispatchSlots_,
-                   commitCycleCur_,
-                   commitSlots_,
-                   lastCommit_,
+    out.scalars = {hot_.feCycle,
+                   hot_.feSlots,
+                   hot_.curLine,
+                   hot_.pendingRedirect,
+                   uint64_t(hot_.redirectCause),
+                   hot_.pend.imiss,
+                   hot_.pend.dise,
+                   hot_.pend.branch,
+                   hot_.pend.drain,
+                   hot_.pend.dmiss,
+                   hot_.pend.hazard,
+                   hot_.instIndex,
+                   hot_.dispatchCycleCur,
+                   hot_.dispatchSlots,
+                   hot_.commitCycleCur,
+                   hot_.commitSlots,
+                   hot_.lastCommit,
                    uint64_t(seqPredCls_),
                    seqPred_.taken,
                    seqPred_.target,
@@ -827,23 +896,23 @@ PipelineSim::restoreSnapshot(const TimingSnapshot &snap)
                                            issueRing_.size(),
                 "timing snapshot shape mismatch (different machine "
                 "configuration?)");
-    feCycle_ = *p++;
-    feSlots_ = uint32_t(*p++);
-    curLine_ = *p++;
-    pendingRedirect_ = *p++;
-    redirectCause_ = StallCause(*p++);
-    pend_.imiss = *p++;
-    pend_.dise = *p++;
-    pend_.branch = *p++;
-    pend_.drain = *p++;
-    pend_.dmiss = *p++;
-    pend_.hazard = *p++;
-    instIndex_ = *p++;
-    dispatchCycleCur_ = *p++;
-    dispatchSlots_ = uint32_t(*p++);
-    commitCycleCur_ = *p++;
-    commitSlots_ = uint32_t(*p++);
-    lastCommit_ = *p++;
+    hot_.feCycle = *p++;
+    hot_.feSlots = uint32_t(*p++);
+    hot_.curLine = *p++;
+    hot_.pendingRedirect = *p++;
+    hot_.redirectCause = StallCause(*p++);
+    hot_.pend.imiss = *p++;
+    hot_.pend.dise = *p++;
+    hot_.pend.branch = *p++;
+    hot_.pend.drain = *p++;
+    hot_.pend.dmiss = *p++;
+    hot_.pend.hazard = *p++;
+    hot_.instIndex = *p++;
+    hot_.dispatchCycleCur = *p++;
+    hot_.dispatchSlots = uint32_t(*p++);
+    hot_.commitCycleCur = *p++;
+    hot_.commitSlots = uint32_t(*p++);
+    hot_.lastCommit = *p++;
     seqPredCls_ = OpClass(*p++);
     seqPred_.taken = *p++ != 0;
     seqPred_.target = *p++;

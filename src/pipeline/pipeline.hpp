@@ -293,46 +293,131 @@ class PipelineSim
     };
 
     /**
+     * Stall amounts observed while timing the current instruction; at
+     * its commit they are charged against the commit-clock advance in
+     * priority order and then cleared (unconsumed amounts overlapped
+     * with older work and cost nothing). See CycleBreakdown.
+     */
+    struct PendingStalls
+    {
+        uint64_t imiss = 0;
+        uint64_t dise = 0;
+        uint64_t branch = 0;
+        uint64_t drain = 0;
+        uint64_t dmiss = 0;
+        uint64_t hazard = 0;
+    };
+
+    /**
+     * The per-instruction scalar state of the timing model. The feed's
+     * timeBatch copies it into a local, so the record loop keeps it in
+     * registers instead of reloading members after every store into the
+     * ring buffers and component tables, and writes it back once per
+     * batch; the reference, one record per call, works on the member.
+     */
+    struct Hot
+    {
+        /** @name Front end. */
+        /// @{
+        uint64_t feCycle = 0;
+        uint32_t feSlots = 0;
+        uint64_t curLine = ~uint64_t(0);
+        uint64_t pendingRedirect = 0; ///< earliest next fetch cycle
+        StallCause redirectCause = StallCause::None;
+        /// @}
+        PendingStalls pend;
+        /** @name Back end. */
+        /// @{
+        uint64_t instIndex = 0;
+        uint64_t dispatchCycleCur = 0;
+        uint32_t dispatchSlots = 0;
+        uint64_t commitCycleCur = 0;
+        uint32_t commitSlots = 0;
+        uint64_t lastCommit = 0;
+        /**
+         * Incremental commit/issue-ring cursors for the kFast hazard
+         * walk: derived (instIndex mod ring size) at runFeed entry,
+         * never checkpointed. The reference path keeps the plain modulo.
+         */
+        size_t robIdx = 0;
+        size_t rsIdx = 0;
+        /// @}
+    };
+
+    /**
+     * Counters one timeBatch call accumulates in locals and adds to
+     * result_ (and, kFast, to the cached component stat cells) once at
+     * its end.
+     */
+    struct Tally
+    {
+        CycleBreakdown buckets;
+        uint64_t mispredicts = 0;
+        uint64_t decodeRedirects = 0;
+        uint64_t diseMispredicts = 0;
+        uint64_t expansionStalls = 0;
+        uint64_t missStallCycles = 0;
+        /** @name kFast stat-cell counts (see rebindHotCells). */
+        /// @{
+        uint64_t icAccesses = 0;
+        uint64_t dcAccesses = 0;
+        uint64_t dcWrites = 0;
+        uint64_t predictions = 0;
+        uint64_t updates = 0;
+        /// @}
+    };
+
+    /**
      * @name The timing model proper, shared by both delivery paths.
      *
      * Every function is templated on kFast, which selects only the leaf
      * accessors: kFast = false uses the component's public stat-counting
      * entry points (Cache::access, BranchPredictor::predict/update,
      * DecodedInst::srcRegList) — the frozen reference; kFast = true uses
-     * the inline hot variants plus cached StatGroup cells, leaving every
-     * timing decision byte-for-byte the same. Identity between the two
-     * paths is by construction, not by parallel maintenance.
+     * the inline hot variants plus the batch tally of the cached
+     * StatGroup cells, leaving every timing decision byte-for-byte the
+     * same. Identity between the two paths is by construction, not by
+     * parallel maintenance. The helpers take the batch's local state by
+     * reference and are forced inline, so it never escapes to memory.
      */
     /// @{
-    /** Time one dynamic instruction (the whole per-instruction pass:
-     *  frontend → dispatch → issue → complete → commit → accounting →
-     *  control resolution). */
-    template <bool kFast> void timeInst(const DynInst &dyn);
+    /**
+     * Time @p n consecutive dynamic instructions, each through the whole
+     * per-instruction pass (frontend → dispatch → issue → complete →
+     * commit → accounting → control resolution): the one model body of
+     * the feed (a ring batch), the sampled loop (a detail run) and the
+     * step-driven reference (n = 1).
+     */
+    template <bool kFast> void timeBatch(const DynInst *recs, size_t n);
 
     /** Front-end delivery: returns the decode cycle of @p dyn. */
-    template <bool kFast> uint64_t frontendT(const DynInst &dyn);
+    template <bool kFast>
+    uint64_t frontendT(Hot &h, Tally &c, const DynInst &dyn);
 
     /** Start a new fetch group at @p cycle fetching @p pc. */
     template <bool kFast>
-    void newFetchGroupT(uint64_t cycle, Addr pc, bool accessICache);
+    void newFetchGroupT(Hot &h, Tally &c, uint64_t cycle, Addr pc,
+                        bool accessICache);
 
     /**
      * Evaluate a resolved control transfer against its prediction,
      * charging redirects and training the predictor.
      */
     template <bool kFast>
-    void resolveControlT(Addr pc, OpClass cls, bool taken, Addr target,
-                         uint64_t resolveCycle, uint64_t decodeCycle,
+    void resolveControlT(Hot &h, Tally &c, Addr pc, OpClass cls,
+                         bool taken, Addr target, uint64_t resolveCycle,
+                         uint64_t decodeCycle,
                          const BranchPredictor::Prediction &pred);
 
     /** Leaf accessors (see the group comment). */
-    template <bool kFast> uint32_t fetchAccessT(Addr pc);
-    template <bool kFast> uint32_t dataAccessT(Addr addr, bool write);
+    template <bool kFast> uint32_t fetchAccessT(Tally &c, Addr pc);
     template <bool kFast>
-    BranchPredictor::Prediction predictT(Addr pc, OpClass cls,
+    uint32_t dataAccessT(Tally &c, Addr addr, bool write);
+    template <bool kFast>
+    BranchPredictor::Prediction predictT(Tally &c, Addr pc, OpClass cls,
                                          Addr fallThrough);
     template <bool kFast>
-    void updateT(Addr pc, OpClass cls, bool taken, Addr target);
+    void updateT(Tally &c, Addr pc, OpClass cls, bool taken, Addr target);
     /// @}
 
     /** The reference loop: ExecCore::step per instruction. */
@@ -341,6 +426,14 @@ class PipelineSim
     /** The batched loop: ExecCore::fillTrace, timing or warming each
      *  record; owns the sampling phase schedule. */
     RunStop runFeed(uint64_t maxInsts, uint64_t maxCycles);
+
+    /**
+     * Advance the sampling phase schedule past @p dyn. Phase switches
+     * wait for an application boundary, so a replacement sequence is
+     * never split across modes. @return True when @p dyn is timed in
+     * detail, false when it is functionally warmed.
+     */
+    bool samplePhase(const DynInst &dyn);
 
     /**
      * Functionally warm one instruction (sampling gaps): replicate
@@ -366,7 +459,7 @@ class PipelineSim
                            : pc / mem_.params().lineBytes;
     }
 
-    void raiseRedirect(uint64_t cycle, StallCause cause);
+    static void raiseRedirect(Hot &h, uint64_t cycle, StallCause cause);
     uint32_t instLatency(const DynInst &dyn) const;
 
     PipelineParams params_;
@@ -376,53 +469,24 @@ class PipelineSim
     BranchPredictor bpred_;
     TimingResult result_;
 
-    /** @name Front-end state. */
+    Hot hot_;
+    /** @name Static machine shape derived at construction. */
     /// @{
-    uint64_t feCycle_ = 0;
-    uint32_t feSlots_ = 0;
-    uint64_t curLine_ = ~uint64_t(0);
-    uint64_t pendingRedirect_ = 0; ///< earliest next fetch cycle
-    StallCause redirectCause_ = StallCause::None;
     uint32_t feDepth_ = 7;
     bool stallPerExpansion_ = false;
     uint32_t feLineShift_ = 0;
     bool feLinePow2_ = false;
     /// @}
 
-    /** @name Cycle-accounting state (see CycleBreakdown).
-     *
-     * Stall amounts observed while timing the current instruction; at
-     * its commit they are charged against the commit-clock advance in
-     * priority order and then cleared (unconsumed amounts overlapped
-     * with older work and cost nothing).
-     */
-    /// @{
-    struct PendingStalls
-    {
-        uint64_t imiss = 0;
-        uint64_t dise = 0;
-        uint64_t branch = 0;
-        uint64_t drain = 0;
-        uint64_t dmiss = 0;
-        uint64_t hazard = 0;
-    };
-    PendingStalls pend_;
     StatGroup pipeStats_{"pipeline"};
     StatGroup runStats_{"run"};
     StatGroup samplingStats_{"sampling"};
-    /// @}
 
-    /** @name Back-end state. */
+    /** @name Back-end occupancy and dataflow state. */
     /// @{
     std::array<uint64_t, kNumLogicalRegs> regReady_{};
     std::vector<uint64_t> commitRing_; ///< ROB occupancy
     std::vector<uint64_t> issueRing_;  ///< RS occupancy
-    uint64_t instIndex_ = 0;
-    uint64_t dispatchCycleCur_ = 0;
-    uint32_t dispatchSlots_ = 0;
-    uint64_t commitCycleCur_ = 0;
-    uint32_t commitSlots_ = 0;
-    uint64_t lastCommit_ = 0;
     /// @}
 
     /** @name Per-expansion (sequence-level) prediction state.
@@ -463,11 +527,6 @@ class PipelineSim
      */
     uint64_t perInstCycleBound_ = 0;
     std::vector<DynInst> ring_; ///< feed batch buffer (lazy)
-    /** Incremental commit/issue-ring cursors for the kFast hazard walk;
-     *  derived (instIndex_ mod ring size) at runFeed entry, never
-     *  checkpointed. The reference path keeps the plain modulo. */
-    size_t robIdx_ = 0;
-    size_t rsIdx_ = 0;
     /** Cached component stat cells (rebindHotCells). */
     uint64_t *icAccCell_ = nullptr;
     uint64_t *dcAccCell_ = nullptr;

@@ -1,6 +1,7 @@
 #include "src/sim/core.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/bits.hpp"
 #include "src/common/logging.hpp"
@@ -982,7 +983,7 @@ ExecCore::advanceToAppInst(uint64_t target)
         const uint64_t budget =
             result_.dynInsts + (target - result_.appInsts);
         if (traceEnabled_) {
-            runTranslated(budget);
+            runTranslated<false>(budget);
         } else {
             DynInst dyn;
             while (result_.dynInsts < budget && step(dyn)) {
@@ -1041,6 +1042,7 @@ ExecCore::restoreSnapshot(const SimSnapshot &snap)
     seqLen_ = 0;
     seqIdx_ = 0;
     seqHasPendingOutcome_ = false;
+    resume_ = ChainCursor{};
     if (controller_)
         controller_->restoreEngine(*snap.engine);
     // The restored image may differ from what was pre-decoded or
@@ -1058,6 +1060,7 @@ ExecCore::resumeAt(Addr pc, uint32_t disepc)
     seqLen_ = 0;
     seqIdx_ = 0;
     seqHasPendingOutcome_ = false;
+    resume_ = ChainCursor{};
     pc_ = pc;
     if (disepc == 0)
         return;
@@ -1753,12 +1756,13 @@ seq_done:
 
 template <bool kEmit>
 void
-ExecCore::runChain(const TransBlock *block, uint64_t maxInsts)
+ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
+                   uint64_t maxInsts)
 {
     const bool haveEngine = controller_ != nullptr;
     const TransBlock *blk = block;
-    const TransOp *t = blk->ops.data();
-    Addr pc = blk->entryPC;
+    const TransOp *t = start;
+    // Trace epoch the running block was entered at (the cursor stamp).
     uint64_t epoch0 = traceEpoch_;
     // Successor hand-off registers for the `chain` trampoline.
     Addr nextPC = 0;
@@ -2171,8 +2175,17 @@ dispatch:
             }
         }
         CHAIN_RELOAD();
-        if (exited_ || trapped_ || seqSpec_)
-            goto exit_flush; // done, or budget/deadline mid-sequence
+        if (exited_ || trapped_)
+            goto exit_flush;
+        if (seqSpec_) {
+            // Budget or deadline mid-sequence: the dispatcher drains
+            // the rest, then re-enters after this slot if the sequence
+            // fell through. epoch0, not the live epoch: a store the
+            // sequence already made into this block must kill the
+            // cursor, since the block may now be parked for freeing.
+            resume_ = {blk, t + 1, pc + 4, epoch0, blk->engineGen};
+            goto exit_flush;
+        }
         if (traceEpoch_ != epoch0)
             goto exit_flush; // a sequence store rewrote text (pc_ set)
         if (pc_ == pc + 4) {
@@ -2247,7 +2260,10 @@ chain:
     CHAIN_DISPATCH();
 
 budget_stop:
+    // Usually mid-block (a fill batch ends every 64 records): the
+    // cursor lets the next dispatcher trip carry on in this block.
     pc_ = pc;
+    resume_ = {blk, t, pc, epoch0, blk->engineGen};
 exit_flush:
     CHAIN_FLUSH();
     statChainFollows_ += chainFollows;
@@ -2265,10 +2281,12 @@ exit_flush:
 #undef CHAIN_LOAD
 }
 
+template <bool kEmit>
 void
 ExecCore::runTranslated(uint64_t maxInsts)
 {
-    DynInst dyn;
+    // step() output when not emitting; fillTrace writes into its ring.
+    DynInst scratch;
     while (!exited_ && !trapped_ && result_.dynInsts < maxInsts &&
            !cancelRequested()) {
         // Dispatcher top is the one point provably outside any chain
@@ -2276,37 +2294,47 @@ ExecCore::runTranslated(uint64_t maxInsts)
         // invalidation/eviction can finally be freed.
         retired_.clear();
         if (seqSpec_) {
-            // Resumed mid-sequence (resumeAt, or a budget expiry that
-            // was later raised): drain the sequence first.
-            execSeqSlot<false>(nullptr);
+            // Resumed mid-sequence (a budget or deadline stop inside an
+            // expansion, or resumeAt): drain it a slot at a time.
+            if (execSeqSlot<kEmit>(emit_) && kEmit)
+                ++emit_;
             continue;
         }
-        if ((pc_ & 3) != 0 || pc_ < prog_.textBase ||
-            pc_ >= prog_.textEnd()) {
-            // Out-of-text (traps) and unaligned fetches stay on the
-            // slow path.
-            if (!step(dyn))
-                break;
-            continue;
-        }
-        DispatchEntry &de =
-            dispatch_[(pc_ >> 2) & (kDispatchEntries - 1)];
         const uint64_t gen =
             controller_ ? controller_->engine().generation() : 0;
-        if (de.pc != pc_ || de.epoch != traceEpoch_ || de.gen != gen) {
-            de.block = lookupBlock(pc_);
-            de.pc = pc_;
-            de.epoch = traceEpoch_;
-            de.gen = gen;
+        if (resume_.block != nullptr) {
+            // The ChainEdge validity rule: same PC, same trace epoch,
+            // same engine generation. Anything else discards it.
+            const ChainCursor c = std::exchange(resume_, ChainCursor{});
+            if (c.pc == pc_ && c.epoch == traceEpoch_ && c.gen == gen) {
+                runChain<kEmit>(c.block, c.op, c.pc, maxInsts);
+                continue;
+            }
         }
-        if (de.block->numInsts == 0) {
-            // Leading untranslatable instruction (syscall, codeword,
-            // ...): execute it through the full machinery.
-            if (!step(dyn))
+        const TransBlock *block = nullptr;
+        if ((pc_ & 3) == 0 && pc_ >= prog_.textBase &&
+            pc_ < prog_.textEnd()) {
+            DispatchEntry &de =
+                dispatch_[(pc_ >> 2) & (kDispatchEntries - 1)];
+            if (de.pc != pc_ || de.epoch != traceEpoch_ || de.gen != gen) {
+                de.block = lookupBlock(pc_);
+                de.pc = pc_;
+                de.epoch = traceEpoch_;
+                de.gen = gen;
+            }
+            block = de.block.get();
+        }
+        if (block == nullptr || block->numInsts == 0) {
+            // Out-of-text (traps) and unaligned fetches, and a leading
+            // untranslatable instruction (syscall, codeword, ...): the
+            // full machinery.
+            if (!step(kEmit ? *emit_ : scratch))
                 break;
+            if constexpr (kEmit)
+                ++emit_;
             continue;
         }
-        runChain<false>(de.block.get(), maxInsts);
+        runChain<kEmit>(block, block->ops.data(), pc_, maxInsts);
     }
 }
 
@@ -2319,62 +2347,19 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
     // most one record, so bounding dynInsts bounds the ring too.
     const uint64_t budget =
         std::min(maxDyn, result_.dynInsts + cap);
-
-    if (!traceEnabled_) {
+    // emit_ is live for the duration of the call; every exit from the
+    // interpreters syncs it.
+    emit_ = ring;
+    if (traceEnabled_) {
+        runTranslated<true>(budget);
+    } else {
         // Reference path: step() straight into the ring, with the slow
         // loop's cancel-poll stride.
-        DynInst *out = ring;
-        DynInst *const end = ring + cap;
-        while (out != end && result_.dynInsts < budget) {
-            if (!step(*out))
-                break;
-            ++out;
+        while (result_.dynInsts < budget && step(*emit_)) {
+            ++emit_;
             if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
                 break;
         }
-        pinSuspendedSeq();
-        return static_cast<size_t>(out - ring);
-    }
-
-    // Translated path: runTranslated's dispatcher with the emitting
-    // interpreter variants. emit_ is live for the duration of the
-    // call; every exit from the interpreters syncs it.
-    emit_ = ring;
-    DynInst *const end = ring + cap;
-    while (!exited_ && !trapped_ && result_.dynInsts < budget &&
-           emit_ != end && !cancelRequested()) {
-        retired_.clear();
-        if (seqSpec_) {
-            // Resumed mid-sequence (a prior batch boundary landed
-            // inside an expansion): drain it a slot at a time.
-            if (execSeqSlot<true>(emit_))
-                ++emit_;
-            continue;
-        }
-        if ((pc_ & 3) != 0 || pc_ < prog_.textBase ||
-            pc_ >= prog_.textEnd()) {
-            if (!step(*emit_))
-                break;
-            ++emit_;
-            continue;
-        }
-        DispatchEntry &de =
-            dispatch_[(pc_ >> 2) & (kDispatchEntries - 1)];
-        const uint64_t gen =
-            controller_ ? controller_->engine().generation() : 0;
-        if (de.pc != pc_ || de.epoch != traceEpoch_ || de.gen != gen) {
-            de.block = lookupBlock(pc_);
-            de.pc = pc_;
-            de.epoch = traceEpoch_;
-            de.gen = gen;
-        }
-        if (de.block->numInsts == 0) {
-            if (!step(*emit_))
-                break;
-            ++emit_;
-            continue;
-        }
-        runChain<true>(de.block.get(), budget);
     }
     pinSuspendedSeq();
     const size_t n = static_cast<size_t>(emit_ - ring);
@@ -2386,7 +2371,7 @@ RunResult
 ExecCore::run(uint64_t maxInsts)
 {
     if (traceEnabled_) {
-        runTranslated(maxInsts);
+        runTranslated<false>(maxInsts);
     } else {
         DynInst dyn;
         while (result_.dynInsts < maxInsts && step(dyn)) {

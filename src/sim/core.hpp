@@ -118,7 +118,9 @@ class ExecCore
      * absolute result().dynInsts bound, run()-style), at termination
      * (exit/trap), or at a cooperative-cancel poll; like run(), a
      * return mid-replacement-sequence pins the suspended sequence so
-     * the next call can resume it.
+     * the next call can resume it (the sequence is torn across the two
+     * fills), and a return mid-block leaves a resume cursor so the next
+     * call continues in the same translated block.
      *
      * @return The number of records written. 0 means no progress:
      *         terminated, budget already spent, or cancelled. Unlike
@@ -329,16 +331,25 @@ class ExecCore
     bool beginExpansion(const DecodedInst &fetched);
     /** Adopt a just-produced expansion as the in-flight sequence. */
     void adoptExpansion(const ExpandResult &r);
-    /** run() body when the trace cache is enabled. */
-    void runTranslated(uint64_t maxInsts);
     /**
-     * Execute the superblock chain starting at @p block (whose entry PC
-     * is pc_): the direct-threaded interpreter runs the block's slots
-     * and follows patched ChainEdges block-to-block until a budget
-     * expiry, a cancellation poll, an untranslatable successor, a chain
-     * invalidation, or termination. The caller must hold @p block alive
-     * (dispatch-cache shared_ptr); chain successors are kept alive by
-     * traces_ plus the retired_ graveyard.
+     * The translated-path dispatcher, shared by run()/advanceToAppInst
+     * (!kEmit) and fillTrace (kEmit: every retirement also writes its
+     * record through emit_). Runs until termination, a cancel, or
+     * @p maxInsts retired instructions; re-enters a block at the resume
+     * cursor when it still applies (see ChainCursor).
+     */
+    template <bool kEmit> void runTranslated(uint64_t maxInsts);
+    /**
+     * Execute the superblock chain starting at slot @p start of
+     * @p block, the slot of guest PC @p pc (pc_): the direct-threaded
+     * interpreter runs the block's slots and follows patched ChainEdges
+     * block-to-block until a budget expiry, a cancellation poll, an
+     * untranslatable successor, a chain invalidation, or termination.
+     * The caller must hold @p block alive (dispatch-cache shared_ptr,
+     * or traces_ for a valid resume cursor); chain successors are kept
+     * alive by traces_ plus the retired_ graveyard. A stop inside a
+     * block on the budget, or after a suspended sequence, leaves the
+     * resume cursor behind.
      *
      * kEmit (the fillTrace feed): every retirement additionally writes
      * its DynInst record through the emit_ cursor, bit-identical to
@@ -347,7 +358,8 @@ class ExecCore
      * retired instruction emits at most one record).
      */
     template <bool kEmit>
-    void runChain(const TransBlock *block, uint64_t maxInsts);
+    void runChain(const TransBlock *block, const TransOp *start, Addr pc,
+                  uint64_t maxInsts);
     /**
      * Chainable block entered at @p pc, translating on miss: null when
      * the target is unaligned, outside text, or untranslatable (the
@@ -565,6 +577,29 @@ class ExecCore
     size_t traceBlockCap_ = 65536;
     /** Next dynInsts value at which the fast path polls cancelFlag_. */
     uint64_t nextCancelPoll_ = 0;
+    /**
+     * Resume cursor (DESIGN.md section 13.3): where runChain last
+     * stopped inside a block — on its instruction budget, or just after
+     * an Engine slot whose replacement sequence it left suspended (the
+     * dispatcher drains the rest through execSeqSlot first). Stamped
+     * like a ChainEdge: the trace epoch the block was ENTERED at (so a
+     * sequence store that invalidated the running block leaves a dead
+     * cursor) and the block's engine generation. The dispatcher
+     * re-enters at @c op when pc_ and both stamps still match, instead
+     * of translating a fresh suffix block at pc_ whose expansion memos
+     * would start cold. Matching stamps prove the block is still owned
+     * by traces_ (every removal bumps the epoch or leaves a stale
+     * generation), so the raw pointers are safe to follow.
+     */
+    struct ChainCursor
+    {
+        const TransBlock *block = nullptr;
+        const TransOp *op = nullptr; ///< next slot to execute
+        Addr pc = 0;                 ///< guest PC of @c op
+        uint64_t epoch = ~uint64_t(0);
+        uint64_t gen = 0;
+    };
+    ChainCursor resume_;
     /**
      * fillTrace emission cursor: the next free ring slot. Non-null
      * only while a fillTrace call is on the stack; the kEmit

@@ -4,19 +4,23 @@
  * a bit-identical replacement for step()-per-instruction delivery —
  * record-by-record at the ExecCore level, and cycles / buckets / every
  * registry stat at the PipelineSim level — across budgets expiring
- * mid-batch, snapshots at batch and sample boundaries, and sampled
- * runs. Also pins the inline fast register helpers the feed's hazard
- * walk uses to their out-of-line reference implementations over the
- * whole opcode space.
+ * mid-batch, resume cursors invalidated between and during fills,
+ * snapshots at batch and sample boundaries, and sampled runs. Also pins
+ * the inline fast register helpers the feed's hazard walk uses to their
+ * out-of-line reference implementations over the whole opcode space.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "src/acf/mfi.hpp"
 #include "src/assembler/assembler.hpp"
 #include "src/common/logging.hpp"
 #include "src/common/stats.hpp"
+#include "src/dise/parser.hpp"
 #include "src/pipeline/pipeline.hpp"
+#include "src/service/runner.hpp"
 #include "src/service/session.hpp"
 #include "src/workloads/workloads.hpp"
 
@@ -148,9 +152,265 @@ TEST(TraceFeed, FillMatchesStepPlain)
 TEST(TraceFeed, FillMatchesStepMfi)
 {
     // Ring smaller than a replacement sequence forces mid-sequence
-    // ring-full exits; a sequence must never be torn.
+    // ring-full exits: the torn sequence must resume bit-identically in
+    // the next fill.
     expectSameStream(mixedProgramWithHelper(300), true, 3);
     expectSameStream(mixedProgramWithHelper(300), true, 64);
+}
+
+// ---------------------------------------------------------------------
+// The resume cursor: a fill that stops inside a translated block (or
+// just after a sequence it left suspended) re-enters that block in the
+// next fill, unless something invalidated the block in between.
+// ---------------------------------------------------------------------
+
+/** Called after fill @p i, and on the step side after the same number
+ *  of records, so both cores see it at the same retirement point. */
+using FillHook =
+    std::function<void(size_t i, ExecCore &core, DiseController *ctl)>;
+
+struct CursorCase
+{
+    std::shared_ptr<const ProductionSet> set; ///< null: no controller
+    bool mfiRegs = false; ///< initMfiRegisters on both cores
+    size_t blockCap = 0;  ///< nonzero: setTraceBlockCap on the feed
+    /** Makes one hook per side (hooks may keep per-core state). */
+    std::function<FillHook()> makeHook;
+};
+
+/**
+ * Drain @p prog through fillTrace at ring capacity @p cap and through
+ * step(), applying the case's hook at identical points, and require
+ * identical record streams and results. The step side runs step()
+ * through fillTrace with the trace cache off, in batches of the feed's
+ * sizes: like the feed, that returns with a suspended sequence pinned,
+ * so a hook may change the tables mid-sequence on both sides (a bare
+ * step() leaves the sequence in engine-owned storage).
+ */
+void
+expectSameStreamAcrossFills(const Program &prog, const CursorCase &cc,
+                            size_t cap)
+{
+    std::unique_ptr<DiseController> cf, cs;
+    if (cc.set) {
+        cf = std::make_unique<DiseController>(DiseConfig{});
+        cs = std::make_unique<DiseController>(DiseConfig{});
+        cf->install(cc.set);
+        cs->install(cc.set);
+    }
+    ExecCore feed(prog, cf.get());
+    ExecCore step(prog, cs.get());
+    step.setTraceCacheEnabled(false);
+    if (cc.mfiRegs) {
+        initMfiRegisters(feed, prog);
+        initMfiRegisters(step, prog);
+    }
+    if (cc.blockCap != 0)
+        feed.setTraceBlockCap(cc.blockCap);
+
+    std::vector<DynInst> a, b;
+    std::vector<size_t> sizes;
+    std::vector<DynInst> ring(cap);
+    FillHook hook = cc.makeHook ? cc.makeHook() : FillHook();
+    for (size_t i = 0;; ++i) {
+        const size_t n = feed.fillTrace(ring.data(), cap);
+        if (n == 0)
+            break;
+        a.insert(a.end(), ring.begin(), ring.begin() + n);
+        sizes.push_back(n);
+        if (hook)
+            hook(i, feed, cf.get());
+    }
+    hook = cc.makeHook ? cc.makeHook() : FillHook();
+    for (size_t i = 0; i < sizes.size(); ++i) {
+        ASSERT_EQ(step.fillTrace(ring.data(), sizes[i]), sizes[i])
+            << "step stream ended early";
+        b.insert(b.end(), ring.begin(), ring.begin() + sizes[i]);
+        if (hook)
+            hook(i, step, cs.get());
+    }
+    EXPECT_EQ(step.fillTrace(ring.data(), cap), 0u)
+        << "step stream runs longer";
+
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_TRUE(sameRecord(a[i], b[i]))
+            << "cap " << cap << " record " << i << " pc 0x" << std::hex
+            << a[i].pc << " vs 0x" << b[i].pc;
+    }
+    EXPECT_EQ(feed.result().dynInsts, step.result().dynInsts);
+    EXPECT_EQ(feed.result().outcome, step.result().outcome);
+    EXPECT_EQ(feed.result().exitCode, step.result().exitCode);
+}
+
+/**
+ * A loop that rewrites two instructions of its own block on every
+ * iteration, alternating between two donor pairs, so a stale block (or
+ * a resume cursor into one) adds the wrong amount: s1 ends at
+ * 20 * (2 + 3) = 100 only when every rewrite takes effect.
+ */
+constexpr const char *kSmcLoop = R"(.text
+main:
+    laq patch, t1
+    laq donora, t3
+    laq donorb, t4
+    li 40, t0
+    li 0, s1
+loop:
+    ldq t2, 0(t3)
+    stq t2, 0(t1)
+patch:
+    addq s1, 0, s1
+    addq s1, 0, s1
+    xor t3, t4, t6
+    xor t3, t6, t3
+    xor t4, t6, t4
+    subq t0, 1, t0
+    bne t0, loop
+    mov s1, a0
+    li 0, v0
+    syscall
+donora:
+    addq s1, 2, s1
+    addq s1, 0, s1
+donorb:
+    addq s1, 3, s1
+    addq s1, 0, s1
+)";
+
+/**
+ * Every store expands, so kSmcLoop's text store runs from inside a
+ * replacement sequence, with slots after it: a fill can stop right
+ * after the store, with the block that holds `patch` already
+ * invalidated.
+ */
+std::shared_ptr<const ProductionSet>
+storeSequenceSet(const Program &prog)
+{
+    return std::make_shared<ProductionSet>(parseProductions(
+        "P1: class == store -> R1\n"
+        "R1: lda $dr1, 1(zero)\n"
+        "    T.INSN\n"
+        "    lda $dr1, 2(zero)\n"
+        "    lda $dr1, 3(zero)\n",
+        prog.symbols));
+}
+
+TEST(TraceFeed, CursorInvalidatedBySmc)
+{
+    const Program prog = assemble(kSmcLoop);
+    {
+        ExecCore ref(prog);
+        ref.setTraceCacheEnabled(false);
+        ASSERT_EQ(ref.run().exitCode, 100);
+    }
+    CursorCase fromBlock;
+    CursorCase fromSequence;
+    fromSequence.set = storeSequenceSet(prog);
+    for (const size_t cap : {1, 3, 7, 64}) {
+        expectSameStreamAcrossFills(prog, fromBlock, cap);
+        expectSameStreamAcrossFills(prog, fromSequence, cap);
+    }
+}
+
+TEST(TraceFeed, CursorInvalidatedByTableChanges)
+{
+    // install() and flushTables() both advance the engine generation,
+    // at fill boundaries inside blocks and inside sequences. The two
+    // sets cover different opcodes (MFI: loads and stores; the other:
+    // stores only), so resuming a block translated under one set after
+    // installing the other would skip or invent expansions.
+    const Program prog = mixedProgramWithHelper(300);
+    MfiOptions dise3;
+    dise3.variant = MfiVariant::Dise3;
+    const auto mfi =
+        std::make_shared<const ProductionSet>(makeMfiProductions(prog, dise3));
+    const auto stores = storeSequenceSet(prog);
+
+    CursorCase tables;
+    tables.set = mfi;
+    tables.mfiRegs = true;
+    tables.makeHook = [mfi, stores] {
+        return [mfi, stores](size_t i, ExecCore &, DiseController *ctl) {
+            if (i % 11 == 5)
+                ctl->install(i % 22 == 5 ? stores : mfi);
+            else if (i % 7 == 3)
+                ctl->engine().flushTables();
+        };
+    };
+    for (const size_t cap : {1, 3, 7, 64})
+        expectSameStreamAcrossFills(prog, tables, cap);
+}
+
+TEST(TraceFeed, CursorUnderEvictionPressure)
+{
+    // A one-block trace cache evicts on every translation: a cursor
+    // left in a block is only valid until the next lookup.
+    const Program mixed = mixedProgramWithHelper(300);
+    CursorCase mfi;
+    mfi.set = std::make_shared<const ProductionSet>(
+        makeMfiProductions(mixed, MfiOptions{}));
+    mfi.mfiRegs = true;
+    mfi.blockCap = 1;
+    const Program smc = assemble(kSmcLoop);
+    CursorCase smcSeq;
+    smcSeq.set = storeSequenceSet(smc);
+    smcSeq.blockCap = 1;
+    for (const size_t cap : {1, 3, 7, 64}) {
+        expectSameStreamAcrossFills(mixed, mfi, cap);
+        expectSameStreamAcrossFills(smc, smcSeq, cap);
+    }
+}
+
+TEST(TraceFeed, CursorInvalidatedByRestoreSnapshot)
+{
+    // Snapshot at the first application boundary after fill 20, run on,
+    // and rewind after fill 40: the cursor the rewound core holds points
+    // at a block position of the abandoned future.
+    const Program prog = mixedProgramWithHelper(300);
+    CursorCase rewind;
+    rewind.set = std::make_shared<const ProductionSet>(
+        makeMfiProductions(prog, MfiOptions{}));
+    rewind.mfiRegs = true;
+    rewind.makeHook = [] {
+        auto snap = std::make_shared<SimSnapshot>();
+        auto state = std::make_shared<int>(0); // 0 none, 1 saved, 2 done
+        return [snap, state](size_t i, ExecCore &core, DiseController *) {
+            if (*state == 0 && i >= 20 && core.atAppBoundary()) {
+                core.saveSnapshot(*snap);
+                *state = 1;
+            } else if (*state == 1 && i >= 40) {
+                core.restoreSnapshot(*snap);
+                *state = 2;
+            }
+        };
+    };
+    for (const size_t cap : {1, 3, 7, 64})
+        expectSameStreamAcrossFills(prog, rewind, cap);
+}
+
+TEST(TraceFeed, FillTranslatesNoMoreBlocksThanRun)
+{
+    // Every 64-record fill stops mid-block. The next fill must resume in
+    // that block: a fresh suffix block at the stop PC is a block run()
+    // never builds, with cold expansion memos.
+    for (const char *name : {"bzip2", "gcc"}) {
+        const Program prog =
+            buildWorkload(scaledSpec(workloadSpec(name), 0.05));
+        auto cr = mfiController(prog);
+        auto cf = mfiController(prog);
+        ExecCore ran(prog, cr.get());
+        ExecCore filled(prog, cf.get());
+        initMfiRegisters(ran, prog);
+        initMfiRegisters(filled, prog);
+        ran.run();
+        const std::vector<DynInst> stream = drainViaFill(filled, 64);
+        ASSERT_EQ(filled.result().dynInsts, ran.result().dynInsts) << name;
+        EXPECT_GT(ran.traceCacheStats().blocksTranslated, 0u) << name;
+        EXPECT_EQ(filled.traceCacheStats().blocksTranslated,
+                  ran.traceCacheStats().blocksTranslated)
+            << name;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -249,6 +509,34 @@ TEST(TraceFeed, MaxInstsExpiresMidBatch)
         ASSERT_EQ(feed.t.arch.dynInsts, cap);
         ASSERT_EQ(feed.t.arch.outcome, RunOutcome::Hang);
         expectSameTiming(feed, step);
+    }
+}
+
+TEST(TraceFeed, ResumedRunPastCycleBudgetMatchesStep)
+{
+    // run() again with the cycle budget that stopped the first call: the
+    // commit clock is already past it, so the step path times exactly
+    // one more instruction and stops with Hang. The feed must do the
+    // same, not size a bounded batch from a headroom that wrapped below
+    // zero (its per-batch bound check then panics).
+    const Program prog =
+        buildWorkload(scaledSpec(workloadSpec("bzip2"), 0.05));
+    PipelineSim feed(prog, PipelineParams{});
+    PipelineSim step(prog, PipelineParams{});
+    step.setTraceFeed(false);
+    uint64_t prevInsts = 0;
+    for (int call = 0; call < 2; ++call) {
+        TimingRun f, s;
+        f.t = feed.run(~uint64_t(0), 500);
+        f.registry = registryDump(feed);
+        s.t = step.run(~uint64_t(0), 500);
+        s.registry = registryDump(step);
+        ASSERT_EQ(s.t.arch.outcome, RunOutcome::Hang);
+        expectSameTiming(f, s);
+        if (call == 1) {
+            EXPECT_EQ(s.t.arch.dynInsts, prevInsts + 1);
+        }
+        prevInsts = s.t.arch.dynInsts;
     }
 }
 

@@ -750,6 +750,14 @@ ExecCore::execFusedPair(const DecodedInst &fz, DynInst *out)
 bool
 ExecCore::step(DynInst &out)
 {
+    const bool retired = stepUnpinned(out);
+    pinSuspendedSeq();
+    return retired;
+}
+
+bool
+ExecCore::stepUnpinned(DynInst &out)
+{
     if (exited_ || trapped_)
         return false;
 
@@ -986,7 +994,7 @@ ExecCore::advanceToAppInst(uint64_t target)
             runTranslated<false>(budget);
         } else {
             DynInst dyn;
-            while (result_.dynInsts < budget && step(dyn)) {
+            while (result_.dynInsts < budget && stepUnpinned(dyn)) {
                 if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
                     break;
             }
@@ -2328,7 +2336,7 @@ ExecCore::runTranslated(uint64_t maxInsts)
             // Out-of-text (traps) and unaligned fetches, and a leading
             // untranslatable instruction (syscall, codeword, ...): the
             // full machinery.
-            if (!step(kEmit ? *emit_ : scratch))
+            if (!stepUnpinned(kEmit ? *emit_ : scratch))
                 break;
             if constexpr (kEmit)
                 ++emit_;
@@ -2355,7 +2363,7 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
     } else {
         // Reference path: step() straight into the ring, with the slow
         // loop's cancel-poll stride.
-        while (result_.dynInsts < budget && step(*emit_)) {
+        while (result_.dynInsts < budget && stepUnpinned(*emit_)) {
             ++emit_;
             if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
                 break;
@@ -2374,7 +2382,7 @@ ExecCore::run(uint64_t maxInsts)
         runTranslated<false>(maxInsts);
     } else {
         DynInst dyn;
-        while (result_.dynInsts < maxInsts && step(dyn)) {
+        while (result_.dynInsts < maxInsts && stepUnpinned(dyn)) {
             if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
                 break;
         }

@@ -98,6 +98,9 @@ class ExecCore
 
     /**
      * Execute and emit the next correct-path dynamic instruction.
+     * Like run(), a return mid-replacement-sequence pins the suspended
+     * sequence, so the caller may install() or flushTables() before
+     * the next step.
      * @return False when the program has terminated — exited or took an
      *         architected trap (out is untouched).
      */
@@ -310,6 +313,11 @@ class ExecCore
     /// @}
 
   private:
+    /**
+     * step() without the pin: the dispatchers loop on it and pin once
+     * at their own return.
+     */
+    bool stepUnpinned(DynInst &out);
     /**
      * Execute the fetched application instruction at pc_ and retire it.
      * Shared by step() (kEmit: fills @p out) and the translated fast

@@ -183,9 +183,8 @@ struct CursorCase
  * step(), applying the case's hook at identical points, and require
  * identical record streams and results. The step side runs step()
  * through fillTrace with the trace cache off, in batches of the feed's
- * sizes: like the feed, that returns with a suspended sequence pinned,
- * so a hook may change the tables mid-sequence on both sides (a bare
- * step() leaves the sequence in engine-owned storage).
+ * sizes, so a hook runs after the same records on both sides, also
+ * mid-sequence.
  */
 void
 expectSameStreamAcrossFills(const Program &prog, const CursorCase &cc,
@@ -340,6 +339,47 @@ TEST(TraceFeed, CursorInvalidatedByTableChanges)
     };
     for (const size_t cap : {1, 3, 7, 64})
         expectSameStreamAcrossFills(prog, tables, cap);
+}
+
+TEST(TraceFeed, BareStepSurvivesTableChangesMidSequence)
+{
+    // Step into an MFI sequence, then free the storage it was expanded
+    // into: install() drops the production set and the expansion cache,
+    // flushTables() the cache. The rest of the sequence must retire as
+    // it would have uninterrupted.
+    const Program prog = mixedProgramWithHelper(3);
+    auto reference = mfiController(prog);
+    ExecCore ref(prog, reference.get());
+    initMfiRegisters(ref, prog);
+    const std::vector<DynInst> want = drainViaStep(ref);
+
+    for (const bool install : {true, false}) {
+        auto ctl = mfiController(prog);
+        ExecCore core(prog, ctl.get());
+        initMfiRegisters(core, prog);
+        std::vector<DynInst> got;
+        DynInst dyn;
+        while (core.step(dyn)) {
+            got.push_back(dyn);
+            if (dyn.firstOfSeq && !dyn.lastOfSeq)
+                break;
+        }
+        ASSERT_TRUE(got.back().firstOfSeq && !got.back().lastOfSeq);
+        if (install) {
+            ctl->install(std::make_shared<const ProductionSet>(
+                makeMfiProductions(prog, MfiOptions{})));
+        } else {
+            ctl->engine().flushTables();
+        }
+        while (!got.back().lastOfSeq && core.step(dyn))
+            got.push_back(dyn);
+        ASSERT_TRUE(got.back().lastOfSeq) << "install " << install;
+        ASSERT_LE(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(sameRecord(got[i], want[i]))
+                << "install " << install << " record " << i;
+        }
+    }
 }
 
 TEST(TraceFeed, CursorUnderEvictionPressure)

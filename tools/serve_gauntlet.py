@@ -3,7 +3,7 @@
 
 Usage: serve_gauntlet.py --diserun PATH [--burst N] [--drain-timeout S]
 
-Drives a freshly started daemon through three phases and exits nonzero
+Drives a freshly started daemon through four phases and exits nonzero
 on the first broken promise:
 
 1. Correctness: a closed-loop set of well-formed, in-budget requests
@@ -11,14 +11,18 @@ on the first broken promise:
    AND run through `diserun --batch` on the same jobs; each pair of
    responses must be bit-identical after stripping the serving envelope
    (seq/status/latency_ms) and the host-dependent host sections.
-2. Gauntlet: a burst far past saturation — sent with no pacing at all,
+2. Far branch: a `compress` request for a program whose repeated
+   branch-ended idiom jumps farther than a codeword's 15-bit offset
+   parameter reaches must run to a clean exit, and an ordinary request
+   after it must still be answered.
+3. Gauntlet: a burst far past saturation — sent with no pacing at all,
    i.e. an unbounded arrival rate, with 10% malformed lines and 10%
    deadline-busting requests mixed in. Every line must get exactly one
    structured response (ok / overloaded / deadline_exceeded /
    malformed / error), the daemon must shed some of the burst with
    "overloaded" (proof admission control engaged), and a final
    well-formed request must still succeed (proof nothing crashed).
-3. Drain: SIGTERM must terminate the process with exit code 0 within
+4. Drain: SIGTERM must terminate the process with exit code 0 within
    the drain timeout plus a small margin.
 
 Stdlib only; used by CI and runnable locally against any build.
@@ -147,6 +151,38 @@ def phase_correctness(port, diserun):
           f"({len(jobs)} serve responses bit-identical to --batch)")
 
 
+def far_branch_source():
+    """Four branch-ended idioms whose target lies ~20,000 words ahead."""
+    lines = [".text", "main:"]
+    for _ in range(4):
+        lines += ["    subq t0, 1, t1", "    addq t2, 2, t2",
+                  "    xor t2, t3, t3", "    beq t1, far"]
+    lines += [f"    lda t4, {i}(t5)" for i in range(20000)]
+    lines += ["far:", "    li 0, v0", "    li 0, a0", "    syscall"]
+    return "\n".join(lines) + "\n"
+
+
+def phase_far_branch(port):
+    client = NdjsonClient(port)
+    client.send({"id": "far-branch", "source": far_branch_source(),
+                 "acfs": [{"kind": "compress"}]})
+    resp = client.recv()
+    if resp.get("status") != "ok":
+        fail(f"far-branch compress request answered "
+             f"{resp.get('status')!r}: {resp.get('error')}")
+    run = resp.get("run", {})
+    if run.get("outcome") != "exit" or run.get("exit_code") != 0:
+        fail(f"far-branch program did not exit cleanly: {run}")
+    client.send({"id": "after-far-branch", "workload": "twolf",
+                 "max_insts": 20000})
+    resp = client.recv()
+    if resp.get("status") != "ok":
+        fail(f"request after the far-branch one answered "
+             f"{resp.get('status')!r}")
+    client.close()
+    print("gauntlet: far-branch compress OK")
+
+
 def gauntlet_line(i):
     if i % 10 == 3:
         return "{ definitely not json", "malformed"
@@ -231,6 +267,7 @@ def main():
         print(f"gauntlet: daemon up on port {port}")
 
         phase_correctness(port, args.diserun)
+        phase_far_branch(port)
         phase_gauntlet(port, args.burst)
 
         daemon.send_signal(signal.SIGTERM)

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/bits.hpp"
 #include "src/common/logging.hpp"
 #include "src/isa/disasm.hpp"
+#include "src/isa/semantics.hpp"
 #include "src/sim/snapshot.hpp"
 
 namespace dise {
@@ -17,7 +17,7 @@ constexpr size_t kMaxBlockLen = 128;
 
 /**
  * Map an opcode to its flat interpreter handler (writing the access
- * size for memory ops); OpHandler::NUM when the opcode is outside the
+ * size for stores); OpHandler::NUM when the opcode is outside the
  * translated repertoire (syscalls, codewords, reserved/invalid
  * encodings). Shared by block and replacement-sequence translation so
  * the two interpreters agree on the repertoire.
@@ -27,32 +27,16 @@ baseHandler(Opcode op, uint8_t &size)
 {
     switch (op) {
       case Opcode::NOP: return OpHandler::Nop;
-      case Opcode::LDA: return OpHandler::Lda;
-      case Opcode::LDAH: return OpHandler::Ldah;
-      case Opcode::ADDQ: return OpHandler::Addq;
-      case Opcode::SUBQ: return OpHandler::Subq;
-      case Opcode::MULQ: return OpHandler::Mulq;
-      case Opcode::AND: return OpHandler::And;
-      case Opcode::BIC: return OpHandler::Bic;
-      case Opcode::OR: return OpHandler::Or;
-      case Opcode::ORNOT: return OpHandler::Ornot;
-      case Opcode::XOR: return OpHandler::Xor;
-      case Opcode::SLL: return OpHandler::Sll;
-      case Opcode::SRL: return OpHandler::Srl;
-      case Opcode::SRA: return OpHandler::Sra;
-      case Opcode::CMPEQ: return OpHandler::Cmpeq;
-      case Opcode::CMPLT: return OpHandler::Cmplt;
-      case Opcode::CMPLE: return OpHandler::Cmple;
-      case Opcode::CMPULT: return OpHandler::Cmpult;
-      case Opcode::CMPULE: return OpHandler::Cmpule;
-      case Opcode::CMOVEQ: return OpHandler::Cmoveq;
-      case Opcode::CMOVNE: return OpHandler::Cmovne;
-      case Opcode::LDBU: size = 1; return OpHandler::Ldbu;
-      case Opcode::LDL: size = 4; return OpHandler::Ldl;
-      case Opcode::LDQ: size = 8; return OpHandler::Ldq;
-      case Opcode::STB: size = 1; return OpHandler::Store;
-      case Opcode::STL: size = 4; return OpHandler::Store;
-      case Opcode::STQ: size = 8; return OpHandler::Store;
+#define ROW_CASE(name, OP, ...) case Opcode::OP: return OpHandler::name;
+#define STORE_CASE(OP, width)                                               \
+      case Opcode::OP: size = width; return OpHandler::Store;
+      DISE_ADDR_OPS(ROW_CASE)
+      DISE_OPERATE_OPS(ROW_CASE)
+      DISE_CMOV_OPS(ROW_CASE)
+      DISE_LOAD_OPS(ROW_CASE)
+      DISE_STORE_OPS(STORE_CASE)
+#undef ROW_CASE
+#undef STORE_CASE
       case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
       case Opcode::BLE: case Opcode::BGT: case Opcode::BGE:
       case Opcode::BLBC: case Opcode::BLBS:
@@ -68,25 +52,6 @@ baseHandler(Opcode op, uint8_t &size)
         return OpHandler::DiseBr;
       default:
         return OpHandler::NUM;
-    }
-}
-
-/** Outcome of a conditional (application or DISE) branch on value @p v.
- *  Single source of truth for execute() and the translated fast path. */
-bool
-condTaken(Opcode op, uint64_t v)
-{
-    const int64_t sv = static_cast<int64_t>(v);
-    switch (op) {
-      case Opcode::BEQ: case Opcode::DBEQ: return v == 0;
-      case Opcode::BNE: case Opcode::DBNE: return v != 0;
-      case Opcode::BLT: case Opcode::DBLT: return sv < 0;
-      case Opcode::BLE: return sv <= 0;
-      case Opcode::BGT: return sv > 0;
-      case Opcode::BGE: case Opcode::DBGE: return sv >= 0;
-      case Opcode::BLBC: return (v & 1) == 0;
-      case Opcode::BLBS: return (v & 1) != 0;
-      default: return false;
     }
 }
 
@@ -287,9 +252,13 @@ ExecCore::invalidateTraceRange(Addr addr, unsigned size)
     if (traces_.empty())
         return;
     const Addr end = addr + size;
+    // With fusion on, a block's last slot also read the word past
+    // coveredEnd() to decide "no fuse"; a store there must drop the
+    // block with the decision (invalidateFusionRange).
+    const Addr reach = fusionEnabled_ ? 4 : 0;
     for (auto it = traces_.begin(); it != traces_.end();) {
         const TransBlock &b = *it->second;
-        if (b.entryPC < end && b.coveredEnd() > addr) {
+        if (b.entryPC < end && b.coveredEnd() + reach > addr) {
             retired_.push_back(std::move(it->second));
             it = traces_.erase(it);
         } else {
@@ -355,59 +324,71 @@ ExecCore::doSyscall(DynInst &dyn)
     }
 }
 
+/*
+ * Register effect of one straight-line semantics-table row on slot @p s
+ * (a DecodedInst, SeqOp or TransOp): each binds the operand names the
+ * row's expression is written over. Shared by execute() and both
+ * translated interpreters.
+ */
+#define SLOT_ADDR(s, expr)                                                  \
+    do {                                                                    \
+        const uint64_t b = readReg((s).rb);                                 \
+        const uint64_t d = static_cast<uint64_t>((s).imm);                  \
+        writeReg((s).ra, (expr));                                           \
+    } while (0)
+#define SLOT_OPERATE(s, expr)                                               \
+    do {                                                                    \
+        const uint64_t a = readReg((s).ra);                                 \
+        const uint64_t b = operandB(s);                                     \
+        writeReg((s).rc, (expr));                                           \
+    } while (0)
+#define SLOT_CMOV(s, cond)                                                  \
+    do {                                                                    \
+        const uint64_t a = readReg((s).ra);                                 \
+        if (cond)                                                           \
+            writeReg((s).rc, operandB(s));                                  \
+    } while (0)
+
 void
 ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
 {
-    const uint64_t vA = readReg(inst.ra);
-    const uint64_t vB = inst.useLit ? static_cast<uint64_t>(inst.imm)
-                                    : readReg(inst.rb);
-
     switch (inst.op) {
       case Opcode::NOP:
         break;
-      case Opcode::LDA:
-        writeReg(inst.ra,
-                 readReg(inst.rb) + static_cast<uint64_t>(inst.imm));
+#define EXEC_ADDR(name, OP, expr)                                           \
+      case Opcode::OP: SLOT_ADDR(inst, expr); break;
+#define EXEC_OPERATE(name, OP, expr)                                        \
+      case Opcode::OP: SLOT_OPERATE(inst, expr); break;
+#define EXEC_CMOV(name, OP, cond)                                           \
+      case Opcode::OP: SLOT_CMOV(inst, cond); break;
+#define EXEC_LOAD(name, OP, width, signExtended)                            \
+      case Opcode::OP:                                                      \
+        dyn.isMem = true;                                                   \
+        dyn.memAddr = effAddr(inst);                                        \
+        ++result_.loads;                                                    \
+        writeReg(inst.ra, loadExtend(memory_.read(dyn.memAddr, width),      \
+                                     width, signExtended));                 \
         break;
-      case Opcode::LDAH:
-        writeReg(inst.ra, readReg(inst.rb) +
-                              (static_cast<uint64_t>(inst.imm) << 16));
-        break;
-      case Opcode::LDBU:
-      case Opcode::LDL:
-      case Opcode::LDQ: {
-        dyn.isMem = true;
-        dyn.memAddr = readReg(inst.rb) + static_cast<uint64_t>(inst.imm);
-        ++result_.loads;
-        uint64_t value;
-        if (inst.op == Opcode::LDBU) {
-            value = memory_.read(dyn.memAddr, 1);
-        } else if (inst.op == Opcode::LDL) {
-            value = static_cast<uint64_t>(
-                signExtend(memory_.read(dyn.memAddr, 4), 32));
-        } else {
-            value = memory_.read(dyn.memAddr, 8);
-        }
-        writeReg(inst.ra, value);
-        break;
-      }
-      case Opcode::STB:
-      case Opcode::STL:
-      case Opcode::STQ: {
+#define EXEC_STORE(OP, width) case Opcode::OP:
+      DISE_ADDR_OPS(EXEC_ADDR)
+      DISE_OPERATE_OPS(EXEC_OPERATE)
+      DISE_CMOV_OPS(EXEC_CMOV)
+      DISE_LOAD_OPS(EXEC_LOAD)
+      DISE_STORE_OPS(EXEC_STORE) {
         dyn.isMem = true;
         dyn.isStore = true;
-        dyn.memAddr = readReg(inst.rb) + static_cast<uint64_t>(inst.imm);
+        dyn.memAddr = effAddr(inst);
         ++result_.stores;
-        const unsigned size =
-            inst.op == Opcode::STB ? 1 : (inst.op == Opcode::STL ? 4 : 8);
-        memory_.write(dyn.memAddr, vA, size);
-        // Self-modifying code: drop stale pre-decoded words.
-        if (dyn.memAddr < prog_.textEnd() &&
-            dyn.memAddr + size > prog_.textBase) {
-            invalidateDecodedRange(dyn.memAddr, size);
-        }
+        const unsigned size = memWidth(inst.op);
+        memory_.write(dyn.memAddr, readReg(inst.ra), size);
+        noteTextStore(dyn.memAddr, size);
         break;
       }
+#undef EXEC_ADDR
+#undef EXEC_OPERATE
+#undef EXEC_CMOV
+#undef EXEC_LOAD
+#undef EXEC_STORE
       case Opcode::BR:
       case Opcode::BSR:
         dyn.isAppControl = true;
@@ -419,7 +400,7 @@ ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
       case Opcode::BLE: case Opcode::BGT: case Opcode::BGE:
       case Opcode::BLBC: case Opcode::BLBS:
         dyn.isAppControl = true;
-        dyn.taken = condTaken(inst.op, vA);
+        dyn.taken = condTaken(inst.op, readReg(inst.ra));
         dyn.actualTarget = inst.branchTarget(dyn.pc);
         break;
       case Opcode::JMP:
@@ -433,70 +414,9 @@ ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
       case Opcode::SYSCALL:
         doSyscall(dyn);
         break;
-      case Opcode::ADDQ:
-        writeReg(inst.rc, vA + vB);
-        break;
-      case Opcode::SUBQ:
-        writeReg(inst.rc, vA - vB);
-        break;
-      case Opcode::MULQ:
-        writeReg(inst.rc, vA * vB);
-        break;
-      case Opcode::AND:
-        writeReg(inst.rc, vA & vB);
-        break;
-      case Opcode::BIC:
-        writeReg(inst.rc, vA & ~vB);
-        break;
-      case Opcode::OR:
-        writeReg(inst.rc, vA | vB);
-        break;
-      case Opcode::ORNOT:
-        writeReg(inst.rc, vA | ~vB);
-        break;
-      case Opcode::XOR:
-        writeReg(inst.rc, vA ^ vB);
-        break;
-      case Opcode::SLL:
-        writeReg(inst.rc, vA << (vB & 63));
-        break;
-      case Opcode::SRL:
-        writeReg(inst.rc, vA >> (vB & 63));
-        break;
-      case Opcode::SRA:
-        writeReg(inst.rc, static_cast<uint64_t>(
-                              static_cast<int64_t>(vA) >> (vB & 63)));
-        break;
-      case Opcode::CMPEQ:
-        writeReg(inst.rc, vA == vB ? 1 : 0);
-        break;
-      case Opcode::CMPLT:
-        writeReg(inst.rc,
-                 static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1
-                                                                     : 0);
-        break;
-      case Opcode::CMPLE:
-        writeReg(inst.rc,
-                 static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                      : 0);
-        break;
-      case Opcode::CMPULT:
-        writeReg(inst.rc, vA < vB ? 1 : 0);
-        break;
-      case Opcode::CMPULE:
-        writeReg(inst.rc, vA <= vB ? 1 : 0);
-        break;
-      case Opcode::CMOVEQ:
-        if (vA == 0)
-            writeReg(inst.rc, vB);
-        break;
-      case Opcode::CMOVNE:
-        if (vA != 0)
-            writeReg(inst.rc, vB);
-        break;
       case Opcode::DBEQ: case Opcode::DBNE: case Opcode::DBLT:
       case Opcode::DBGE:
-        dyn.taken = condTaken(inst.op, vA);
+        dyn.taken = condTaken(inst.op, readReg(inst.ra));
         break;
       case Opcode::DBR:
         dyn.taken = true;
@@ -540,6 +460,16 @@ ExecCore::adoptExpansion(const ExpandResult &r)
     pendingExpand_ = r;
     ++result_.expansions;
     ++result_.appInsts;
+}
+
+void
+ExecCore::clearSeq()
+{
+    seqSpec_ = nullptr;
+    seqInsts_ = nullptr;
+    seqLen_ = 0;
+    seqIdx_ = 0;
+    seqHasPendingOutcome_ = false;
 }
 
 bool
@@ -587,29 +517,9 @@ ExecCore::executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn)
     switch (fz.op) {
       case Opcode::FCMPBR: {
         const CmpBrFields f = unpackCmpBr(fz.tag);
-        const uint64_t vA = readReg(fz.ra);
-        const uint64_t vB =
-            fz.useLit ? static_cast<uint64_t>(f.lit) : readReg(fz.rb);
-        uint64_t r;
-        switch (f.cmpOp) {
-          case Opcode::CMPEQ:
-            r = vA == vB ? 1 : 0;
-            break;
-          case Opcode::CMPLT:
-            r = static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1
-                                                                    : 0;
-            break;
-          case Opcode::CMPLE:
-            r = static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                     : 0;
-            break;
-          case Opcode::CMPULT:
-            r = vA < vB ? 1 : 0;
-            break;
-          default: // CMPULE
-            r = vA <= vB ? 1 : 0;
-            break;
-        }
+        const uint64_t r = operateResult(
+            f.cmpOp, readReg(fz.ra),
+            fz.useLit ? static_cast<uint64_t>(f.lit) : readReg(fz.rb));
         writeReg(fz.rc, r);
         dyn.isAppControl = true;
         dyn.taken = condTaken(f.brOp, r);
@@ -623,86 +533,40 @@ ExecCore::executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn)
       case Opcode::FLDAC:
         writeReg(fz.rc, readReg(fz.ra) + static_cast<uint64_t>(fz.imm));
         return false;
-      case Opcode::FSHADD: {
-        const uint64_t v = readReg(fz.ra) << (fz.tag & 63);
-        writeReg(fz.rc, v + (fz.useLit ? static_cast<uint64_t>(fz.imm)
-                                       : readReg(fz.rb)));
+      case Opcode::FSHADD:
+        writeReg(fz.rc,
+                 operateResult(Opcode::ADDQ,
+                               operateResult(Opcode::SLL, readReg(fz.ra),
+                                             fz.tag),
+                               operandB(fz)));
         return false;
-      }
       case Opcode::FLDAL: {
         dyn.isMem = true;
-        dyn.memAddr = readReg(fz.rb) + static_cast<uint64_t>(fz.imm);
+        dyn.memAddr = effAddr(fz);
         const auto ld = static_cast<Opcode>(fz.tag);
-        uint64_t value;
-        if (ld == Opcode::LDBU) {
-            value = memory_.read(dyn.memAddr, 1);
-        } else if (ld == Opcode::LDL) {
-            value = static_cast<uint64_t>(
-                signExtend(memory_.read(dyn.memAddr, 4), 32));
-        } else {
-            value = memory_.read(dyn.memAddr, 8);
-        }
-        writeReg(fz.ra, value);
+        writeReg(fz.ra,
+                 loadValue(ld, memory_.read(dyn.memAddr, memWidth(ld))));
         return false;
       }
       case Opcode::FLDAS: {
         dyn.isMem = true;
         dyn.isStore = true;
-        const Addr addr = readReg(fz.rb) + static_cast<uint64_t>(fz.imm);
-        dyn.memAddr = addr;
-        const auto st = static_cast<Opcode>(fz.tag);
-        const unsigned size =
-            st == Opcode::STB ? 1 : (st == Opcode::STL ? 4 : 8);
-        memory_.write(addr, readReg(fz.ra), size);
-        writeReg(fz.rc, addr); // the lda half's result survives the pair
+        dyn.memAddr = effAddr(fz);
+        memory_.write(dyn.memAddr, readReg(fz.ra),
+                      memWidth(static_cast<Opcode>(fz.tag)));
+        // The lda half's result survives the pair.
+        writeReg(fz.rc, dyn.memAddr);
         return false;
       }
       case Opcode::FLDOP: {
         dyn.isMem = true;
-        dyn.memAddr = readReg(fz.rb) + static_cast<uint64_t>(fz.imm);
-        const uint64_t loaded = memory_.read(dyn.memAddr, 8);
+        dyn.memAddr = effAddr(fz);
         const LoadOpFields f = unpackLoadOp(fz.tag);
-        uint64_t vA, vB;
-        if (f.useLit) {
-            vA = loaded;
-            vB = f.lit;
-        } else if (f.swapped) {
-            vA = readReg(fz.rc);
-            vB = loaded;
-        } else {
-            vA = loaded;
-            vB = readReg(fz.rc);
-        }
-        uint64_t r;
-        switch (f.aluOp) {
-          case Opcode::ADDQ: r = vA + vB; break;
-          case Opcode::SUBQ: r = vA - vB; break;
-          case Opcode::AND: r = vA & vB; break;
-          case Opcode::BIC: r = vA & ~vB; break;
-          case Opcode::OR: r = vA | vB; break;
-          case Opcode::ORNOT: r = vA | ~vB; break;
-          case Opcode::XOR: r = vA ^ vB; break;
-          case Opcode::SLL: r = vA << (vB & 63); break;
-          case Opcode::SRL: r = vA >> (vB & 63); break;
-          case Opcode::SRA:
-            r = static_cast<uint64_t>(static_cast<int64_t>(vA) >>
-                                      (vB & 63));
-            break;
-          case Opcode::CMPEQ: r = vA == vB ? 1 : 0; break;
-          case Opcode::CMPLT:
-            r = static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1
-                                                                    : 0;
-            break;
-          case Opcode::CMPLE:
-            r = static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                     : 0;
-            break;
-          case Opcode::CMPULT: r = vA < vB ? 1 : 0; break;
-          default: // CMPULE (fusePair admits nothing else)
-            r = vA <= vB ? 1 : 0;
-            break;
-        }
-        writeReg(fz.ra, r);
+        uint64_t a = memory_.read(dyn.memAddr, memWidth(Opcode::LDQ));
+        uint64_t b = f.useLit ? uint64_t(f.lit) : readReg(fz.rc);
+        if (f.swapped)
+            std::swap(a, b);
+        writeReg(fz.ra, operateResult(f.aluOp, a, b));
         return false;
       }
       default:
@@ -728,19 +592,13 @@ ExecCore::execFusedPair(const DecodedInst &fz, DynInst *out)
     // exactly as the unfused pair would.
     result_.dynInsts += 2;
     result_.appInsts += 2;
-    if (dyn.isMem) {
-        if (dyn.isStore)
-            ++result_.stores;
-        else
-            ++result_.loads;
-    }
+    result_.loads += dyn.isMem && !dyn.isStore;
+    result_.stores += dyn.isStore;
     ++statFusedPairs_;
     ++statFusedFamily_[fusedFamilyIndex(fz.op)];
-    if (fz.op == Opcode::FLDAS && dyn.memAddr < prog_.textEnd() &&
-        dyn.memAddr + 8 > prog_.textBase) {
-        // Self-modifying store (conservative width: at most a quadword).
-        invalidateDecodedRange(dyn.memAddr, 8);
-    }
+    // Self-modifying store (conservative width: at most a quadword).
+    if (dyn.isStore)
+        noteTextStore(dyn.memAddr, 8);
     pc_ = taken ? dyn.actualTarget : pc_ + 8;
     if constexpr (kEmit)
         *out = dyn;
@@ -850,11 +708,7 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
     if (trapped_) {
         // The faulting slot does not retire; drop the in-flight
         // sequence (the trap records the precise PC:DISEPC point).
-        seqSpec_ = nullptr;
-        seqInsts_ = nullptr;
-        seqLen_ = 0;
-        seqIdx_ = 0;
-        seqHasPendingOutcome_ = false;
+        clearSeq();
         return false;
     }
     ++result_.dynInsts;
@@ -879,11 +733,7 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
                           strFormat("DISE branch target %lld outside "
                                     "sequence of length %u",
                                     (long long)target, seqLen_));
-                seqSpec_ = nullptr;
-                seqInsts_ = nullptr;
-                seqLen_ = 0;
-                seqIdx_ = 0;
-                seqHasPendingOutcome_ = false;
+                clearSeq();
                 return false;
             }
             if constexpr (kEmit)
@@ -923,11 +773,7 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
                 pc_ = seqTriggerPC_ + 4;
             }
         }
-        seqSpec_ = nullptr;
-        seqInsts_ = nullptr;
-        seqLen_ = 0;
-        seqIdx_ = 0;
-        seqHasPendingOutcome_ = false;
+        clearSeq();
     }
 
     if constexpr (kEmit)
@@ -1045,11 +891,7 @@ ExecCore::restoreSnapshot(const SimSnapshot &snap)
     result_ = snap.result;
     // Snapshots are taken at application boundaries; clear any control
     // state this core had in flight.
-    seqSpec_ = nullptr;
-    seqInsts_ = nullptr;
-    seqLen_ = 0;
-    seqIdx_ = 0;
-    seqHasPendingOutcome_ = false;
+    clearSeq();
     resume_ = ChainCursor{};
     if (controller_)
         controller_->restoreEngine(*snap.engine);
@@ -1063,11 +905,7 @@ ExecCore::resumeAt(Addr pc, uint32_t disepc)
 {
     // Discard any in-flight control state; the caller supplies the
     // precise point.
-    seqSpec_ = nullptr;
-    seqInsts_ = nullptr;
-    seqLen_ = 0;
-    seqIdx_ = 0;
-    seqHasPendingOutcome_ = false;
+    clearSeq();
     resume_ = ChainCursor{};
     pc_ = pc;
     if (disepc == 0)
@@ -1106,54 +944,10 @@ ExecCore::translateBlock(Addr entry)
 
     Addr pc = entry;
     while (block->ops.size() < kMaxBlockLen && prog_.inText(pc)) {
-        if (fusionEnabled_) {
-            // Same per-PC decision step() takes, baked into one slot
-            // covering two words (see the numInsts accounting below).
-            if (const DecodedInst *fz = fusionAt(pc)) {
-                TransOp fop;
-                fop.op = fz->op;
-                fop.ra = fz->ra;
-                fop.rb = fz->rb;
-                fop.rc = fz->rc;
-                fop.useLit = fz->useLit;
-                fop.imm = fz->imm;
-                fop.inst = *fz;
-                bool fusedTerm = false;
-                switch (fz->op) {
-                  case Opcode::FCMPBR:
-                    fop.handler = OpHandler::FCmpBr;
-                    fop.target = fz->branchTarget(pc);
-                    fusedTerm = true;
-                    break;
-                  case Opcode::FLDAC:
-                    fop.handler = OpHandler::FLdaC;
-                    break;
-                  case Opcode::FSHADD:
-                    fop.handler = OpHandler::FShAdd;
-                    break;
-                  case Opcode::FLDAL:
-                    fop.handler = OpHandler::FLdaL;
-                    break;
-                  case Opcode::FLDAS: {
-                    fop.handler = OpHandler::FLdaS;
-                    const auto st = static_cast<Opcode>(fz->tag);
-                    fop.size = st == Opcode::STB
-                                   ? 1
-                                   : (st == Opcode::STL ? 4 : 8);
-                    break;
-                  }
-                  default: // FLDOP
-                    fop.handler = OpHandler::FLdOp;
-                    break;
-                }
-                block->ops.push_back(fop);
-                pc += 8;
-                if (fusedTerm)
-                    break;
-                continue;
-            }
-        }
-        const DecodedInst &d = fetchDecode(pc);
+        // The same per-PC fusion decision step() takes, baked into one
+        // slot covering two words (see the numInsts accounting below).
+        const DecodedInst *fz = fusionEnabled_ ? fusionAt(pc) : nullptr;
+        const DecodedInst &d = fz ? *fz : fetchDecode(pc);
 
         TransOp op;
         op.op = d.op;
@@ -1164,39 +958,33 @@ ExecCore::translateBlock(Addr entry)
         op.imm = d.imm;
         op.inst = d;
 
-        if (controller_ && controller_->engine().opcodeCovered(d.op)) {
+        if (fz) {
+            op.handler = OpHandler::Fused;
+        } else if (controller_ &&
+                   controller_->engine().opcodeCovered(d.op)) {
             // The engine may expand this instruction; decide at run
             // time. A control trigger may also redirect, so it ends the
             // static block either way.
             op.handler = OpHandler::Engine;
-            block->ops.push_back(op);
-            pc += 4;
-            if (d.isControl())
+        } else {
+            op.handler = baseHandler(d.op, op.size);
+            if (op.handler == OpHandler::NUM ||
+                op.handler == OpHandler::DiseCond ||
+                op.handler == OpHandler::DiseBr) {
+                // Syscalls, codewords, DISE branches, reserved/invalid
+                // encodings: end the block; the dispatcher executes
+                // them through step(), which models their traps and
+                // side effects.
                 break;
-            continue;
-        }
-
-        const OpHandler h = baseHandler(d.op, op.size);
-        if (h == OpHandler::NUM || h == OpHandler::DiseCond ||
-            h == OpHandler::DiseBr) {
-            // Syscalls, codewords, DISE branches, reserved/invalid
-            // encodings: end the block; the dispatcher executes them
-            // through step(), which models their traps and side
-            // effects.
-            break;
-        }
-        op.handler = h;
-        bool terminator = false;
-        if (h == OpHandler::CondBranch || h == OpHandler::DirBranch) {
-            op.target = d.branchTarget(pc);
-            terminator = true;
-        } else if (h == OpHandler::Jump) {
-            terminator = true;
+            }
+            if (op.handler == OpHandler::CondBranch ||
+                op.handler == OpHandler::DirBranch)
+                op.target = d.branchTarget(pc);
         }
         block->ops.push_back(op);
-        pc += 4;
-        if (terminator)
-            break;
+        pc += fz ? 8 : 4;
+        if (d.isControl())
+            break; // branches, jumps and fused compare+branch end a block
     }
     // Words covered, not slots: every translated slot advanced pc by
     // its own width (4, or 8 for a fused pair), so coveredEnd() keeps
@@ -1363,29 +1151,26 @@ ExecCore::seqTransFor(const TransOp &t)
 
 /*
  * Dispatch scaffolding for the two translated interpreters (runSeqFast
- * and runChain). Under GCC/Clang every slot ends in one indirect jump
- * through a per-function label table ("direct threading"); building
- * with -DDISE_NO_COMPUTED_GOTO — or another compiler — selects a
- * portable switch driven through a dispatch label instead. CI builds
- * the switch variant once per run to keep it compiled and tested.
+ * and runChain). Every slot ends in one indirect jump through a
+ * per-function &&label table ("direct threading"; like the rest of the
+ * tree this needs a GNU-compatible compiler).
  *
  * Shape rules both interpreters follow:
+ *  - the straight-line handlers and their table entries are generated
+ *    from the semantics tables (src/isa/semantics.hpp), in OpHandler
+ *    order, through the SLOT_* effects execute() uses too;
  *  - every handler body is a brace block ending in a goto (dispatch,
- *    a trampoline label, or an exit), so the two dispatch modes share
- *    the handler text verbatim;
+ *    a trampoline label, or an exit);
  *  - architectural counters are accumulated in locals and written back
  *    at every exit (and around any call that touches result_ itself),
  *    keeping the member read-modify-writes off the per-slot path;
  *  - slot arrays end in an OpHandler::End sentinel, so the inner loop
  *    has no bounds check.
  */
-#if defined(__GNUC__) && !defined(DISE_NO_COMPUTED_GOTO)
-#define DISE_THREADED_DISPATCH 1
-#define DISE_CASE(name) lbl_##name:
-#else
-#define DISE_THREADED_DISPATCH 0
-#define DISE_CASE(name) case OpHandler::name:
-#endif
+#define TABLE_LABEL(name, ...) &&lbl_##name,
+#define TABLE_LABELS                                                        \
+    &&lbl_Nop, DISE_ADDR_OPS(TABLE_LABEL) DISE_OPERATE_OPS(TABLE_LABEL)     \
+        DISE_CMOV_OPS(TABLE_LABEL) DISE_LOAD_OPS(TABLE_LABEL)
 
 template <bool kEmit>
 void
@@ -1422,9 +1207,9 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
         if constexpr (kEmit)                                                \
             emit_ = eout;                                                   \
     } while (0)
-    /* The step()-identical trace record for the retiring slot @p t
+    /* The step()-identical trace record for the retiring slot j
      * (kEmit call sites only); outcome extras are the caller's. */
-#define SEQ_EMIT_BASE(t)                                                    \
+#define SEQ_EMIT_BASE()                                                     \
     do {                                                                    \
         *eout = tmpl[j];                                                    \
         eout->pc = tpc;                                                     \
@@ -1434,10 +1219,10 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
             eout->missPenalty = pendingExpand_.missPenalty;                 \
         }                                                                   \
     } while (0)
-#define SEQ_EMIT_PLAIN(t)                                                   \
+#define SEQ_EMIT_PLAIN()                                                    \
     do {                                                                    \
         if constexpr (kEmit) {                                              \
-            SEQ_EMIT_BASE(t);                                               \
+            SEQ_EMIT_BASE();                                                \
             ++eout;                                                         \
         }                                                                   \
     } while (0)
@@ -1455,50 +1240,34 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
         ++dyn;                                                              \
         dise += !(isTrigger);                                               \
     } while (0)
-#if DISE_THREADED_DISPATCH
 #define SEQ_DISPATCH() goto *kTab[static_cast<size_t>(ops[j].handler)]
-#else
-#define SEQ_DISPATCH() goto dispatch
-#endif
-#define SEQ_BINOP(name, expr)                                               \
-    DISE_CASE(name)                                                         \
+    /* One straight-line handler: @p effect is its register effect. */
+#define SEQ_PLAIN(name, effect)                                             \
+    lbl_##name:                                                             \
     {                                                                       \
         SEQ_CHECK();                                                        \
-        const SeqOp &t = ops[j];                                            \
-        const uint64_t vA = readReg(t.ra);                                  \
-        const uint64_t vB = t.useLit ? static_cast<uint64_t>(t.imm)         \
-                                     : readReg(t.rb);                       \
-        writeReg(t.rc, (expr));                                             \
-        SEQ_RETIRE(t.trigger);                                              \
-        SEQ_EMIT_PLAIN(t);                                                  \
+        effect;                                                             \
+        SEQ_RETIRE(ops[j].trigger);                                         \
+        SEQ_EMIT_PLAIN();                                                   \
         ++j;                                                                \
         SEQ_DISPATCH();                                                     \
     }
-#define SEQ_CMOV(name, cond)                                                \
-    DISE_CASE(name)                                                         \
+#define SEQ_ADDR(name, OP, expr) SEQ_PLAIN(name, SLOT_ADDR(ops[j], expr))
+#define SEQ_OPERATE(name, OP, expr)                                         \
+    SEQ_PLAIN(name, SLOT_OPERATE(ops[j], expr))
+#define SEQ_CMOV(name, OP, cond) SEQ_PLAIN(name, SLOT_CMOV(ops[j], cond))
+#define SEQ_LOAD(name, OP, width, signExtended)                             \
+    lbl_##name:                                                             \
     {                                                                       \
         SEQ_CHECK();                                                        \
         const SeqOp &t = ops[j];                                            \
-        const uint64_t vA = readReg(t.ra);                                  \
-        if (cond)                                                           \
-            writeReg(t.rc, t.useLit ? static_cast<uint64_t>(t.imm)          \
-                                    : readReg(t.rb));                       \
-        SEQ_RETIRE(t.trigger);                                              \
-        SEQ_EMIT_PLAIN(t);                                                  \
-        ++j;                                                                \
-        SEQ_DISPATCH();                                                     \
-    }
-#define SEQ_LOAD(name, readExpr)                                            \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        SEQ_CHECK();                                                        \
-        const SeqOp &t = ops[j];                                            \
-        const Addr addr = readReg(t.rb) + static_cast<uint64_t>(t.imm);     \
+        const Addr addr = effAddr(t);                                       \
         ++loads;                                                            \
-        writeReg(t.ra, (readExpr));                                         \
+        writeReg(t.ra, loadExtend(memory_.read(addr, width), width,         \
+                                  signExtended));                           \
         SEQ_RETIRE(t.trigger);                                              \
         if constexpr (kEmit) {                                              \
-            SEQ_EMIT_BASE(t);                                               \
+            SEQ_EMIT_BASE();                                                \
             eout->isMem = true;                                             \
             eout->memAddr = addr;                                           \
             ++eout;                                                         \
@@ -1507,100 +1276,37 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
         SEQ_DISPATCH();                                                     \
     }
 
-#if DISE_THREADED_DISPATCH
     static void *const kTab[] = {
-        &&lbl_Nop, &&lbl_Lda, &&lbl_Ldah, &&lbl_Addq, &&lbl_Subq,
-        &&lbl_Mulq, &&lbl_And, &&lbl_Bic, &&lbl_Or, &&lbl_Ornot,
-        &&lbl_Xor, &&lbl_Sll, &&lbl_Srl, &&lbl_Sra, &&lbl_Cmpeq,
-        &&lbl_Cmplt, &&lbl_Cmple, &&lbl_Cmpult, &&lbl_Cmpule,
-        &&lbl_Cmoveq, &&lbl_Cmovne, &&lbl_Ldbu, &&lbl_Ldl, &&lbl_Ldq,
+        TABLE_LABELS
         &&lbl_Store, &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
         &&lbl_bad /* Engine */, &&lbl_DiseCond, &&lbl_DiseBr,
-        // Fused ops never appear in replacement sequences (fusion is
-        // not a ProductionSet; translateSeq cannot produce them).
-        &&lbl_bad /* FCmpBr */, &&lbl_bad /* FLdaC */,
-        &&lbl_bad /* FShAdd */, &&lbl_bad /* FLdaL */,
-        &&lbl_bad /* FLdaS */, &&lbl_bad /* FLdOp */,
-        &&lbl_End,
+        // Fusion is not a ProductionSet: translateSeq never emits it.
+        &&lbl_bad /* Fused */, &&lbl_End,
     };
     static_assert(sizeof(kTab) / sizeof(kTab[0]) ==
                       static_cast<size_t>(OpHandler::NUM),
                   "sequence handler table out of sync with OpHandler");
     SEQ_DISPATCH();
-#else
-dispatch:
-    switch (ops[j].handler) {
-#endif
 
-    DISE_CASE(Nop)
-    {
-        SEQ_CHECK();
-        SEQ_RETIRE(ops[j].trigger);
-        SEQ_EMIT_PLAIN(ops[j]);
-        ++j;
-        SEQ_DISPATCH();
-    }
-    DISE_CASE(Lda)
+    SEQ_PLAIN(Nop, (void)0)
+    DISE_ADDR_OPS(SEQ_ADDR)
+    DISE_OPERATE_OPS(SEQ_OPERATE)
+    DISE_CMOV_OPS(SEQ_CMOV)
+    DISE_LOAD_OPS(SEQ_LOAD)
+    lbl_Store:
     {
         SEQ_CHECK();
         const SeqOp &t = ops[j];
-        writeReg(t.ra, readReg(t.rb) + static_cast<uint64_t>(t.imm));
-        SEQ_RETIRE(t.trigger);
-        SEQ_EMIT_PLAIN(t);
-        ++j;
-        SEQ_DISPATCH();
-    }
-    DISE_CASE(Ldah)
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        writeReg(t.ra,
-                 readReg(t.rb) + (static_cast<uint64_t>(t.imm) << 16));
-        SEQ_RETIRE(t.trigger);
-        SEQ_EMIT_PLAIN(t);
-        ++j;
-        SEQ_DISPATCH();
-    }
-    SEQ_BINOP(Addq, vA + vB)
-    SEQ_BINOP(Subq, vA - vB)
-    SEQ_BINOP(Mulq, vA * vB)
-    SEQ_BINOP(And, vA & vB)
-    SEQ_BINOP(Bic, vA & ~vB)
-    SEQ_BINOP(Or, vA | vB)
-    SEQ_BINOP(Ornot, vA | ~vB)
-    SEQ_BINOP(Xor, vA ^ vB)
-    SEQ_BINOP(Sll, vA << (vB & 63))
-    SEQ_BINOP(Srl, vA >> (vB & 63))
-    SEQ_BINOP(Sra,
-              static_cast<uint64_t>(static_cast<int64_t>(vA) >> (vB & 63)))
-    SEQ_BINOP(Cmpeq, vA == vB ? 1 : 0)
-    SEQ_BINOP(Cmplt,
-              static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1 : 0)
-    SEQ_BINOP(Cmple,
-              static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1 : 0)
-    SEQ_BINOP(Cmpult, vA < vB ? 1 : 0)
-    SEQ_BINOP(Cmpule, vA <= vB ? 1 : 0)
-    SEQ_CMOV(Cmoveq, vA == 0)
-    SEQ_CMOV(Cmovne, vA != 0)
-    SEQ_LOAD(Ldbu, memory_.read(addr, 1))
-    SEQ_LOAD(Ldl,
-             static_cast<uint64_t>(signExtend(memory_.read(addr, 4), 32)))
-    SEQ_LOAD(Ldq, memory_.read(addr, 8))
-    DISE_CASE(Store)
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        const Addr addr = readReg(t.rb) + static_cast<uint64_t>(t.imm);
+        const Addr addr = effAddr(t);
         ++stores;
         memory_.write(addr, readReg(t.ra), t.size);
         // Self-modifying store: the sequence itself lives in the
         // engine's tables and keeps running; the enclosing block's
         // staleness is caught by the Engine slot's epoch check.
-        if (addr < prog_.textEnd() && addr + t.size > prog_.textBase)
-            invalidateDecodedRange(addr, t.size);
+        noteTextStore(addr, t.size);
         SEQ_RETIRE(t.trigger);
         if constexpr (kEmit) {
-            SEQ_EMIT_BASE(t);
+            SEQ_EMIT_BASE();
             eout->isMem = true;
             eout->isStore = true;
             eout->memAddr = addr;
@@ -1609,7 +1315,7 @@ dispatch:
         ++j;
         SEQ_DISPATCH();
     }
-    DISE_CASE(CondBranch)
+    lbl_CondBranch:
     {
         SEQ_CHECK();
         const SeqOp &t = ops[j];
@@ -1619,7 +1325,7 @@ dispatch:
         if constexpr (kEmit) {
             // actualTarget is stamped even when not taken (execute()
             // sets it unconditionally for conditional branches).
-            SEQ_EMIT_BASE(t);
+            SEQ_EMIT_BASE();
             eout->isAppControl = true;
             eout->taken = taken;
             eout->actualTarget = target;
@@ -1644,8 +1350,8 @@ dispatch:
         ++j;
         SEQ_DISPATCH();
     }
-    DISE_CASE(DirBranch)
-    DISE_CASE(Jump)
+    lbl_DirBranch:
+    lbl_Jump:
     {
         SEQ_CHECK();
         const SeqOp &t = ops[j];
@@ -1658,7 +1364,7 @@ dispatch:
         writeReg(t.ra, tpc + 4);
         SEQ_RETIRE(t.trigger);
         if constexpr (kEmit) {
-            SEQ_EMIT_BASE(t);
+            SEQ_EMIT_BASE();
             eout->isAppControl = true;
             eout->taken = true;
             eout->actualTarget = target;
@@ -1678,8 +1384,8 @@ dispatch:
         pc_ = target;
         goto seq_done;
     }
-    DISE_CASE(DiseCond)
-    DISE_CASE(DiseBr)
+    lbl_DiseCond:
+    lbl_DiseBr:
     {
         SEQ_CHECK();
         const SeqOp &t = ops[j];
@@ -1687,7 +1393,7 @@ dispatch:
                            condTaken(t.op, readReg(t.ra));
         SEQ_RETIRE(t.trigger);
         if (!taken) {
-            SEQ_EMIT_PLAIN(t);
+            SEQ_EMIT_PLAIN();
             ++j;
             SEQ_DISPATCH();
         }
@@ -1704,7 +1410,7 @@ dispatch:
             goto seq_done; // the slot retired; pc_ is the trap state
         }
         if constexpr (kEmit) {
-            SEQ_EMIT_BASE(t);
+            SEQ_EMIT_BASE();
             eout->taken = true;
             eout->diseTarget = t.diseTarget;
             ++eout;
@@ -1712,7 +1418,7 @@ dispatch:
         j = t.diseTarget; // target == len lands on the End sentinel
         SEQ_DISPATCH();
     }
-    DISE_CASE(End)
+    lbl_End:
     {
         // Running off the end completes the sequence: the generic path
         // marks the final retiring slot lastOfSeq in the same pass.
@@ -1723,15 +1429,8 @@ dispatch:
         pc_ = (pendingHas && pendingTaken) ? pendingTarget : tpc + 4;
         goto seq_done;
     }
-
-#if DISE_THREADED_DISPATCH
 lbl_bad:
     fatal("runSeqFast: handler outside the sequence repertoire");
-#else
-      default:
-        fatal("runSeqFast: handler outside the sequence repertoire");
-    }
-#endif
 
 suspend:
     // Budget or deadline expired mid-sequence: write the cursor and
@@ -1744,11 +1443,7 @@ suspend:
     return;
 
 seq_done:
-    seqSpec_ = nullptr;
-    seqInsts_ = nullptr;
-    seqLen_ = 0;
-    seqIdx_ = 0;
-    seqHasPendingOutcome_ = false;
+    clearSeq();
     SEQ_FLUSH();
 
 #undef SEQ_FLUSH
@@ -1757,7 +1452,9 @@ seq_done:
 #undef SEQ_CHECK
 #undef SEQ_RETIRE
 #undef SEQ_DISPATCH
-#undef SEQ_BINOP
+#undef SEQ_PLAIN
+#undef SEQ_ADDR
+#undef SEQ_OPERATE
 #undef SEQ_CMOV
 #undef SEQ_LOAD
 }
@@ -1806,85 +1503,58 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
             eout = emit_;                                                   \
     } while (0)
     /* The step()-identical trace record for the retiring application
-     * instruction at @p pc (kEmit call sites only); outcome extras are
-     * the caller's. */
+     * instruction at pc (kEmit call sites only); outcome extras are the
+     * caller's. */
+#define CHAIN_EMIT_BASE()                                                   \
+    do {                                                                    \
+        *eout = DynInst{};                                                  \
+        eout->pc = pc;                                                      \
+        eout->inst = t->inst;                                               \
+    } while (0)
 #define CHAIN_EMIT()                                                        \
     do {                                                                    \
         if constexpr (kEmit) {                                              \
-            *eout = DynInst{};                                              \
-            eout->pc = pc;                                                  \
-            eout->inst = t->inst;                                           \
+            CHAIN_EMIT_BASE();                                              \
             ++eout;                                                         \
         }                                                                   \
     } while (0)
-#if DISE_THREADED_DISPATCH
 #define CHAIN_DISPATCH()                                                    \
     do {                                                                    \
         if (dyn >= maxInsts)                                                \
             goto budget_stop;                                               \
         goto *kTab[static_cast<size_t>(t->handler)];                        \
     } while (0)
-#else
-#define CHAIN_DISPATCH()                                                    \
-    do {                                                                    \
-        if (dyn >= maxInsts)                                                \
-            goto budget_stop;                                               \
-        goto dispatch;                                                      \
-    } while (0)
-#endif
 #define CHAIN_RETIRE()                                                      \
     do {                                                                    \
         ++dyn;                                                              \
         ++app;                                                              \
         inspected += haveEngine;                                            \
     } while (0)
-    /* A fused slot retires both constituents (and natively the engine
-     * would have inspected both). */
-#define CHAIN_RETIRE_FUSED()                                                \
-    do {                                                                    \
-        dyn += 2;                                                           \
-        app += 2;                                                           \
-        inspected += 2 * haveEngine;                                        \
-        ++statFusedPairs_;                                                  \
-        ++statFusedFamily_[fusedFamilyIndex(t->op)];                        \
-    } while (0)
-#define CHAIN_BINOP(name, expr)                                             \
-    DISE_CASE(name)                                                         \
+    /* One straight-line handler: @p effect is its register effect. */
+#define CHAIN_PLAIN(name, effect)                                           \
+    lbl_##name:                                                             \
     {                                                                       \
-        const uint64_t vA = readReg(t->ra);                                 \
-        const uint64_t vB = t->useLit ? static_cast<uint64_t>(t->imm)       \
-                                      : readReg(t->rb);                     \
-        writeReg(t->rc, (expr));                                            \
+        effect;                                                             \
         CHAIN_RETIRE();                                                     \
         CHAIN_EMIT();                                                       \
         ++t;                                                                \
         pc += 4;                                                            \
         CHAIN_DISPATCH();                                                   \
     }
-#define CHAIN_CMOV(name, cond)                                              \
-    DISE_CASE(name)                                                         \
+#define CHAIN_ADDR(name, OP, expr) CHAIN_PLAIN(name, SLOT_ADDR(*t, expr))
+#define CHAIN_OPERATE(name, OP, expr)                                       \
+    CHAIN_PLAIN(name, SLOT_OPERATE(*t, expr))
+#define CHAIN_CMOV(name, OP, cond) CHAIN_PLAIN(name, SLOT_CMOV(*t, cond))
+#define CHAIN_LOAD(name, OP, width, signExtended)                           \
+    lbl_##name:                                                             \
     {                                                                       \
-        const uint64_t vA = readReg(t->ra);                                 \
-        if (cond)                                                           \
-            writeReg(t->rc, t->useLit ? static_cast<uint64_t>(t->imm)       \
-                                      : readReg(t->rb));                    \
-        CHAIN_RETIRE();                                                     \
-        CHAIN_EMIT();                                                       \
-        ++t;                                                                \
-        pc += 4;                                                            \
-        CHAIN_DISPATCH();                                                   \
-    }
-#define CHAIN_LOAD(name, readExpr)                                          \
-    DISE_CASE(name)                                                         \
-    {                                                                       \
-        const Addr addr = readReg(t->rb) + static_cast<uint64_t>(t->imm);   \
+        const Addr addr = effAddr(*t);                                      \
         ++loads;                                                            \
-        writeReg(t->ra, (readExpr));                                        \
+        writeReg(t->ra, loadExtend(memory_.read(addr, width), width,        \
+                                   signExtended));                          \
         CHAIN_RETIRE();                                                     \
         if constexpr (kEmit) {                                              \
-            *eout = DynInst{};                                              \
-            eout->pc = pc;                                                  \
-            eout->inst = t->inst;                                           \
+            CHAIN_EMIT_BASE();                                              \
             eout->isMem = true;                                             \
             eout->memAddr = addr;                                           \
             ++eout;                                                         \
@@ -1894,103 +1564,41 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         CHAIN_DISPATCH();                                                   \
     }
 
-#if DISE_THREADED_DISPATCH
     static void *const kTab[] = {
-        &&lbl_Nop, &&lbl_Lda, &&lbl_Ldah, &&lbl_Addq, &&lbl_Subq,
-        &&lbl_Mulq, &&lbl_And, &&lbl_Bic, &&lbl_Or, &&lbl_Ornot,
-        &&lbl_Xor, &&lbl_Sll, &&lbl_Srl, &&lbl_Sra, &&lbl_Cmpeq,
-        &&lbl_Cmplt, &&lbl_Cmple, &&lbl_Cmpult, &&lbl_Cmpule,
-        &&lbl_Cmoveq, &&lbl_Cmovne, &&lbl_Ldbu, &&lbl_Ldl, &&lbl_Ldq,
+        TABLE_LABELS
         &&lbl_Store, &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
         &&lbl_Engine, &&lbl_bad /* DiseCond */, &&lbl_bad /* DiseBr */,
-        &&lbl_FCmpBr, &&lbl_FLdaC, &&lbl_FShAdd, &&lbl_FLdaL,
-        &&lbl_FLdaS, &&lbl_FLdOp, &&lbl_End,
+        &&lbl_Fused, &&lbl_End,
     };
     static_assert(sizeof(kTab) / sizeof(kTab[0]) ==
                       static_cast<size_t>(OpHandler::NUM),
                   "block handler table out of sync with OpHandler");
     CHAIN_DISPATCH();
-#else
-dispatch:
-    switch (t->handler) {
-#endif
 
-    DISE_CASE(Nop)
+    CHAIN_PLAIN(Nop, (void)0)
+    DISE_ADDR_OPS(CHAIN_ADDR)
+    DISE_OPERATE_OPS(CHAIN_OPERATE)
+    DISE_CMOV_OPS(CHAIN_CMOV)
+    DISE_LOAD_OPS(CHAIN_LOAD)
+    lbl_Store:
     {
-        CHAIN_RETIRE();
-        CHAIN_EMIT();
-        ++t;
-        pc += 4;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(Lda)
-    {
-        writeReg(t->ra, readReg(t->rb) + static_cast<uint64_t>(t->imm));
-        CHAIN_RETIRE();
-        CHAIN_EMIT();
-        ++t;
-        pc += 4;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(Ldah)
-    {
-        writeReg(t->ra,
-                 readReg(t->rb) + (static_cast<uint64_t>(t->imm) << 16));
-        CHAIN_RETIRE();
-        CHAIN_EMIT();
-        ++t;
-        pc += 4;
-        CHAIN_DISPATCH();
-    }
-    CHAIN_BINOP(Addq, vA + vB)
-    CHAIN_BINOP(Subq, vA - vB)
-    CHAIN_BINOP(Mulq, vA * vB)
-    CHAIN_BINOP(And, vA & vB)
-    CHAIN_BINOP(Bic, vA & ~vB)
-    CHAIN_BINOP(Or, vA | vB)
-    CHAIN_BINOP(Ornot, vA | ~vB)
-    CHAIN_BINOP(Xor, vA ^ vB)
-    CHAIN_BINOP(Sll, vA << (vB & 63))
-    CHAIN_BINOP(Srl, vA >> (vB & 63))
-    CHAIN_BINOP(Sra,
-                static_cast<uint64_t>(static_cast<int64_t>(vA) >>
-                                      (vB & 63)))
-    CHAIN_BINOP(Cmpeq, vA == vB ? 1 : 0)
-    CHAIN_BINOP(Cmplt,
-                static_cast<int64_t>(vA) < static_cast<int64_t>(vB) ? 1 : 0)
-    CHAIN_BINOP(Cmple,
-                static_cast<int64_t>(vA) <= static_cast<int64_t>(vB) ? 1
-                                                                     : 0)
-    CHAIN_BINOP(Cmpult, vA < vB ? 1 : 0)
-    CHAIN_BINOP(Cmpule, vA <= vB ? 1 : 0)
-    CHAIN_CMOV(Cmoveq, vA == 0)
-    CHAIN_CMOV(Cmovne, vA != 0)
-    CHAIN_LOAD(Ldbu, memory_.read(addr, 1))
-    CHAIN_LOAD(Ldl,
-               static_cast<uint64_t>(signExtend(memory_.read(addr, 4), 32)))
-    CHAIN_LOAD(Ldq, memory_.read(addr, 8))
-    DISE_CASE(Store)
-    {
-        const Addr addr = readReg(t->rb) + static_cast<uint64_t>(t->imm);
+        const Addr addr = effAddr(*t);
         ++stores;
         memory_.write(addr, readReg(t->ra), t->size);
         CHAIN_RETIRE();
         if constexpr (kEmit) {
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
+            CHAIN_EMIT_BASE();
             eout->isMem = true;
             eout->isStore = true;
             eout->memAddr = addr;
             ++eout;
         }
-        if (addr < prog_.textEnd() && addr + t->size > prog_.textBase) {
-            // Self-modifying store: drop stale decodes and traces
+        if (noteTextStore(addr, t->size)) {
+            // Self-modifying store: stale decodes and traces are gone
             // (possibly blocks of this very chain — parked on the
-            // graveyard, so the cursor stays valid) and leave the fast
+            // graveyard, so the cursor stays valid); leave the fast
             // path so the rewritten code is re-translated before it
             // executes.
-            invalidateDecodedRange(addr, t->size);
             pc_ = pc + 4;
             goto exit_flush;
         }
@@ -1998,16 +1606,14 @@ dispatch:
         pc += 4;
         CHAIN_DISPATCH();
     }
-    DISE_CASE(CondBranch)
+    lbl_CondBranch:
     {
         const bool taken = condTaken(t->op, readReg(t->ra));
         CHAIN_RETIRE();
         if constexpr (kEmit) {
             // actualTarget is stamped even when not taken (execute()
             // sets it unconditionally for conditional branches).
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
+            CHAIN_EMIT_BASE();
             eout->isAppControl = true;
             eout->taken = taken;
             eout->actualTarget = t->target;
@@ -2024,14 +1630,12 @@ dispatch:
         edge = &t->chain;
         goto chain;
     }
-    DISE_CASE(DirBranch)
+    lbl_DirBranch:
     {
         writeReg(t->ra, pc + 4);
         CHAIN_RETIRE();
         if constexpr (kEmit) {
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
+            CHAIN_EMIT_BASE();
             eout->isAppControl = true;
             eout->taken = true;
             eout->actualTarget = t->target;
@@ -2043,7 +1647,7 @@ dispatch:
         edge = &t->chain;
         goto chain;
     }
-    DISE_CASE(Jump)
+    lbl_Jump:
     {
         // Target read before the link write (execute() order; the two
         // may name the same register).
@@ -2051,9 +1655,7 @@ dispatch:
         writeReg(t->ra, pc + 4);
         CHAIN_RETIRE();
         if constexpr (kEmit) {
-            *eout = DynInst{};
-            eout->pc = pc;
-            eout->inst = t->inst;
+            CHAIN_EMIT_BASE();
             eout->isAppControl = true;
             eout->taken = true;
             eout->actualTarget = target;
@@ -2065,85 +1667,43 @@ dispatch:
         edge = &t->chain;
         goto chain;
     }
-    DISE_CASE(FCmpBr)
+    lbl_Fused:
     {
+        // One record, two retirements (and natively the engine would
+        // have inspected both constituents); loads and stores count
+        // from the record, as in execFusedPair.
         DynInst fdyn;
         const bool taken = executeFused(t->inst, pc, fdyn);
-        CHAIN_RETIRE_FUSED();
+        dyn += 2;
+        app += 2;
+        inspected += 2 * haveEngine;
+        loads += fdyn.isMem && !fdyn.isStore;
+        stores += fdyn.isStore;
+        ++statFusedPairs_;
+        ++statFusedFamily_[fusedFamilyIndex(t->op)];
         if constexpr (kEmit) {
             fdyn.pc = pc;
             fdyn.inst = t->inst;
             *eout = fdyn;
             ++eout;
+        }
+        if (fdyn.isStore && noteTextStore(fdyn.memAddr, 8)) {
+            // Self-modifying store, same conservative width as the
+            // step path: leave the fast path so the rewritten code is
+            // re-translated before it executes.
+            pc_ = pc + 8;
+            goto exit_flush;
         }
         if (!taken) {
             ++t;
             pc += 8;
             CHAIN_DISPATCH();
         }
-        nextPC = t->target;
+        nextPC = fdyn.actualTarget;
         edge = &t->chain;
         goto chain;
     }
-    DISE_CASE(FLdaC)
-    DISE_CASE(FShAdd)
-    {
-        DynInst fdyn;
-        executeFused(t->inst, pc, fdyn);
-        CHAIN_RETIRE_FUSED();
-        if constexpr (kEmit) {
-            fdyn.pc = pc;
-            fdyn.inst = t->inst;
-            *eout = fdyn;
-            ++eout;
-        }
-        ++t;
-        pc += 8;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(FLdaL)
-    DISE_CASE(FLdOp)
-    {
-        DynInst fdyn;
-        executeFused(t->inst, pc, fdyn);
-        ++loads;
-        CHAIN_RETIRE_FUSED();
-        if constexpr (kEmit) {
-            fdyn.pc = pc;
-            fdyn.inst = t->inst;
-            *eout = fdyn;
-            ++eout;
-        }
-        ++t;
-        pc += 8;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(FLdaS)
-    {
-        DynInst fdyn;
-        executeFused(t->inst, pc, fdyn);
-        ++stores;
-        CHAIN_RETIRE_FUSED();
-        if constexpr (kEmit) {
-            fdyn.pc = pc;
-            fdyn.inst = t->inst;
-            *eout = fdyn;
-            ++eout;
-        }
-        if (fdyn.memAddr < prog_.textEnd() &&
-            fdyn.memAddr + 8 > prog_.textBase) {
-            // Self-modifying store, same conservative width as the
-            // step-path fused store: leave the fast path so the
-            // rewritten code is re-translated before it executes.
-            invalidateDecodedRange(fdyn.memAddr, 8);
-            pc_ = pc + 8;
-            goto exit_flush;
-        }
-        ++t;
-        pc += 8;
-        CHAIN_DISPATCH();
-    }
-    DISE_CASE(Engine)
+    lbl_Engine:
     {
         pc_ = pc;
         CHAIN_FLUSH();
@@ -2207,21 +1767,14 @@ dispatch:
         edge = &t->chain;
         goto chain;
     }
-    DISE_CASE(End)
+    lbl_End:
     {
         nextPC = pc; // pc is already past the last covered slot
         edge = &blk->fallChain;
         goto chain;
     }
-
-#if DISE_THREADED_DISPATCH
 lbl_bad:
     fatal("runChain: handler outside the block repertoire");
-#else
-      default:
-        fatal("runChain: handler outside the block repertoire");
-    }
-#endif
 
 chain:
     // Block exit with a known successor PC: follow (or patch) the
@@ -2280,14 +1833,22 @@ exit_flush:
 
 #undef CHAIN_FLUSH
 #undef CHAIN_RELOAD
+#undef CHAIN_EMIT_BASE
 #undef CHAIN_EMIT
 #undef CHAIN_DISPATCH
 #undef CHAIN_RETIRE
-#undef CHAIN_RETIRE_FUSED
-#undef CHAIN_BINOP
+#undef CHAIN_PLAIN
+#undef CHAIN_ADDR
+#undef CHAIN_OPERATE
 #undef CHAIN_CMOV
 #undef CHAIN_LOAD
 }
+
+#undef TABLE_LABEL
+#undef TABLE_LABELS
+#undef SLOT_ADDR
+#undef SLOT_OPERATE
+#undef SLOT_CMOV
 
 template <bool kEmit>
 void

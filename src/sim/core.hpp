@@ -339,6 +339,8 @@ class ExecCore
     bool beginExpansion(const DecodedInst &fetched);
     /** Adopt a just-produced expansion as the in-flight sequence. */
     void adoptExpansion(const ExpandResult &r);
+    /** Drop the in-flight sequence: it ended, trapped, or was discarded. */
+    void clearSeq();
     /**
      * The translated-path dispatcher, shared by run()/advanceToAppInst
      * (!kEmit) and fillTrace (kEmit: every retirement also writes its
@@ -461,6 +463,19 @@ class ExecCore
     const DecodedInst &fetchDecode(Addr pc);
     /** Drop cached decodes overlapping [addr, addr+size). */
     void invalidateDecodedRange(Addr addr, unsigned size);
+    /**
+     * Self-modifying code: drop the decodes and translations a
+     * @p size-byte store at @p addr made stale.
+     * @return Whether the store overlapped the text segment.
+     */
+    bool
+    noteTextStore(Addr addr, unsigned size)
+    {
+        if (addr >= prog_.textEnd() || addr + size <= prog_.textBase)
+            return false;
+        invalidateDecodedRange(addr, size);
+        return true;
+    }
     void doSyscall(DynInst &dyn);
     uint64_t readReg(RegIndex r) const
     {
@@ -472,6 +487,21 @@ class ExecCore
         if (r != kZeroReg)
             regs_[r] = value;
     }
+    /** @name Operands of a DecodedInst, SeqOp or TransOp slot @p s. */
+    /// @{
+    /** Memory-format effective address: rb + displacement. */
+    template <typename Slot>
+    Addr effAddr(const Slot &s) const
+    {
+        return readReg(s.rb) + static_cast<uint64_t>(s.imm);
+    }
+    /** Second operate operand: the rb value or the literal. */
+    template <typename Slot>
+    uint64_t operandB(const Slot &s) const
+    {
+        return s.useLit ? static_cast<uint64_t>(s.imm) : readReg(s.rb);
+    }
+    /// @}
 
     const Program &prog_;
     DiseController *controller_;
@@ -517,7 +547,6 @@ class ExecCore
     bool seqHasPendingOutcome_ = false; ///< trigger branch seen, deferred
     bool seqPendingTaken_ = false;
     Addr seqPendingTarget_ = 0;
-    bool seqFirstEmitted_ = false;
     ExpandResult pendingExpand_;
     /** Re-point a suspended sequence at core-owned copies (see the
      *  group comment). Idempotent; no-op at an app boundary. */

@@ -8,10 +8,12 @@
  * pre-sign-extended immediate, pre-computed direct-branch target —
  * executed by a direct-threaded interpreter in ExecCore (see core.cpp)
  * that bypasses the per-instruction fetch/decode/DISE-inspection
- * machinery of step(). Handlers are flattened to one jump per slot
- * (computed goto under GCC/Clang, a portable switch under
- * -DDISE_NO_COMPUTED_GOTO), and every slot array ends in an OpHandler::
- * End sentinel so the inner loop needs no bounds check.
+ * machinery of step(). Every slot ends in one computed-goto jump to its
+ * handler, and every slot array ends in an OpHandler::End sentinel so
+ * the inner loop needs no bounds check. The straight-line handlers are
+ * generated from the op tables of src/isa/semantics.hpp, the same rows
+ * step()'s execute() expands, so the tiers share one definition of each
+ * instruction.
  *
  * Steady-state execution additionally follows **superblock chain
  * edges**: each terminator slot (and the block-level fall-through)
@@ -58,6 +60,7 @@
 
 #include "src/dise/engine.hpp"
 #include "src/isa/inst.hpp"
+#include "src/isa/semantics.hpp"
 
 namespace dise {
 
@@ -71,15 +74,19 @@ struct TransBlock;
  * subset that can appear in its slot stream.
  */
 enum class OpHandler : uint8_t {
-    /** @name Straight-line compute (both interpreters). */
+    /** @name Straight-line compute and loads (both interpreters), one
+     *  per semantics-table row. */
     /// @{
-    Nop, Lda, Ldah, Addq, Subq, Mulq, And, Bic, Or, Ornot, Xor,
-    Sll, Srl, Sra, Cmpeq, Cmplt, Cmple, Cmpult, Cmpule, Cmoveq, Cmovne,
+    Nop,
+#define DISE_X(name, ...) name,
+    DISE_ADDR_OPS(DISE_X)
+    DISE_OPERATE_OPS(DISE_X)
+    DISE_CMOV_OPS(DISE_X)
+    DISE_LOAD_OPS(DISE_X)
+#undef DISE_X
     /// @}
-    /** @name Memory (size/sign pre-resolved; both interpreters). */
-    /// @{
-    Ldbu, Ldl, Ldq, Store,
-    /// @}
+    /** Every store width (size pre-resolved; both interpreters). */
+    Store,
     /** @name Control (block: terminators; sequence: trigger-relative). */
     /// @{
     CondBranch, DirBranch, Jump,
@@ -91,11 +98,9 @@ enum class OpHandler : uint8_t {
     /// @{
     DiseCond, DiseBr,
     /// @}
-    /** @name Fused internal ops (macro-op fusion ACF; block interpreter
-     *  only — fused ops never appear in replacement sequences). */
-    /// @{
-    FCmpBr, FLdaC, FShAdd, FLdaL, FLdaS, FLdOp,
-    /// @}
+    /** A fused pair (macro-op fusion ACF; block interpreter only —
+     *  fused ops never appear in replacement sequences). */
+    Fused,
     /** Sentinel closing every slot array: block fall-through exit /
      *  replacement-sequence end. */
     End,

@@ -3,9 +3,11 @@
  * Translated basic-block engine tests (src/sim/trace.hpp, DESIGN.md
  * section 9): self-modifying code invalidation inside one block and
  * across block boundaries, engine-generation invalidation on table
- * installs and injected table corruption, and full fast-vs-slow-path
+ * installs and injected table corruption, full fast-vs-slow-path
  * bit-identity (architectural result, engine counters, register file,
- * memory image) on a generated MFI workload.
+ * memory image) on a generated MFI workload, per-op edge-value identity
+ * across the step(), block and replacement-sequence tiers, and fusion
+ * decisions invalidated by a store just past a block.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "src/dise/parser.hpp"
 #include "src/sim/core.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/trace_streams.hpp"
 
 namespace dise {
 namespace {
@@ -500,6 +504,221 @@ TEST(Trace, FastSlowIdentityAcrossWorkerCounts)
         for (const RunSnapshot &snap : snaps)
             expectIdentical(snap, referenceFast);
     }
+}
+
+
+/**
+ * Macro-op fusion under self-modifying code. `sll s0, 3, t3` at `loop`
+ * ends its block (the syscall after it is untranslatable) after
+ * deciding "no fuse" by reading `patch`, the word past the block. The
+ * first pass rewrites `patch` into `addq t3, s0, t3`, which fuses with
+ * the sll as a shift_add pair from then on. The store drops the fusion
+ * decision, so it must drop the block too, or the chained path replays
+ * the stale unfused slot while step() fuses.
+ */
+constexpr const char *kFusionSmc = R"(.text
+main:
+    laq donor, t0
+    laq patch, t1
+    li 3, s0
+    li 2, v0
+    br zero, loop
+loop:
+    sll s0, 3, t3
+patch:
+    syscall
+    ldl t2, 0(t0)
+    stl t2, 0(t1)
+    subq s0, 1, s0
+    bne s0, loop
+    mov t3, a0
+    li 0, v0
+    syscall
+donor:
+    addq t3, s0, t3
+)";
+
+TEST(Trace, FusionSmcPastBlockEndMatchesStep)
+{
+    const Program prog = assemble(kFusionSmc);
+
+    ExecCore step(prog);
+    step.setFusionEnabled(true);
+    step.setTraceCacheEnabled(false);
+    const std::vector<DynInst> want = drainViaStep(step);
+    EXPECT_EQ(step.result().exitCode, 9);
+    // Five constant formations plus the shift_add on the two patched
+    // passes.
+    EXPECT_EQ(step.fusedPairs(), 7u);
+
+    ExecCore chained(prog);
+    chained.setFusionEnabled(true);
+    const RunResult r = chained.run();
+    EXPECT_EQ(r.exitCode, 9);
+    EXPECT_EQ(r.dynInsts, step.result().dynInsts);
+    EXPECT_EQ(chained.fusedPairs(), step.fusedPairs());
+
+    for (const size_t cap : {size_t(3), size_t(64)}) {
+        ExecCore feed(prog);
+        feed.setFusionEnabled(true);
+        const std::vector<DynInst> got = drainViaFill(feed, cap);
+        EXPECT_EQ(feed.fusedPairs(), step.fusedPairs()) << "cap " << cap;
+        ASSERT_EQ(got.size(), want.size()) << "cap " << cap;
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(sameRecord(got[i], want[i]))
+                << "cap " << cap << " record " << i;
+        }
+    }
+}
+
+/**
+ * The per-op edge-value body: every op of the translated repertoire
+ * (operate ops in register and literal form, cmov, lda/ldah, every
+ * load and store width) applied to a0 = vals[i], a1 = vals[j] (t0 =
+ * &vals[j]), each result stored to its own slot at s1. Returns the
+ * body and writes the bytes it stores per pass to @p passBytes.
+ */
+std::string
+perOpBody(int &passBytes)
+{
+    std::string body;
+    int slot = 0;
+    const auto line = [&body](const std::string &inst) {
+        body += "    " + inst + "\n";
+    };
+    const auto result = [&](const std::string &inst) {
+        line(inst);
+        line("stq t1, " + std::to_string(8 * slot++) + "(s1)");
+    };
+    for (const char *op :
+         {"addq", "subq", "mulq", "and", "bic", "or", "ornot", "xor", "sll",
+          "srl", "sra", "cmpeq", "cmplt", "cmple", "cmpult", "cmpule"}) {
+        result(std::string(op) + " a0, a1, t1");
+        for (const int lit : {0, 1, 63, 64, 255})
+            result(std::string(op) + " a0, #" + std::to_string(lit) +
+                   ", t1");
+    }
+    for (const char *op : {"cmoveq", "cmovne"}) {
+        // A cmov that does not move leaves t1's old value: seed it.
+        line("or s2, zero, t1");
+        result(std::string(op) + " a0, a1, t1");
+        line("or s3, zero, t1");
+        result(std::string(op) + " a0, #7, t1");
+    }
+    for (const int disp : {0, 1, -1, 32767, -32768}) {
+        result("lda t1, " + std::to_string(disp) + "(a0)");
+        result("ldah t1, " + std::to_string(disp) + "(a0)");
+    }
+    // ldl at offset 4 of INT64_MIN, and at 0 of -1 and 0x80000000,
+    // reads a word with bit 31 set.
+    for (const char *load : {"ldbu t1, 0(t0)", "ldbu t1, 7(t0)",
+                             "ldl t1, 0(t0)", "ldl t1, 4(t0)",
+                             "ldq t1, 0(t0)"})
+        result(load);
+    for (const char *store : {"stb", "stl", "stq"})
+        line(std::string(store) + " a0, " + std::to_string(8 * slot++) +
+             "(s1)");
+    passBytes = 8 * slot;
+    return body;
+}
+
+/**
+ * Loop the per-op body over all 8 x 8 edge-operand pairs. The body
+ * runs inline (@p inSequence false) or as the non-trigger slots of the
+ * replacement sequence of the `xor zero, zero, zero` marker, which
+ * follows it either way.
+ */
+Program
+perOpProgram(const std::string &body, int passBytes, bool inSequence)
+{
+    return assemble(
+        ".text\n"
+        "main:\n"
+        "    laq vals, s0\n"
+        "    laq out, s1\n"
+        "    li 0, s2\n"
+        "outer:\n"
+        "    li 0, s3\n"
+        "inner:\n"
+        "    addq s0, s2, t0\n"
+        "    ldq a0, 0(t0)\n"
+        "    addq s0, s3, t0\n"
+        "    ldq a1, 0(t0)\n" +
+        (inSequence ? std::string() : body) +
+        "    xor zero, zero, zero\n"
+        "    lda s1, " + std::to_string(passBytes) + "(s1)\n"
+        "    lda s3, 8(s3)\n"
+        "    cmpult s3, 64, t1\n"
+        "    bne t1, inner\n"
+        "    lda s2, 8(s2)\n"
+        "    cmpult s2, 64, t1\n"
+        "    bne t1, outer\n"
+        "    li 0, v0\n"
+        "    li 0, a0\n"
+        "    syscall\n"
+        ".data\n"
+        "vals:\n"
+        "    .quad 0, 1, -1, 0x8000000000000000, 0x7fffffffffffffff\n"
+        "    .quad 63, 64, 0x80000000\n"
+        "out:\n"
+        "    .space " + std::to_string(64 * passBytes) + "\n");
+}
+
+RunSnapshot
+runTier(const Program &prog, bool traceCache,
+        std::shared_ptr<const ProductionSet> set = nullptr)
+{
+    DiseController controller;
+    if (set)
+        controller.install(set);
+    ExecCore core(prog, set ? &controller : nullptr);
+    core.setTraceCacheEnabled(traceCache);
+    RunSnapshot snap;
+    snap.result = core.run();
+    snap.engineStats = controller.engine().stats().counters();
+    for (RegIndex r = 0; r < kNumLogicalRegs; ++r)
+        snap.regs.push_back(core.reg(r));
+    snap.memChecksum =
+        core.memory().checksum(prog.dataBase, uint64_t(1) << 20);
+    return snap;
+}
+
+TEST(Trace, PerOpEdgeValuesIdenticalAcrossTiers)
+{
+    int passBytes = 0;
+    const std::string body = perOpBody(passBytes);
+    const Program inlineProg = perOpProgram(body, passBytes, false);
+    const Program seqProg = perOpProgram(body, passBytes, true);
+    const auto set = std::make_shared<const ProductionSet>(
+        parseProductions("P1: op == xor -> R1\nR1:\n" + body +
+                             "    T.INSN\n",
+                         seqProg.symbols));
+
+    // Tier 1: step() with the trace cache off (the oracle).
+    const RunSnapshot oracle = runTier(inlineProg, false);
+    ASSERT_EQ(oracle.result.outcome, RunOutcome::Exit);
+    // Tier 2: the chained block interpreter.
+    expectIdentical(runTier(inlineProg, true), oracle);
+    // Tier 3: runSeqFast, on the memoized expansion of the marker
+    // (every pass after the first hits the expansion cache), checked
+    // against the same program on the step() path.
+    const RunSnapshot seq = runTier(seqProg, true, set);
+    expectIdentical(seq, runTier(seqProg, false, set));
+    EXPECT_EQ(seq.result.expansions, 64u);
+    EXPECT_GT(seq.engineStats.at("expand_cache_hits"), 0u);
+
+    // The sequence tier computes what the application tiers computed;
+    // only the application/DISE split of the retirements differs.
+    EXPECT_EQ(seq.regs, oracle.regs);
+    EXPECT_EQ(seq.memChecksum, oracle.memChecksum);
+    EXPECT_EQ(seq.result.outcome, oracle.result.outcome);
+    EXPECT_EQ(seq.result.exitCode, oracle.result.exitCode);
+    EXPECT_EQ(seq.result.dynInsts, oracle.result.dynInsts);
+    EXPECT_EQ(seq.result.appInsts + seq.result.diseInsts,
+              oracle.result.appInsts);
+    EXPECT_EQ(seq.result.loads, oracle.result.loads);
+    EXPECT_EQ(seq.result.stores, oracle.result.stores);
+    EXPECT_EQ(seq.result.acfDetections, oracle.result.acfDetections);
 }
 
 } // namespace

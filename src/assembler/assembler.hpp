@@ -34,7 +34,7 @@
 #ifndef DISE_ASSEMBLER_ASSEMBLER_HPP
 #define DISE_ASSEMBLER_ASSEMBLER_HPP
 
-#include <string>
+#include <string_view>
 
 #include "src/assembler/program.hpp"
 
@@ -49,10 +49,11 @@ struct AsmOptions
 
 /**
  * Assemble a complete source string into a program image.
- * Throws FatalError with a line-numbered message on any syntax error.
- * The entry point is the 'main' symbol if defined, else the start of text.
+ * Throws FatalError with a line-numbered message on any syntax error or
+ * out-of-range field, and only FatalError. The entry point is the
+ * 'main' symbol if defined, else the start of text.
  */
-Program assemble(const std::string &source, const AsmOptions &opts = {});
+Program assemble(std::string_view source, const AsmOptions &opts = {});
 
 } // namespace dise
 

@@ -33,6 +33,10 @@ constexpr unsigned kSegmentShift = 26;
 constexpr Addr kDefaultTextBase = Addr(1) << kSegmentShift;
 constexpr Addr kDefaultDataBase = Addr(2) << kSegmentShift;
 
+/** The initial stack pointer's offset into the data segment (half a
+ *  segment); static data must end below it. */
+constexpr Addr kStackOffset = Addr(1) << (kSegmentShift - 1);
+
 /** An assembled (or transformed) executable image. */
 struct Program
 {
@@ -45,7 +49,7 @@ struct Program
     /** Initial PC. */
     Addr entry = kDefaultTextBase;
     /** Initial stack pointer (grows down, inside the data segment). */
-    Addr stackTop = kDefaultDataBase + (Addr(1) << (kSegmentShift - 1));
+    Addr stackTop = kDefaultDataBase + kStackOffset;
 
     /** Symbol table (labels from the assembler). */
     std::map<std::string, Addr> symbols;

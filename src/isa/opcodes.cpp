@@ -1,7 +1,8 @@
 #include "src/isa/opcodes.hpp"
 
 #include <array>
-#include <unordered_map>
+
+#include "src/isa/name_table.hpp"
 
 namespace dise {
 
@@ -117,19 +118,16 @@ opName(Opcode op)
 }
 
 std::optional<Opcode>
-opFromName(const std::string &name)
+opFromName(std::string_view name)
 {
-    static const std::unordered_map<std::string, Opcode> byName = [] {
-        std::unordered_map<std::string, Opcode> m;
+    static const NameTable<Opcode, 7> byName = [] {
+        NameTable<Opcode, 7> t;
         for (const auto &info : table())
             if (info.valid)
-                m.emplace(info.mnemonic, info.op);
-        return m;
+                t.add(info.mnemonic, info.op);
+        return t;
     }();
-    const auto it = byName.find(name);
-    if (it == byName.end())
-        return std::nullopt;
-    return it->second;
+    return byName.find(name);
 }
 
 const char *

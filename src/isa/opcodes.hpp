@@ -18,7 +18,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 
 namespace dise {
 
@@ -147,7 +147,7 @@ const OpInfo &opInfo(Opcode op);
 const char *opName(Opcode op);
 
 /** Parse a mnemonic; empty when unknown. */
-std::optional<Opcode> opFromName(const std::string &name);
+std::optional<Opcode> opFromName(std::string_view name);
 
 /**
  * True for the fused internal opcodes synthesized by the macro-op

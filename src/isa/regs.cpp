@@ -2,9 +2,9 @@
 
 #include <array>
 #include <cctype>
-#include <unordered_map>
 
 #include "src/common/logging.hpp"
+#include "src/isa/name_table.hpp"
 
 namespace dise {
 
@@ -30,27 +30,24 @@ regName(RegIndex r)
 }
 
 std::optional<RegIndex>
-regFromName(const std::string &name)
+regFromName(std::string_view name)
 {
-    static const std::unordered_map<std::string, RegIndex> byName = [] {
-        std::unordered_map<std::string, RegIndex> m;
+    static const NameTable<RegIndex, 8> byName = [] {
+        NameTable<RegIndex, 8> t;
         for (unsigned i = 0; i < kNumArchRegs; ++i) {
-            m.emplace(kAliases[i], static_cast<RegIndex>(i));
-            m.emplace("r" + std::to_string(i), static_cast<RegIndex>(i));
-            m.emplace("$" + std::to_string(i), static_cast<RegIndex>(i));
+            t.add(kAliases[i], static_cast<RegIndex>(i));
+            t.add("r" + std::to_string(i), static_cast<RegIndex>(i));
+            t.add("$" + std::to_string(i), static_cast<RegIndex>(i));
         }
         for (unsigned i = 0; i < kNumDiseRegs; ++i) {
-            m.emplace("$dr" + std::to_string(i),
-                      static_cast<RegIndex>(kDiseRegBase + i));
-            m.emplace("dr" + std::to_string(i),
-                      static_cast<RegIndex>(kDiseRegBase + i));
+            t.add("$dr" + std::to_string(i),
+                  static_cast<RegIndex>(kDiseRegBase + i));
+            t.add("dr" + std::to_string(i),
+                  static_cast<RegIndex>(kDiseRegBase + i));
         }
-        return m;
+        return t;
     }();
-    const auto it = byName.find(name);
-    if (it == byName.end())
-        return std::nullopt;
-    return it->second;
+    return byName.find(name);
 }
 
 } // namespace dise

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace dise {
 
@@ -59,7 +60,7 @@ std::string regName(RegIndex r);
  * Parse a register name. Accepts rN, $N, ABI aliases, and $drN.
  * @return Empty optional for unknown names.
  */
-std::optional<RegIndex> regFromName(const std::string &name);
+std::optional<RegIndex> regFromName(std::string_view name);
 
 } // namespace dise
 

@@ -1,10 +1,20 @@
 #include "src/workloads/kernels.hpp"
 
+#include <charconv>
+
 #include "src/common/logging.hpp"
 
 namespace dise {
 
 namespace {
+
+/** Append @p v in decimal (the kernel data tables' hot path). */
+void
+appendDecimal(std::string &out, uint32_t v)
+{
+    char buf[10];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 /** Shared epilogue: fold t2 into the checksum cell and return. */
 const char *kFold =
@@ -227,8 +237,11 @@ kernelData(const std::string &family, uint32_t ringNodes)
             const uint32_t next = (i + step) % n;
             // Payloads stay below the text segment base so nothing in
             // data can be mistaken for (or abused as) a code pointer.
-            data += strFormat("    .quad kring+%u, %u\n", next * 16,
-                              (i * 2654435761u) & 0x3ffffffu);
+            data += "    .quad kring+";
+            appendDecimal(data, next * 16);
+            data += ", ";
+            appendDecimal(data, (i * 2654435761u) & 0x3ffffffu);
+            data += '\n';
         }
     } else if (family == "bits") {
         data += "ktab:\n    .space 2048\n";
@@ -237,7 +250,9 @@ kernelData(const std::string &family, uint32_t ringNodes)
         uint32_t x = 123456789;
         for (unsigned i = 0; i < 256; ++i) {
             x = x * 1103515245u + 12345u;
-            data += strFormat("    .quad %u\n", x >> 8);
+            data += "    .quad ";
+            appendDecimal(data, x >> 8);
+            data += '\n';
         }
     }
     return data;

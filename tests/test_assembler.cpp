@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "src/assembler/assembler.hpp"
 #include "src/common/logging.hpp"
+#include "src/common/rng.hpp"
 #include "src/isa/disasm.hpp"
+#include "src/service/runner.hpp"
+#include "src/workloads/generator.hpp"
+#include "src/workloads/workloads.hpp"
+#include "tests/digest.hpp"
 
 namespace dise {
 namespace {
@@ -189,46 +196,262 @@ TEST(Assembler, Codeword)
     EXPECT_EQ(cw.ra, 1);
 }
 
-TEST(AssemblerErrors, UnknownMnemonic)
+/** Everything assemble() returns, in one digest. */
+void
+digestProgram(Digest &d, const Program &prog)
 {
-    EXPECT_THROW(assemble(".text\n    bogus t0\n"), FatalError);
+    d.u64(prog.text.size());
+    for (const Word w : prog.text)
+        d.u64(w);
+    d.u64(prog.data.size());
+    for (const uint8_t b : prog.data)
+        d.byte(b);
+    d.u64(prog.symbols.size());
+    for (const auto &[name, addr] : prog.symbols) {
+        d.str(name);
+        d.u64(addr);
+    }
+    d.u64(prog.entry);
+    d.u64(prog.stackTop);
 }
 
-TEST(AssemblerErrors, UnknownSymbol)
+constexpr double kGoldenScales[] = {1.0, 0.5, 0.1};
+
+/**
+ * Program digests recorded from the original istringstream-based
+ * assembler, one row per spec2000() program in suite order, one
+ * column per kGoldenScales entry.
+ */
+constexpr uint64_t kSuiteGolden[12][3] = {
+    // bzip2
+    {0xded2b57a859f5e2cull, 0xe293c9cb667c5160ull, 0xca05454ab921f54eull},
+    // crafty
+    {0xb5e373f4ecb2b17bull, 0xfd2b118428ca92f9ull, 0xe39af8e2802c2fc1ull},
+    // eon
+    {0x2cb5f940c739838eull, 0x3acb34d1a1e564c6ull, 0xeeeaf8829ac6a452ull},
+    // gap
+    {0x8cb9b9afbd1e851cull, 0x1fae227407efa2beull, 0x181213588a74ba76ull},
+    // gcc
+    {0x69186b1092479ee6ull, 0x7e5bd0bf379d6245ull, 0x4622e7bd6e130a60ull},
+    // gzip
+    {0x09e3dc0dfec75b17ull, 0x8fa11c4d5250a4b4ull, 0x1de2e0d6b9d02582ull},
+    // mcf
+    {0x1d7ba9d6a8d32522ull, 0xd57cac7575e41c64ull, 0x1404ec5ff41bf19bull},
+    // parser
+    {0x87d40a56603aba94ull, 0xfc49d59dacb2b782ull, 0x0c49f5457c9fc1ddull},
+    // perlbmk
+    {0xbd0273b716aadf8full, 0x13d95c06f5848b8aull, 0x9eed7e6fe4f54f90ull},
+    // twolf
+    {0x2b38c053d2b11437ull, 0xc798a6f60d983fdcull, 0x50283f2eff91d218ull},
+    // vortex
+    {0x81bcb537dd0fc237ull, 0xbe14a3a0822320d1ull, 0xc59f9c89aa2356b7ull},
+    // vpr
+    {0x860c9b561332d5c2ull, 0x16fdb65b8dcc0f5aull, 0x93ca0a7bf03f2500ull},
+};
+
+/** The same for generateRandomProgram seeds 1..100, ten per digest. */
+constexpr uint64_t kGeneratedGolden[10] = {
+    0x25e5b7e8e61d841full, 0x4d96424a33605456ull, 0x9cf35219678cd2faull,
+    0x8697fd00dce506e9ull, 0xe19ef3ff79058550ull, 0x097f159e1ebf6bcfull,
+    0x40960dbb2287489aull, 0x5b879a5557a13e4bull, 0x08af3ddfd7d033e6ull,
+    0x0b2c3e5cf96e59a9ull,
+};
+
+TEST(Assembler, GoldenDigests)
 {
-    EXPECT_THROW(assemble(".text\n    beq t0, nowhere\n"), FatalError);
+    ASSERT_EQ(spec2000().size(), 12u);
+    for (size_t p = 0; p < spec2000().size(); ++p) {
+        for (size_t s = 0; s < 3; ++s) {
+            const WorkloadSpec spec =
+                scaledSpec(spec2000()[p], kGoldenScales[s]);
+            Digest d;
+            digestProgram(d, buildWorkload(spec));
+            EXPECT_EQ(d.value(), kSuiteGolden[p][s])
+                << "golden " << spec.name << " scale " << kGoldenScales[s]
+                << " got 0x" << std::hex << d.value();
+        }
+    }
+    for (uint64_t group = 0; group < 10; ++group) {
+        Digest d;
+        for (uint64_t seed = group * 10 + 1; seed <= group * 10 + 10;
+             ++seed) {
+            GeneratorOptions gen;
+            gen.seed = seed;
+            digestProgram(d, generateRandomProgram(gen));
+        }
+        EXPECT_EQ(d.value(), kGeneratedGolden[group])
+            << "golden generated " << group << " got 0x" << std::hex
+            << d.value();
+    }
 }
 
-TEST(AssemblerErrors, DuplicateLabel)
+/** A malformed source and the exact FatalError message it must raise. */
+struct AsmErrorCase
 {
-    EXPECT_THROW(assemble(".text\nx:\n    nop\nx:\n    nop\n"),
-                 FatalError);
+    const char *source;
+    const char *message;
+};
+
+/** One case per asmError message (and per out-of-range field). */
+const AsmErrorCase kErrorCases[] = {
+    // Scan.
+    {".data\n    .asciiz hi\n", "asm line 2: expected string literal"},
+    {".data\n    .asciiz \"a\\qb\"\n", "asm line 2: bad escape in string"},
+    // Layout.
+    {".text\nx:\n    nop\nx:\n    nop\n", "asm line 4: duplicate label x"},
+    {".text\n    .quad 1\n", "asm line 2: data directive outside .data"},
+    {".data\n    nop\n", "asm line 2: instruction outside .text"},
+    {".data\n    .space -1\n", "asm line 2: bad .space size"},
+    {".data\n    .space\n", "asm line 2: bad .space size"},
+    {".data\n    .align 3\n", "asm line 2: bad .align"},
+    {".data\n    .align\n", "asm line 2: bad .align"},
+    {".data\n    .word 1\n", "asm line 2: unknown directive .word"},
+    {".data\n    .space 68719476736\n",
+     "asm line 2: data section exceeds 33554432 bytes"},
+    {".data\n    .space 33554432\n    .byte 1\n",
+     "asm line 3: data section exceeds 33554432 bytes"},
+    // Emit.
+    {".text\n    beq t0, nowhere\n", "asm line 2: unknown symbol nowhere"},
+    {".text\n    addq t0, t1, bogus\n", "asm line 2: bad register bogus"},
+    {".text\n    addq $dr1, t0, t1\n",
+     "asm line 2: dedicated register $dr1 is not encodable in "
+     "application code"},
+    {".text\n    ldq t0, 8\n", "asm line 2: bad memory operand 8"},
+    {".text\n    ldq t0, x(t1)\n", "asm line 2: bad displacement x"},
+    {".text\n    ldq t0, 40000(t1)\n",
+     "asm line 2: displacement out of range: 40000"},
+    {".text\n    mov t0\n", "asm line 2: mov expects 2 operands, got 1"},
+    {".text\n    bogus t0\n", "asm line 2: unknown mnemonic bogus"},
+    {".text\n    dbeq t0, done\ndone:\n    nop\n",
+     "asm line 2: dbeq is a DISE-internal branch; it may only appear in "
+     "replacement sequences"},
+    {".text\n    br zero, .+x\n", "asm line 2: bad relative target .+x"},
+    {".text\n    br zero, .+2000000\n",
+     "asm line 2: branch displacement out of range: 2000000"},
+    {".text\n    call 0x40000000\n",
+     "asm line 2: branch displacement out of range: 251658239"},
+    {".text\nx:\n    br zero, x+2\n", "asm line 3: misaligned branch target"},
+    {".text\n    addq t0, 256, t1\n",
+     "asm line 2: operate literal must be 0..255: 256"},
+    {".text\n    li 2147483648, t0\n",
+     "asm line 2: li immediate out of range: 2147483648"},
+    {".text\nx:\n    laq x+2147483648, t0\n",
+     "asm line 3: laq immediate out of range: 2214592512"},
+    {".text\n    li 18446744073709551616, t0\n",
+     "asm line 2: integer literal out of range: 18446744073709551616"},
+    {".text\n    res0 x, 1, 2, 3\n", "asm line 2: bad codeword fields"},
+    {".text\n    res0 3000, 0, 0, 0\n",
+     "asm line 2: codeword tag out of range: 3000"},
+    {".text\n    res0 17, 40, 0, 0\n",
+     "asm line 2: codeword parameter out of range: 40"},
+};
+
+TEST(AssemblerErrors, EachCaseRaisesItsMessage)
+{
+    for (const AsmErrorCase &c : kErrorCases) {
+        try {
+            assemble(c.source);
+            ADD_FAILURE() << "assembled: " << c.source;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), c.message) << c.source;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "not a FatalError (" << e.what()
+                          << "): " << c.source;
+        }
+    }
 }
 
-TEST(AssemblerErrors, DedicatedRegisterRejected)
+/** Small sources for the mutation test: workloads and generator output. */
+std::vector<std::string>
+mutationBases()
 {
-    EXPECT_THROW(assemble(".text\n    addq $dr1, t0, t1\n"), FatalError);
+    std::vector<std::string> bases;
+    for (const char *kernel : {"compress", "sort"}) {
+        WorkloadSpec spec = workloadSpec("bzip2");
+        spec.kernel = kernel;
+        spec.numFunctions = 4;
+        spec.idiomsPerBody = 3;
+        spec.dataKB = 4;
+        bases.push_back(generateWorkloadSource(spec));
+    }
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+        GeneratorOptions gen;
+        gen.seed = seed;
+        gen.minIdioms = 4;
+        gen.maxIdioms = 8;
+        bases.push_back(generateRandomSource(gen));
+    }
+    return bases;
 }
 
-TEST(AssemblerErrors, DiseBranchRejected)
+/**
+ * One single edit of @p src: drop a token, drop or duplicate a
+ * character, or append digits to a number.
+ */
+std::string
+mutate(std::string src, Rng &rng)
 {
-    EXPECT_THROW(assemble(".text\n    dbeq t0, done\ndone:\n    nop\n"),
-                 FatalError);
+    auto isSep = [](char c) {
+        return c == ',' || std::isspace(static_cast<unsigned char>(c));
+    };
+    auto isDigit = [](char c) { return c >= '0' && c <= '9'; };
+    size_t i = rng.below(src.size());
+    switch (rng.below(4)) {
+      case 0: { // the token at or after i
+        while (i < src.size() && isSep(src[i]))
+            ++i;
+        size_t end = i;
+        while (end < src.size() && !isSep(src[end]))
+            ++end;
+        while (i > 0 && !isSep(src[i - 1]))
+            --i;
+        src.erase(i, end - i);
+        break;
+      }
+      case 1:
+        src.erase(i, 1);
+        break;
+      case 2:
+        src.insert(i, 1, src[i]);
+        break;
+      default: { // the number at or after i
+        while (i < src.size() && !isDigit(src[i]))
+            ++i;
+        while (i < src.size() && isDigit(src[i]))
+            ++i;
+        for (uint64_t n = 1 + rng.below(12); n > 0; --n)
+            src.insert(i, 1, char('0' + rng.below(10)));
+        break;
+      }
+    }
+    return src;
 }
 
-TEST(AssemblerErrors, LiteralOutOfRange)
+TEST(AssemblerErrors, MutantsAssembleOrRaiseFatalError)
 {
-    EXPECT_THROW(assemble(".text\n    addq t0, 256, t1\n"), FatalError);
-}
-
-TEST(AssemblerErrors, DataDirectiveInText)
-{
-    EXPECT_THROW(assemble(".text\n    .quad 1\n"), FatalError);
-}
-
-TEST(AssemblerErrors, InstructionInData)
-{
-    EXPECT_THROW(assemble(".data\n    nop\n"), FatalError);
+    Rng rng(15);
+    size_t accepted = 0, rejected = 0, failures = 0;
+    testing::internal::CaptureStderr(); // one "fatal:" line per reject
+    for (const std::string &base : mutationBases()) {
+        for (int m = 0; m < 800; ++m) {
+            const std::string mutant = mutate(base, rng);
+            try {
+                assemble(mutant);
+                ++accepted;
+            } catch (const FatalError &) {
+                ++rejected;
+            } catch (const std::exception &e) {
+                if (failures++ < 5) {
+                    ADD_FAILURE() << "not a FatalError (" << e.what()
+                                  << ") for mutant:\n" << mutant;
+                }
+            }
+        }
+    }
+    testing::internal::GetCapturedStderr();
+    EXPECT_EQ(failures, 0u);
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(Program, FetchAndBounds)

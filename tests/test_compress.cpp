@@ -18,6 +18,7 @@
 #include "src/sim/core.hpp"
 #include "src/workloads/generator.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/digest.hpp"
 
 namespace dise {
 namespace {
@@ -396,34 +397,6 @@ TEST(Compress, GeneratedProgramsRoundTrip)
         }
     }
 }
-
-/** FNV-1a, fed explicitly little-endian so digests match across hosts. */
-class Digest
-{
-  public:
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(uint8_t(v >> (8 * i)));
-    }
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        for (const char c : s)
-            byte(uint8_t(c));
-    }
-    uint64_t value() const { return h_; }
-
-  private:
-    void
-    byte(uint8_t b)
-    {
-        h_ = (h_ ^ b) * 0x100000001b3ull;
-    }
-    uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 /** Everything compressProgram returns, in one digest. */
 void

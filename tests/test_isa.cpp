@@ -47,7 +47,11 @@ TEST(Opcodes, NameRoundTrip)
 
 TEST(Opcodes, UnknownNameRejected)
 {
-    EXPECT_FALSE(opFromName("frobnicate").has_value());
+    using namespace std::string_view_literals;
+    for (const std::string_view name :
+         {"frobnicate"sv, ""sv, "NOP"sv, "addq "sv, "syscalls"sv,
+          "nop\0"sv, "\0nop"sv})
+        EXPECT_FALSE(opFromName(name).has_value()) << name;
 }
 
 TEST(Opcodes, ClassPredicates)
@@ -76,7 +80,11 @@ TEST(Regs, ParseForms)
     EXPECT_EQ(*regFromName("ra"), kRaReg);
     EXPECT_EQ(*regFromName("$dr0"), kDiseRegBase);
     EXPECT_EQ(*regFromName("dr7"), kDiseRegBase + 7);
-    EXPECT_FALSE(regFromName("bogus").has_value());
+    using namespace std::string_view_literals;
+    for (const std::string_view name :
+         {"bogus"sv, ""sv, "r32"sv, "r07"sv, "$dr8"sv, "zero0000"sv,
+          "\0t0"sv, "t0\0"sv})
+        EXPECT_FALSE(regFromName(name).has_value()) << name;
 }
 
 TEST(Regs, Predicates)

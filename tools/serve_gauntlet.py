@@ -3,7 +3,7 @@
 
 Usage: serve_gauntlet.py --diserun PATH [--burst N] [--drain-timeout S]
 
-Drives a freshly started daemon through four phases and exits nonzero
+Drives a freshly started daemon through five phases and exits nonzero
 on the first broken promise:
 
 1. Correctness: a closed-loop set of well-formed, in-budget requests
@@ -15,14 +15,19 @@ on the first broken promise:
    branch-ended idiom jumps farther than a codeword's 15-bit offset
    parameter reaches must run to a clean exit, and an ordinary request
    after it must still be answered.
-3. Gauntlet: a burst far past saturation — sent with no pacing at all,
+3. Hostile assembly: `source` requests holding out-of-range fields
+   (memory and branch displacements, a li constant, a codeword tag)
+   and malformed or oversized data directives must each be answered
+   `status: "error"` with the assembler's `asm line N: ...` message,
+   and an ordinary request after them must still succeed.
+4. Gauntlet: a burst far past saturation — sent with no pacing at all,
    i.e. an unbounded arrival rate, with 10% malformed lines and 10%
    deadline-busting requests mixed in. Every line must get exactly one
    structured response (ok / overloaded / deadline_exceeded /
    malformed / error), the daemon must shed some of the burst with
    "overloaded" (proof admission control engaged), and a final
    well-formed request must still succeed (proof nothing crashed).
-4. Drain: SIGTERM must terminate the process with exit code 0 within
+5. Drain: SIGTERM must terminate the process with exit code 0 within
    the drain timeout plus a small margin.
 
 Stdlib only; used by CI and runnable locally against any build.
@@ -183,6 +188,38 @@ def phase_far_branch(port):
     print("gauntlet: far-branch compress OK")
 
 
+HOSTILE_SOURCES = [
+    "ldq t0, 40000(t1)",
+    "br zero, .+2000000",
+    "li 2147483648, t0",
+    "res0 3000, 0, 0, 0",
+    "nop\n.data\n    .space",
+    "nop\n.data\n    .align",
+    "nop\n.data\n    .space 68719476736",
+]
+
+
+def phase_hostile_assembly(port):
+    client = NdjsonClient(port)
+    for i, body in enumerate(HOSTILE_SOURCES):
+        client.send({"id": f"hostile-{i}",
+                     "source": f".text\nmain:\n    {body}\n"})
+        resp = client.recv()
+        error = resp.get("error", "")
+        if resp.get("status") != "error" or not error.startswith("asm line"):
+            fail(f"hostile source {body!r} answered "
+                 f"{resp.get('status')!r}: {error}")
+    client.send({"id": "after-hostile", "workload": "twolf",
+                 "max_insts": 20000})
+    resp = client.recv()
+    if resp.get("status") != "ok":
+        fail(f"request after the hostile sources answered "
+             f"{resp.get('status')!r}")
+    client.close()
+    print(f"gauntlet: hostile assembly OK "
+          f"({len(HOSTILE_SOURCES)} sources rejected)")
+
+
 def gauntlet_line(i):
     if i % 10 == 3:
         return "{ definitely not json", "malformed"
@@ -268,6 +305,7 @@ def main():
 
         phase_correctness(port, args.diserun)
         phase_far_branch(port)
+        phase_hostile_assembly(port)
         phase_gauntlet(port, args.burst)
 
         daemon.send_signal(signal.SIGTERM)

@@ -28,6 +28,18 @@ usedDedicatedRegs(const ReplacementSeq &seq)
     return used;
 }
 
+/** The (directive, literal) pair @p rinst gives register field @p f. */
+std::pair<RegDirective, RegIndex>
+fieldSpec(const ReplacementInst &rinst, RegField f)
+{
+    switch (f) {
+      case RegField::Ra: return {rinst.raDir, rinst.templ.ra};
+      case RegField::Rb: return {rinst.rbDir, rinst.templ.rb};
+      case RegField::Rc: return {rinst.rcDir, rinst.templ.rc};
+      default: return {RegDirective::Literal, kZeroReg};
+    }
+}
+
 /**
  * Dedicated registers whose first access in @p seq is a write: scratch
  * registers that may be renamed. Read-first registers are global inputs
@@ -40,37 +52,19 @@ scratchDedicatedRegs(const ReplacementSeq &seq)
     for (const auto &rinst : seq.insts) {
         if (rinst.isTriggerInsn)
             continue;
-        const DecodedInst &t = rinst.templ;
-        auto markRead = [&](RegDirective dir, RegIndex r) {
-            if (dir == RegDirective::Literal && isDiseReg(r) &&
-                !scratch.count(r)) {
-                seenRead.insert(r);
-            }
+        // The dedicated register field f names literally, else kZeroReg.
+        auto dedicated = [&rinst](RegField f) {
+            const auto [dir, r] = fieldSpec(rinst, f);
+            return dir == RegDirective::Literal && isDiseReg(r) ? r
+                                                                : kZeroReg;
         };
-        const OpInfo &info = opInfo(t.op);
-        switch (info.format) {
-          case InstFormat::Memory:
-            markRead(rinst.rbDir, t.rb);
-            if (t.cls == OpClass::Store)
-                markRead(rinst.raDir, t.ra);
-            break;
-          case InstFormat::Branch:
-            markRead(rinst.raDir, t.ra);
-            break;
-          case InstFormat::Jump:
-            markRead(rinst.rbDir, t.rb);
-            break;
-          case InstFormat::Operate:
-            markRead(rinst.raDir, t.ra);
-            if (!t.useLit)
-                markRead(rinst.rbDir, t.rb);
-            break;
-          default:
-            break;
-        }
-        // Destination: write.
-        const RegIndex dest = t.destReg();
-        if (isDiseReg(dest) && !seenRead.count(dest))
+        rinst.templ.visitSrcRegs([&](RegField f, RegIndex) {
+            const RegIndex r = dedicated(f);
+            if (r != kZeroReg && !scratch.count(r))
+                seenRead.insert(r);
+        });
+        const RegIndex dest = dedicated(rinst.templ.rdField());
+        if (dest != kZeroReg && !seenRead.count(dest))
             scratch.insert(dest);
     }
     return scratch;
@@ -198,7 +192,6 @@ rewireDirectives(const ReplacementInst &outerInst,
 
     ReplacementInst out = outerInst;
     const DecodedInst &t = r.templ;
-    const OpInfo &info = opInfo(t.op);
 
     // T.OP: the outer slot re-emits the (inner) trigger's opcode, which
     // is statically known from the inner template.
@@ -209,61 +202,24 @@ rewireDirectives(const ReplacementInst &outerInst,
         out.templ.useLit = t.useLit;
     }
 
-    // Resolve a trigger role of the inner instruction to its (directive,
-    // literal) field specification.
-    auto roleSpec = [&](RegDirective role)
-        -> std::pair<RegDirective, RegIndex> {
-        switch (role) {
-          case RegDirective::TriggerRS:
-            switch (info.format) {
-              case InstFormat::Memory: return {r.rbDir, t.rb};
-              case InstFormat::Branch: return {r.raDir, t.ra};
-              case InstFormat::Jump: return {r.rbDir, t.rb};
-              case InstFormat::Operate: return {r.raDir, t.ra};
-              default: return {RegDirective::Literal, kZeroReg};
-            }
-          case RegDirective::TriggerRT:
-            if (info.format == InstFormat::Memory &&
-                t.cls == OpClass::Store) {
-                return {r.raDir, t.ra};
-            }
-            if (info.format == InstFormat::Operate && !t.useLit)
-                return {r.rbDir, t.rb};
-            return {RegDirective::Literal, kZeroReg};
-          case RegDirective::TriggerRD:
-            switch (info.format) {
-              case InstFormat::Memory:
-                return t.cls == OpClass::Store
-                           ? std::pair<RegDirective, RegIndex>{
-                                 RegDirective::Literal, kZeroReg}
-                           : std::pair<RegDirective, RegIndex>{r.raDir,
-                                                               t.ra};
-              case InstFormat::Operate: return {r.rcDir, t.rc};
-              case InstFormat::Jump: return {r.raDir, t.ra};
-              default: return {RegDirective::Literal, kZeroReg};
-            }
-          default:
-            return {RegDirective::Literal, kZeroReg};
+    // A trigger role of the inner instruction is one of its fields;
+    // take that field's (directive, literal) specification. T.RAW
+    // names the same-position field. Codeword parameters (T.P*) cannot
+    // appear in a transparent outer production; literals pass through.
+    auto fixReg = [&](RegDirective &dir, RegIndex &literal, RegField raw) {
+        RegField f = RegField::None;
+        switch (dir) {
+          case RegDirective::TriggerRS: f = t.rsField(); break;
+          case RegDirective::TriggerRT: f = t.rtField(); break;
+          case RegDirective::TriggerRD: f = t.rdField(); break;
+          case RegDirective::TriggerRaw: f = raw; break;
+          default: return;
         }
+        std::tie(dir, literal) = fieldSpec(r, f);
     };
-
-    auto fixReg = [&](RegDirective &dir, RegIndex &literal,
-                      RegDirective rawDir, RegIndex rawLit) {
-        if (dir == RegDirective::TriggerRS ||
-            dir == RegDirective::TriggerRT ||
-            dir == RegDirective::TriggerRD) {
-            std::tie(dir, literal) = roleSpec(dir);
-        } else if (dir == RegDirective::TriggerRaw) {
-            // Same-position field of the inner instruction.
-            dir = rawDir;
-            literal = rawLit;
-        }
-        // Codeword parameters (T.P*) cannot appear in a transparent
-        // outer production; literals pass through.
-    };
-    fixReg(out.raDir, out.templ.ra, r.raDir, t.ra);
-    fixReg(out.rbDir, out.templ.rb, r.rbDir, t.rb);
-    fixReg(out.rcDir, out.templ.rc, r.rcDir, t.rc);
+    fixReg(out.raDir, out.templ.ra, RegField::Ra);
+    fixReg(out.rbDir, out.templ.rb, RegField::Rb);
+    fixReg(out.rcDir, out.templ.rc, RegField::Rc);
 
     if (out.immDir == ImmDirective::TriggerImm) {
         out.immDir = r.immDir;

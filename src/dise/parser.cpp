@@ -236,15 +236,11 @@ parseInstLine(int line, const std::string &text,
             parseRegField(line, operands[0]);
         std::tie(rinst.rcDir, rinst.templ.rc) =
             parseRegField(line, operands[2]);
-        // Second source: register-like or immediate-like.
+        // Second source: a register or a role directive, else an
+        // immediate (parameters T.P* in src2 are immediates).
         const std::string &src2 = trim(operands[1]);
-        const bool isRegLike =
-            src2 == "T.RS" || src2 == "T.RT" || src2 == "T.RD" ||
-            (regFromName(src2).has_value());
-        const bool isRegParam =
-            (src2 == "T.P1" || src2 == "T.P2" || src2 == "T.P3") &&
-            false; // parameters in src2 default to immediates
-        if (isRegLike || isRegParam) {
+        if (src2 == "T.RS" || src2 == "T.RT" || src2 == "T.RD" ||
+            regFromName(src2).has_value()) {
             std::tie(rinst.rbDir, rinst.templ.rb) =
                 parseRegField(line, src2);
         } else {

@@ -5,132 +5,6 @@
 
 namespace dise {
 
-namespace {
-
-/** CMOV reads its old destination (partial write semantics). */
-bool
-isCmov(Opcode op)
-{
-    return op == Opcode::CMOVEQ || op == Opcode::CMOVNE;
-}
-
-} // namespace
-
-RegIndex
-DecodedInst::destReg() const
-{
-    // Raw words whose opcode bits name a fused internal op decode to
-    // cls Invalid with unparsed fields; only synthesized fused insts
-    // carry a real class, so gate the format dispatch on it.
-    if (cls == OpClass::Invalid)
-        return kZeroReg;
-    switch (opInfo(op).format) {
-      case InstFormat::Memory:
-        if (cls == OpClass::Store) {
-            // Fused lda+store also writes the formed address register.
-            return op == Opcode::FLDAS ? rc : kZeroReg;
-        }
-        return ra;
-      case InstFormat::Branch:
-        // Conditional branches read ra; BR/BSR link through ra. DISE
-        // branches read ra and write nothing.
-        if (cls == OpClass::UncondBranch || cls == OpClass::Call)
-            return ra;
-        return kZeroReg;
-      case InstFormat::Jump:
-        return ra;
-      case InstFormat::Operate:
-        return rc;
-      default:
-        return kZeroReg;
-    }
-}
-
-bool
-DecodedInst::writesReg() const
-{
-    return destReg() != kZeroReg;
-}
-
-std::vector<RegIndex>
-DecodedInst::srcRegs() const
-{
-    const SrcRegList list = srcRegList();
-    return std::vector<RegIndex>(list.begin(), list.end());
-}
-
-SrcRegList
-DecodedInst::srcRegList() const
-{
-    SrcRegList srcs;
-    auto push = [&](RegIndex r) { srcs.push(r); };
-    if (cls == OpClass::Invalid)
-        return srcs;
-    switch (opInfo(op).format) {
-      case InstFormat::Memory:
-        push(rb);
-        if (cls == OpClass::Store)
-            push(ra);
-        if (op == Opcode::FLDOP)
-            push(rc); // fused load-op's ALU operand
-        break;
-      case InstFormat::Branch:
-        if (cls == OpClass::CondBranch || cls == OpClass::DiseBranch)
-            push(ra);
-        break;
-      case InstFormat::Jump:
-        push(rb);
-        break;
-      case InstFormat::Operate:
-        push(ra);
-        if (!useLit)
-            push(rb);
-        if (isCmov(op))
-            push(rc);
-        break;
-      case InstFormat::Syscall:
-        // Syscalls read the function code and up to two arguments.
-        push(kRetReg);
-        push(kArg0Reg);
-        push(static_cast<RegIndex>(kArg0Reg + 1));
-        break;
-      default:
-        break;
-    }
-    return srcs;
-}
-
-RegIndex
-DecodedInst::triggerRS() const
-{
-    switch (opInfo(op).format) {
-      case InstFormat::Memory: return rb;
-      case InstFormat::Branch: return ra;
-      case InstFormat::Jump: return rb;
-      case InstFormat::Operate: return ra;
-      default: return kZeroReg;
-    }
-}
-
-RegIndex
-DecodedInst::triggerRT() const
-{
-    switch (opInfo(op).format) {
-      case InstFormat::Memory:
-        return (cls == OpClass::Store) ? ra : kZeroReg;
-      case InstFormat::Operate:
-        return useLit ? kZeroReg : rb;
-      default:
-        return kZeroReg;
-    }
-}
-
-RegIndex
-DecodedInst::triggerRD() const
-{
-    return destReg();
-}
-
 Addr
 DecodedInst::branchTarget(Addr pc) const
 {

@@ -21,9 +21,7 @@
 #ifndef DISE_ISA_INST_HPP
 #define DISE_ISA_INST_HPP
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "src/common/bits.hpp"
 #include "src/isa/opcodes.hpp"
@@ -33,27 +31,6 @@ namespace dise {
 
 /** Virtual address type (byte addresses). */
 using Addr = uint64_t;
-
-/**
- * Fixed-capacity source-register list. No instruction reads more than
- * three registers, so the timing model's per-instruction dependence walk
- * never needs to allocate.
- */
-struct SrcRegList
-{
-    std::array<RegIndex, 3> regs{};
-    uint8_t count = 0;
-
-    void
-    push(RegIndex r)
-    {
-        if (r != kZeroReg)
-            regs[count++] = r;
-    }
-    const RegIndex *begin() const { return regs.data(); }
-    const RegIndex *end() const { return regs.data() + count; }
-    size_t size() const { return count; }
-};
 
 /** A decoded (or DISE-synthesized) instruction. */
 struct DecodedInst
@@ -86,142 +63,88 @@ struct DecodedInst
     bool isDiseBranch() const { return cls == OpClass::DiseBranch; }
     bool isCodeword() const { return cls == OpClass::Codeword; }
 
+    /** Register @p f of this instruction; kZeroReg for RegField::None. */
+    DISE_ALWAYS_INLINE RegIndex
+    reg(RegField f) const
+    {
+        switch (f) {
+          case RegField::Ra: return ra;
+          case RegField::Rb: return rb;
+          case RegField::Rc: return rc;
+          default: return kZeroReg;
+        }
+    }
+
+    /**
+     * Call @p visit(field, reg) on each register the instruction reads,
+     * in its op row's opread order, zero-register operands included (it
+     * reads as 0). The syscall triple has no field: RegField::None. An
+     * Invalid-class word (including a raw word with fused-op bits)
+     * reads nothing. This and destReg() are the one register walk: the
+     * timing model's hazard walk, composition's scratch-register
+     * analysis and T.RT all read it.
+     */
+    template <typename Visit>
+    DISE_ALWAYS_INLINE void
+    visitSrcRegs(Visit &&visit) const
+    {
+        if (cls == OpClass::Invalid)
+            return;
+        // Shift each opread bit down in turn: testing a fixed mask per
+        // field made GCC spill every test result in timeBatch's loop.
+        unsigned reads = opInfo(op).reads;
+        if (reads & 1) // Base
+            visit(RegField::Rb, rb);
+        if ((reads >>= 1) & 1) // Ra
+            visit(RegField::Ra, ra);
+        if (((reads >>= 1) & 1) && !useLit) // Rb
+            visit(RegField::Rb, rb);
+        if ((reads >>= 1) & 1) // Rc
+            visit(RegField::Rc, rc);
+        if ((reads >>= 1) & 1) { // Sys
+            visit(RegField::None, kRetReg);
+            visit(RegField::None, kArg0Reg);
+            visit(RegField::None, static_cast<RegIndex>(kArg0Reg + 1));
+        }
+    }
+
     /**
      * Destination register, or kZeroReg when the instruction writes
      * nothing architecturally visible.
      */
-    RegIndex destReg() const;
+    DISE_ALWAYS_INLINE RegIndex destReg() const { return reg(rdField()); }
 
-    /** True if destReg() is a real (non-zero-register) write. */
-    bool writesReg() const;
-
-    /** Source registers in evaluation order (excludes the zero reg). */
-    std::vector<RegIndex> srcRegs() const;
-
-    /** srcRegs() without the vector: for per-instruction hot loops. */
-    SrcRegList srcRegList() const;
-
-    /** @name Trigger field roles (paper Section 2.1). */
+    /**
+     * @name Trigger field roles (paper Section 2.1).
+     *
+     * Each role is a field (what composition rewires) and the register
+     * in it (what instantiation and pattern matching read).
+     */
     /// @{
-    /** T.RS: primary source — memory base, operate ra, branch ra. */
-    RegIndex triggerRS() const;
-    /** T.RT: secondary source — store data register, operate rb. */
-    RegIndex triggerRT() const;
-    /** T.RD: destination — load ra, operate rc, call link register. */
-    RegIndex triggerRD() const;
+    /** T.RS: the format's primary source field (triggerRSField). */
+    RegField rsField() const { return triggerRSField(opInfo(op).format); }
+    /** T.RT: the format's second source field, when this reads it. */
+    RegField
+    rtField() const
+    {
+        const RegField f = triggerRTField(opInfo(op).format);
+        bool read = false;
+        visitSrcRegs([f, &read](RegField g, RegIndex) { read |= g == f; });
+        return read ? f : RegField::None;
+    }
+    /** T.RD: the field the op row writes; None for an Invalid word. */
+    DISE_ALWAYS_INLINE RegField
+    rdField() const
+    {
+        return cls == OpClass::Invalid ? RegField::None : opInfo(op).writes;
+    }
+    RegIndex triggerRS() const { return reg(rsField()); }
+    RegIndex triggerRT() const { return reg(rtField()); }
+    RegIndex triggerRD() const { return reg(rdField()); }
     /// @}
 
     /** Direct-branch target for a trigger fetched at @p pc. */
     Addr branchTarget(Addr pc) const;
-
-    /**
-     * @name Inline fast variants of destReg() / srcRegList().
-     *
-     * Same results for every decodable instruction, dispatching on the
-     * decoded (cls, op) pair instead of the out-of-line opInfo() format
-     * lookup. They exist so the trace-feed timing path can walk register
-     * dependences without leaving the hot loop, while the step-driven
-     * reference keeps the original out-of-line cost profile; an
-     * exhaustive test asserts equivalence over the whole opcode space.
-     */
-    /// @{
-    DISE_ALWAYS_INLINE RegIndex
-    destRegFast() const
-    {
-        switch (cls) {
-          case OpClass::Load:
-            return ra;
-          case OpClass::IntAlu:
-            // LDA/LDAH are memory-format address arithmetic: dest ra.
-            return (op == Opcode::LDA || op == Opcode::LDAH) ? ra : rc;
-          case OpClass::IntMult:
-            return rc;
-          case OpClass::UncondBranch:
-          case OpClass::Call:
-            return ra; // BR/BSR link through ra
-          case OpClass::Jump:
-          case OpClass::CallIndirect:
-          case OpClass::Return:
-            return ra;
-          case OpClass::CondBranch:
-            // Fused compare+branch writes the compare result to rc.
-            return op == Opcode::FCMPBR ? rc : kZeroReg;
-          case OpClass::Store:
-            // Fused lda+store also writes the formed address register.
-            return op == Opcode::FLDAS ? rc : kZeroReg;
-          default:
-            // DiseBranch, Nop, Syscall, Codeword, Invalid: no
-            // architecturally visible destination.
-            return kZeroReg;
-        }
-    }
-
-    /**
-     * Call @p visit on each source operand register in srcRegListFast()
-     * order, zero-register operands included (SrcRegList::push drops
-     * them). A walk that needs no list — the timing model's ready-time
-     * max, where the zero register reads as 0 — stays in registers this
-     * way; a SrcRegList filled at a variable index lives in memory, and
-     * reloading it after its byte-wise fill stalls the host.
-     */
-    template <typename Visit>
-    DISE_ALWAYS_INLINE void
-    visitSrcRegsFast(Visit &&visit) const
-    {
-        switch (cls) {
-          case OpClass::IntAlu:
-            if (op == Opcode::LDA || op == Opcode::LDAH) {
-                visit(rb); // memory-format: base register only
-                break;
-            }
-            [[fallthrough]];
-          case OpClass::IntMult:
-            visit(ra);
-            if (!useLit)
-                visit(rb);
-            if (op == Opcode::CMOVEQ || op == Opcode::CMOVNE)
-                visit(rc); // partial write reads the old dest
-            break;
-          case OpClass::Load:
-            visit(rb);
-            if (op == Opcode::FLDOP)
-                visit(rc); // fused load-op's ALU operand
-            break;
-          case OpClass::Store:
-            visit(rb);
-            visit(ra);
-            break;
-          case OpClass::CondBranch:
-            visit(ra);
-            if (op == Opcode::FCMPBR && !useLit)
-                visit(rb); // fused compare's register operand
-            break;
-          case OpClass::DiseBranch:
-            visit(ra);
-            break;
-          case OpClass::Jump:
-          case OpClass::CallIndirect:
-          case OpClass::Return:
-            visit(rb);
-            break;
-          case OpClass::Syscall:
-            visit(kRetReg);
-            visit(kArg0Reg);
-            visit(static_cast<RegIndex>(kArg0Reg + 1));
-            break;
-          default:
-            break;
-        }
-    }
-
-    DISE_ALWAYS_INLINE SrcRegList
-    srcRegListFast() const
-    {
-        SrcRegList srcs;
-        visitSrcRegsFast([&srcs](RegIndex r) { srcs.push(r); });
-        return srcs;
-    }
-    /// @}
 
     bool operator==(const DecodedInst &other) const;
 };

@@ -360,16 +360,11 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
 
         // ---- Issue: dataflow-limited. ----
         uint64_t ready = dispatch + 1;
-        if constexpr (kFast) {
-            // The zero register is never a destination, so its ready
-            // time stays 0 and the walk need not skip it.
-            dyn.inst.visitSrcRegsFast([&ready, regReady](RegIndex src) {
-                ready = std::max(ready, regReady[src]);
-            });
-        } else {
-            for (const RegIndex src : dyn.inst.srcRegList())
-                ready = std::max(ready, regReady[src]);
-        }
+        // The zero register is never a destination, so its ready time
+        // stays 0 and the walk need not skip it.
+        dyn.inst.visitSrcRegs([&ready, regReady](RegField, RegIndex src) {
+            ready = std::max(ready, regReady[src]);
+        });
         if (ready > dispatch + 1)
             h.pend.hazard += ready - (dispatch + 1);
         const uint64_t issue = ready;
@@ -384,8 +379,7 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
                 h.pend.dmiss += lat - l1Latency;
             complete = issue + 1 + lat;
         }
-        const RegIndex dest =
-            kFast ? dyn.inst.destRegFast() : dyn.inst.destReg();
+        const RegIndex dest = dyn.inst.destReg();
         if (dest != kZeroReg)
             regReady[dest] = complete;
 

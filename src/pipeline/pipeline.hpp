@@ -372,11 +372,12 @@ class PipelineSim
      *
      * Every function is templated on kFast, which selects only the leaf
      * accessors: kFast = false uses the component's public stat-counting
-     * entry points (Cache::access, BranchPredictor::predict/update,
-     * DecodedInst::srcRegList) — the frozen reference; kFast = true uses
-     * the inline hot variants plus the batch tally of the cached
-     * StatGroup cells, leaving every timing decision byte-for-byte the
-     * same. Identity between the two paths is by construction, not by
+     * entry points (Cache::access, BranchPredictor::predict/update) —
+     * the frozen reference; kFast = true uses the inline hot variants
+     * plus the batch tally of the cached StatGroup cells, leaving every
+     * timing decision byte-for-byte the same. Both walk registers
+     * through DecodedInst::visitSrcRegs and destReg, the op table's one
+     * walk. Identity between the two paths is by construction, not by
      * parallel maintenance. The helpers take the batch's local state by
      * reference and are forced inline, so it never escapes to memory.
      */

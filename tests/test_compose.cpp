@@ -170,6 +170,90 @@ TEST(Compose, DedicatedScratchRenamedOnCollision)
     }
 }
 
+TEST(Compose, DedicatedRegisterReadByCmovIsNotScratch)
+{
+    // cmov reads its destination, so the outer $dr1 is read first: a
+    // global input that keeps its name even though inner uses $dr1.
+    ProductionSet outer =
+        parseProductions("P1: class == store -> R1\n"
+                         "R1: cmoveq T.RS, $dr3, $dr1\n"
+                         "    T.INSN\n");
+    ProductionSet inner =
+        parseProductions("P1: class == load -> R2\n"
+                         "R2: stq $dr1, 0($dr2)\n"
+                         "    T.INSN\n");
+    const ProductionSet composed = composeNested(outer, inner);
+    const auto id =
+        composed.match(decode(makeMemory(Opcode::LDQ, 1, 2, 0)));
+    ASSERT_TRUE(id.has_value());
+    const ReplacementSeq *seq = composed.sequence(*id);
+    ASSERT_NE(seq, nullptr);
+    ASSERT_EQ(seq->length(), 3u);
+    EXPECT_EQ(seq->insts[0].toString(), "cmoveq $dr2, $dr3, $dr1");
+}
+
+TEST(Compose, TriggerRolesResolveToTheFieldsTheyName)
+{
+    // Over every opcode a replacement sequence may hold (all encodable
+    // ones but codewords), in register and literal form: an outer
+    // "addq T.RS, T.RT, T.RD" inlined over the inner instruction must
+    // take the fields DecodedInst::triggerRS/RT/RD() name.
+    for (unsigned i = 0; i < unsigned(Opcode::NUM_OPCODES); ++i) {
+        const OpInfo &info = opInfo(Opcode(i));
+        if (!info.valid || info.cls == OpClass::Codeword)
+            continue;
+        for (const bool lit : {false, true}) {
+            if (lit && info.format != InstFormat::Operate)
+                continue;
+            DecodedInst t;
+            t.op = info.op;
+            t.cls = info.cls;
+            t.ra = 1;
+            t.rb = lit ? 0 : 2;
+            t.rc = 3;
+            t.useLit = lit;
+            ReplacementSeq innerSeq;
+            innerSeq.insts = {rLiteral(t), rTriggerInsn()};
+            PatternSpec innerPat;
+            innerPat.opcode = Opcode::RES0;
+            ProductionSet inner;
+            inner.addPattern(innerPat,
+                             inner.addSequence(std::move(innerSeq)));
+
+            ReplacementInst roles;
+            roles.templ.op = Opcode::ADDQ;
+            roles.templ.cls = OpClass::IntAlu;
+            roles.raDir = RegDirective::TriggerRS;
+            roles.rbDir = RegDirective::TriggerRT;
+            roles.rcDir = RegDirective::TriggerRD;
+            ReplacementSeq outerSeq;
+            outerSeq.insts = {roles, rTriggerInsn()};
+            PatternSpec outerPat;
+            outerPat.opcode = info.op;
+            ProductionSet outer;
+            outer.addPattern(outerPat,
+                             outer.addSequence(std::move(outerSeq)));
+
+            const ProductionSet composed = composeNested(outer, inner);
+            const ReplacementSeq *seq =
+                composed.sequence(composed.productions()[0].seqId);
+            ASSERT_NE(seq, nullptr);
+            const ReplacementInst &got = seq->insts[0];
+            const std::string what =
+                std::string(info.mnemonic) + (lit ? " (literal)" : "");
+            EXPECT_EQ(got.raDir, RegDirective::Literal) << what;
+            EXPECT_EQ(got.rbDir, RegDirective::Literal) << what;
+            EXPECT_EQ(got.rcDir, RegDirective::Literal) << what;
+            EXPECT_EQ(unsigned(got.templ.ra), unsigned(t.triggerRS()))
+                << what << " T.RS";
+            EXPECT_EQ(unsigned(got.templ.rb), unsigned(t.triggerRT()))
+                << what << " T.RT";
+            EXPECT_EQ(unsigned(got.templ.rc), unsigned(t.triggerRD()))
+                << what << " T.RD";
+        }
+    }
+}
+
 TEST(Compose, ComposedSequencesCarryMissHandlerFlag)
 {
     // Synthetic aware dictionary with one entry containing a store.

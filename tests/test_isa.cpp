@@ -1,8 +1,9 @@
 /**
  * @file
  * ISA tests: opcode table, register naming, encode/decode round trips
- * (including a property sweep over every opcode), trigger field roles,
- * and the disassembler.
+ * (including a property sweep over every opcode), operand and trigger
+ * field roles (with a golden digest over the whole opcode space), and
+ * the disassembler.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,19 @@
 #include "src/common/rng.hpp"
 #include "src/isa/disasm.hpp"
 #include "src/isa/inst.hpp"
+#include "tests/digest.hpp"
 
 namespace dise {
 namespace {
+
+/** The registers @p inst reads, in walk order. */
+std::vector<RegIndex>
+srcRegs(const DecodedInst &inst)
+{
+    std::vector<RegIndex> regs;
+    inst.visitSrcRegs([&regs](RegField, RegIndex r) { regs.push_back(r); });
+    return regs;
+}
 
 TEST(Opcodes, TableLookups)
 {
@@ -261,7 +272,7 @@ TEST(Roles, LoadRoles)
     EXPECT_EQ(ld.triggerRD(), 5); // destination
     EXPECT_EQ(ld.triggerRT(), kZeroReg);
     EXPECT_EQ(ld.destReg(), 5);
-    EXPECT_EQ(ld.srcRegs(), std::vector<RegIndex>{9});
+    EXPECT_EQ(srcRegs(ld), std::vector<RegIndex>{9});
 }
 
 TEST(Roles, StoreRoles)
@@ -269,9 +280,8 @@ TEST(Roles, StoreRoles)
     const DecodedInst st = decode(makeMemory(Opcode::STQ, 5, 9, 16));
     EXPECT_EQ(st.triggerRS(), 9); // address base
     EXPECT_EQ(st.triggerRT(), 5); // data
-    EXPECT_FALSE(st.writesReg());
-    const auto srcs = st.srcRegs();
-    EXPECT_EQ(srcs.size(), 2u);
+    EXPECT_EQ(st.destReg(), kZeroReg);
+    EXPECT_EQ(srcRegs(st), (std::vector<RegIndex>{9, 5}));
 }
 
 TEST(Roles, OperateRoles)
@@ -292,7 +302,7 @@ TEST(Roles, JumpRoles)
 TEST(Roles, ZeroRegWritesDiscarded)
 {
     const DecodedInst op = decode(makeOperate(Opcode::ADDQ, 1, 2, 31));
-    EXPECT_FALSE(op.writesReg());
+    EXPECT_EQ(op.destReg(), kZeroReg);
 }
 
 TEST(Roles, BranchTarget)
@@ -326,6 +336,60 @@ TEST(Disasm, InvalidWord)
 {
     const Word w = static_cast<Word>(0x3fu << 26);
     EXPECT_NE(disassemble(w).find("invalid"), std::string::npos);
+}
+
+/**
+ * Golden digest of every operand role, recorded from the hand-written
+ * per-format and per-class walks the op table replaced: OpInfo of all
+ * 64 codes; destination and sources in walk order (zero register
+ * included) plus T.RS/T.RT/T.RD over a dense sweep of raw words, roles
+ * only on words PatternSpec::matches accepts (not Invalid); and every
+ * fused op, synthesized with its table class, in both literal forms.
+ */
+TEST(Isa, OperandRoleDigest)
+{
+    Digest d;
+    for (unsigned i = 0; i < unsigned(Opcode::NUM_OPCODES); ++i) {
+        const OpInfo &info = opInfo(Opcode(i));
+        d.str(info.mnemonic);
+        d.byte(uint8_t(info.format));
+        d.byte(uint8_t(info.cls));
+        d.byte(info.valid);
+    }
+    auto roles = [&d](const DecodedInst &inst, bool trigger) {
+        d.byte(inst.destReg());
+        inst.visitSrcRegs([&d](RegField, RegIndex r) { d.byte(r); });
+        d.byte(0xff);
+        if (trigger) {
+            d.byte(inst.triggerRS());
+            d.byte(inst.triggerRT());
+            d.byte(inst.triggerRD());
+        }
+    };
+    uint64_t lcg = 0x2545F4914F6CDD1Dull;
+    for (uint32_t op6 = 0; op6 < 64; ++op6) {
+        for (uint32_t k = 0; k < 4096; ++k) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            const DecodedInst inst =
+                decode((op6 << 26) | (Word(lcg >> 32) & 0x03ffffffu));
+            roles(inst, inst.cls != OpClass::Invalid);
+        }
+    }
+    for (unsigned i = unsigned(Opcode::FCMPBR); i <= unsigned(Opcode::FLDOP);
+         ++i) {
+        for (const bool lit : {false, true}) {
+            DecodedInst fused;
+            fused.op = Opcode(i);
+            fused.cls = opInfo(fused.op).cls;
+            fused.ra = 3;
+            fused.rb = 5;
+            fused.rc = 7;
+            fused.useLit = lit;
+            roles(fused, true);
+        }
+    }
+    EXPECT_EQ(d.value(), 0xdf58d416070144e6ull)
+        << strFormat("0x%016llx", (unsigned long long)d.value());
 }
 
 } // namespace

@@ -5,9 +5,7 @@
  * record-by-record at the ExecCore level, and cycles / buckets / every
  * registry stat at the PipelineSim level — across budgets expiring
  * mid-batch, resume cursors invalidated between and during fills,
- * snapshots at batch and sample boundaries, and sampled runs. Also pins
- * the inline fast register helpers the feed's hazard walk uses to their
- * out-of-line reference implementations over the whole opcode space.
+ * snapshots at batch and sample boundaries, and sampled runs.
  */
 
 #include <gtest/gtest.h>
@@ -717,43 +715,6 @@ TEST(TraceFeed, SampledBatchDeterministicAcrossWorkers)
     const Json &sampling = a[0].detail.at("sampling");
     EXPECT_EQ(sampling.at("period").asUInt(), 1000u);
     EXPECT_EQ(sampling.at("detail").asUInt(), 200u);
-}
-
-// ---------------------------------------------------------------------
-// Fast register helpers: exhaustive equivalence.
-// ---------------------------------------------------------------------
-
-TEST(TraceFeed, FastRegHelpersMatchReferenceExhaustively)
-{
-    // The feed's hazard walk uses destRegFast()/srcRegListFast();
-    // sweep every primary opcode with a dense pattern of operand
-    // fields (registers, literal bit, function codes) and require
-    // equality with the out-of-line reference on every decodable word.
-    uint64_t lcg = 0x2545F4914F6CDD1Dull;
-    uint64_t checked = 0;
-    for (uint32_t op6 = 0; op6 < 64; ++op6) {
-        for (uint32_t k = 0; k < 4096; ++k) {
-            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-            const Word w =
-                (op6 << 26) | (Word(lcg >> 32) & 0x03ffffffu);
-            const DecodedInst inst = decode(w);
-            const RegIndex slowDest = inst.destReg();
-            const RegIndex fastDest = inst.destRegFast();
-            ASSERT_EQ(slowDest, fastDest)
-                << strFormat("word 0x%08x: destReg %u vs fast %u", w,
-                             unsigned(slowDest), unsigned(fastDest));
-            const SrcRegList slow = inst.srcRegList();
-            const SrcRegList fast = inst.srcRegListFast();
-            ASSERT_EQ(slow.size(), fast.size())
-                << strFormat("word 0x%08x", w);
-            for (size_t s = 0; s < slow.size(); ++s) {
-                ASSERT_EQ(slow.regs[s], fast.regs[s])
-                    << strFormat("word 0x%08x src %zu", w, s);
-            }
-            ++checked;
-        }
-    }
-    EXPECT_EQ(checked, 64u * 4096u);
 }
 
 } // namespace

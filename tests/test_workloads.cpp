@@ -93,9 +93,10 @@ TEST(Workloads, ReservedRegistersUntouched)
             const DecodedInst inst = decode(w);
             if (inst.cls == OpClass::Invalid || inst.isNop())
                 continue;
-            for (const RegIndex r : inst.srcRegs())
+            inst.visitSrcRegs([&spec](RegField, RegIndex r) {
                 EXPECT_TRUE(r < 9 || r > 13)
                     << spec.name << ": " << unsigned(r);
+            });
             const RegIndex d = inst.destReg();
             EXPECT_TRUE(d < 9 || d > 13 || d == kZeroReg) << spec.name;
         }

@@ -8,7 +8,8 @@ namespace dise {
 BranchPredictor::BranchPredictor(const PredictorParams &params)
     : params_(params), stats_("bpred")
 {
-    DISE_ASSERT(isPow2(params_.gshareEntries), "gshare size must be pow2");
+    DISE_ASSERT(isPow2(params_.gshareEntries) && isPow2(params_.rasEntries),
+                "gshare and ras sizes must be pow2");
     const uint32_t sets = params_.btbEntries / params_.btbAssoc;
     DISE_ASSERT(isPow2(sets), "btb sets must be pow2");
     btbSetMask_ = sets - 1;
@@ -35,7 +36,7 @@ BranchPredictor::update(Addr pc, OpClass cls, bool taken, Addr target)
 void
 BranchPredictor::pushReturn(Addr returnAddr)
 {
-    ras_[rasTop_ % params_.rasEntries] = returnAddr;
+    ras_[rasTop_ & (params_.rasEntries - 1)] = returnAddr;
     ++rasTop_;
 }
 

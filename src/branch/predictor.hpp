@@ -29,7 +29,7 @@ struct PredictorParams
     uint32_t historyBits = 8;
     uint32_t btbEntries = 2048;
     uint32_t btbAssoc = 4;
-    uint32_t rasEntries = 16;
+    uint32_t rasEntries = 16;      ///< a power of two
 };
 
 /** Combined direction + target predictor. */
@@ -189,7 +189,7 @@ BranchPredictor::predictHot(Addr pc, OpClass cls, Addr fallThrough)
         pred.taken = true;
         if (rasTop_ > 0) {
             --rasTop_;
-            pred.target = ras_[rasTop_ % params_.rasEntries];
+            pred.target = ras_[rasTop_ & (params_.rasEntries - 1)];
             pred.targetKnown = true;
         } else if (BtbEntry *entry = btbLookup(pc)) {
             pred.target = entry->target;

@@ -21,6 +21,7 @@
 #ifndef DISE_ISA_INST_HPP
 #define DISE_ISA_INST_HPP
 
+#include <bit>
 #include <cstdint>
 
 #include "src/common/bits.hpp"
@@ -31,6 +32,30 @@ namespace dise {
 
 /** Virtual address type (byte addresses). */
 using Addr = uint64_t;
+
+/**
+ * The timing descriptor of one instruction: its destination and up to
+ * three sources, padded with the zero register (never a destination,
+ * so its ready time stays 0). DecodedInst::timingRegs computes it.
+ */
+struct TimingRegs
+{
+    RegIndex dest = kZeroReg;
+    RegIndex src[3] = {kZeroReg, kZeroReg, kZeroReg};
+
+    bool operator==(const TimingRegs &) const = default;
+};
+
+static_assert(
+    [] {
+        for (const OpInfo &info : kOpTable) {
+            const unsigned sys = info.reads & opread::Sys ? 3 : 0;
+            if (std::popcount(unsigned(info.reads & ~opread::Sys)) + sys > 3)
+                return false;
+        }
+        return true;
+    }(),
+    "an op row reads more registers than TimingRegs holds");
 
 /** A decoded (or DISE-synthesized) instruction. */
 struct DecodedInst
@@ -81,8 +106,9 @@ struct DecodedInst
      * reads as 0). The syscall triple has no field: RegField::None. An
      * Invalid-class word (including a raw word with fused-op bits)
      * reads nothing. This and destReg() are the one register walk: the
-     * timing model's hazard walk, composition's scratch-register
-     * analysis and T.RT all read it.
+     * timing model's hazard walk (through timingRegs() on the trace
+     * feed), composition's scratch-register analysis and T.RT all read
+     * it.
      */
     template <typename Visit>
     DISE_ALWAYS_INLINE void
@@ -113,6 +139,21 @@ struct DecodedInst
      * nothing architecturally visible.
      */
     DISE_ALWAYS_INLINE RegIndex destReg() const { return reg(rdField()); }
+
+    /**
+     * destReg() and the visitSrcRegs() walk as a TimingRegs, resolved
+     * once per static instruction: translation stamps it into every
+     * trace record, so the timing feed never walks the op table.
+     */
+    TimingRegs
+    timingRegs() const
+    {
+        TimingRegs r;
+        r.dest = destReg();
+        unsigned n = 0;
+        visitSrcRegs([&r, &n](RegField, RegIndex src) { r.src[n++] = src; });
+        return r;
+    }
 
     /**
      * @name Trigger field roles (paper Section 2.1).

@@ -18,6 +18,23 @@ constexpr size_t kFeedBatch = 64;
 /** Commit-clock advance between deadline-cancel polls (step path). */
 constexpr uint64_t kCancelPollCycles = 0x10000;
 
+/**
+ * Claim one of @p width slots of an in-order stage (dispatch, commit)
+ * at @p cycle, no earlier than the stage's current cycle @p cur: a full
+ * current cycle moves the claim to the next one. Branch-free; returns
+ * the cycle granted.
+ */
+DISE_ALWAYS_INLINE uint64_t
+claimSlot(uint64_t cycle, uint64_t &cur, uint32_t &slots, uint32_t width)
+{
+    const bool same = cycle == cur;
+    const bool full = same && slots >= width;
+    cycle += full;
+    slots = same && !full ? slots + 1 : 1;
+    cur = cycle;
+    return cycle;
+}
+
 } // namespace
 
 PipelineSim::PipelineSim(const Program &prog, const PipelineParams &params,
@@ -38,6 +55,9 @@ PipelineSim::PipelineSim(const Program &prog, const PipelineParams &params,
     commitRing_.assign(params_.robEntries, 0);
     issueRing_.assign(params_.rsEntries, 0);
     regReady_.fill(0);
+    latency_.fill(params_.intAluLatency);
+    latency_[size_t(OpClass::IntMult)] = params_.intMultLatency;
+    latency_[size_t(OpClass::Syscall)] = params_.syscallLatency;
 
     const uint32_t lb = params_.mem.lineBytes;
     feLinePow2_ = lb != 0 && isPow2(lb);
@@ -246,19 +266,6 @@ PipelineSim::frontendT(Hot &h, Tally &c, const DynInst &dyn)
     return h.feCycle;
 }
 
-uint32_t
-PipelineSim::instLatency(const DynInst &dyn) const
-{
-    switch (dyn.inst.cls) {
-      case OpClass::IntMult:
-        return params_.intMultLatency;
-      case OpClass::Syscall:
-        return params_.syscallLatency;
-      default:
-        return params_.intAluLatency;
-    }
-}
-
 template <bool kFast>
 DISE_ALWAYS_INLINE void
 PipelineSim::resolveControlT(Hot &h, Tally &c, Addr pc, OpClass cls,
@@ -287,10 +294,62 @@ PipelineSim::resolveControlT(Hot &h, Tally &c, Addr pc, OpClass cls,
         h.feSlots = 0;
         h.curLine = ~uint64_t(0);
     }
+    trainT<kFast>(c, pc, cls, taken, target);
+}
+
+template <bool kFast>
+DISE_ALWAYS_INLINE void
+PipelineSim::trainT(Tally &c, Addr pc, OpClass cls, bool taken, Addr target)
+{
     if (cls != OpClass::Nop) {
         updateT<kFast>(c, pc, cls, taken, target);
         if (cls == OpClass::Call || cls == OpClass::CallIndirect)
             bpred_.pushReturn(pc + 4);
+    }
+}
+
+template <bool kFast>
+DISE_ALWAYS_INLINE void
+PipelineSim::seqOpenT(Tally &c, const DynInst &dyn)
+{
+    seqPredCls_ = dyn.seqPredClass;
+    seqTriggerPC_ = dyn.pc;
+    seqTrigTaken_ = false;
+    seqTrigTarget_ = 0;
+    seqRedirected_ = false;
+    seqRedirTarget_ = 0;
+    if (seqPredCls_ != OpClass::Nop) {
+        seqPred_ = predictT<kFast>(c, dyn.pc, seqPredCls_, dyn.pc + 4);
+    } else {
+        seqPred_ = BranchPredictor::Prediction{};
+        seqPred_.target = dyn.pc + 4;
+        seqPred_.targetKnown = true;
+    }
+}
+
+template <bool kFast>
+DISE_ALWAYS_INLINE void
+PipelineSim::addTally(const Tally &c)
+{
+    CycleBreakdown &b = result_.buckets;
+    b.issue += c.buckets.issue;
+    b.imissStall += c.buckets.imissStall;
+    b.dmissStall += c.buckets.dmissStall;
+    b.branchFlush += c.buckets.branchFlush;
+    b.diseStall += c.buckets.diseStall;
+    b.hazard += c.buckets.hazard;
+    b.drain += c.buckets.drain;
+    result_.mispredicts += c.mispredicts;
+    result_.decodeRedirects += c.decodeRedirects;
+    result_.diseMispredicts += c.diseMispredicts;
+    result_.expansionStalls += c.expansionStalls;
+    result_.missStallCycles += c.missStallCycles;
+    if constexpr (kFast) {
+        *icAccCell_ += c.icAccesses;
+        *dcAccCell_ += c.dcAccesses;
+        *dcWrCell_ += c.dcWrites;
+        *bpPredCell_ += c.predictions;
+        *bpUpdCell_ += c.updates;
     }
 }
 
@@ -313,6 +372,7 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
     const uint32_t rsEntries = params_.rsEntries;
     const uint32_t l1Latency = params_.mem.l1Latency;
     const uint64_t feDepth = feDepth_;
+    const uint32_t *const latency = latency_.data();
 
     for (const DynInst *rec = recs, *const end = recs + n; rec != end;
          ++rec) {
@@ -331,47 +391,38 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
             kFast ? h.robIdx : size_t(h.instIndex % robEntries);
         const size_t rsIdx =
             kFast ? h.rsIdx : size_t(h.instIndex % rsEntries);
-        // ROB entry must be free.
-        const uint64_t robFree = commitRing[robIdx];
-        if (robFree > dispatch) {
-            h.pend.hazard += robFree - dispatch;
-            dispatch = robFree;
-        }
-        // RS entry must be free (freed at issue).
-        const uint64_t rsFree = issueRing[rsIdx] + 1;
-        if (rsFree > dispatch) {
-            h.pend.hazard += rsFree - dispatch;
-            dispatch = rsFree;
-        }
+        // The ROB entry must be free, then the RS entry (freed at
+        // issue). Each wait is a hazard; charging a zero wait changes
+        // nothing and keeps both selects branch-free.
+        const uint64_t robFree = std::max(dispatch, commitRing[robIdx]);
+        const uint64_t rsFree = std::max(robFree, issueRing[rsIdx] + 1);
+        h.pend.hazard += rsFree - dispatch;
         // In-order dispatch, width per cycle.
-        if (dispatch < h.dispatchCycleCur)
-            dispatch = h.dispatchCycleCur;
-        if (dispatch == h.dispatchCycleCur) {
-            if (h.dispatchSlots >= width) {
-                ++dispatch;
-                h.dispatchCycleCur = dispatch;
-                h.dispatchSlots = 0;
-            }
-        } else {
-            h.dispatchCycleCur = dispatch;
-            h.dispatchSlots = 0;
-        }
-        ++h.dispatchSlots;
+        dispatch = claimSlot(std::max(rsFree, h.dispatchCycleCur),
+                             h.dispatchCycleCur, h.dispatchSlots, width);
 
         // ---- Issue: dataflow-limited. ----
-        uint64_t ready = dispatch + 1;
         // The zero register is never a destination, so its ready time
-        // stays 0 and the walk need not skip it.
-        dyn.inst.visitSrcRegs([&ready, regReady](RegField, RegIndex src) {
-            ready = std::max(ready, regReady[src]);
-        });
-        if (ready > dispatch + 1)
-            h.pend.hazard += ready - (dispatch + 1);
-        const uint64_t issue = ready;
+        // stays 0: neither the walk nor the descriptor's padding needs
+        // to skip it.
+        uint64_t srcReady = 0;
+        if constexpr (kFast) {
+            // Pairwise, so GCC selects with cmov (a max over an
+            // initializer list compiles to a branchy max_element).
+            const TimingRegs &r = dyn.regs;
+            srcReady = std::max(regReady[r.src[0]], regReady[r.src[1]]);
+            srcReady = std::max(srcReady, regReady[r.src[2]]);
+        } else {
+            dyn.inst.visitSrcRegs([&srcReady, regReady](RegField, RegIndex s) {
+                srcReady = std::max(srcReady, regReady[s]);
+            });
+        }
+        const uint64_t issue = std::max(dispatch + 1, srcReady);
+        h.pend.hazard += issue - (dispatch + 1);
         issueRing[rsIdx] = issue;
 
         // ---- Complete. ----
-        uint64_t complete = issue + instLatency(dyn);
+        uint64_t complete = issue + latency[size_t(dyn.inst.cls)];
         if (dyn.isMem && !dyn.isStore) {
             // Loads: AGU + D-cache access.
             const uint32_t lat = dataAccessT<kFast>(c, dyn.memAddr, false);
@@ -379,24 +430,15 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
                 h.pend.dmiss += lat - l1Latency;
             complete = issue + 1 + lat;
         }
-        const RegIndex dest = dyn.inst.destReg();
+        const RegIndex dest = kFast ? dyn.regs.dest : dyn.inst.destReg();
         if (dest != kZeroReg)
             regReady[dest] = complete;
 
         // ---- Commit: in order, width per cycle. ----
         const uint64_t prevCommitClock = h.lastCommit;
-        uint64_t commit = std::max(complete + 1, h.lastCommit);
-        if (commit == h.commitCycleCur) {
-            if (h.commitSlots >= width) {
-                ++commit;
-                h.commitCycleCur = commit;
-                h.commitSlots = 0;
-            }
-        } else {
-            h.commitCycleCur = commit;
-            h.commitSlots = 0;
-        }
-        ++h.commitSlots;
+        const uint64_t commit =
+            claimSlot(std::max(complete + 1, h.lastCommit), h.commitCycleCur,
+                      h.commitSlots, width);
         h.lastCommit = commit;
         commitRing[robIdx] = commit;
 
@@ -461,21 +503,8 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
             }
         } else {
             if (dyn.firstOfSeq) {
-                seqPredCls_ = dyn.seqPredClass;
-                seqTriggerPC_ = dyn.pc;
-                seqTrigTaken_ = false;
-                seqTrigTarget_ = 0;
-                seqRedirected_ = false;
-                seqRedirTarget_ = 0;
+                seqOpenT<kFast>(c, dyn);
                 seqResolve_ = complete;
-                if (seqPredCls_ != OpClass::Nop) {
-                    seqPred_ = predictT<kFast>(c, dyn.pc, seqPredCls_,
-                                               dyn.pc + 4);
-                } else {
-                    seqPred_ = BranchPredictor::Prediction{};
-                    seqPred_.target = dyn.pc + 4;
-                    seqPred_.targetKnown = true;
-                }
             }
             if (dyn.inst.isDiseBranch() && dyn.taken) {
                 // Taken DISE branch: fetch restarts at the same PC, new
@@ -485,26 +514,12 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
             }
             if (dyn.isAppControl) {
                 seqResolve_ = std::max(seqResolve_, complete);
-                if (dyn.taken) {
-                    if (dyn.triggerSlot) {
-                        // Deferred: applied at sequence end unless a
-                        // later non-trigger branch redirects first.
-                        seqTrigTaken_ = true;
-                        seqTrigTarget_ = dyn.actualTarget;
-                    } else {
-                        seqRedirected_ = true;
-                        seqRedirTarget_ = dyn.actualTarget;
-                    }
-                }
+                if (dyn.taken)
+                    seqNoteTaken(dyn);
             }
             if (dyn.lastOfSeq) {
-                const bool taken = seqRedirected_ || seqTrigTaken_;
-                const Addr next = seqRedirected_
-                                      ? seqRedirTarget_
-                                      : (seqTrigTaken_ ? seqTrigTarget_
-                                                       : dyn.pc + 4);
                 resolveControlT<kFast>(h, c, seqTriggerPC_, seqPredCls_,
-                                       taken, next,
+                                       seqTaken(), seqNextPC(dyn),
                                        std::max(seqResolve_, complete),
                                        decodeCycle, seqPred_);
             }
@@ -521,26 +536,7 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
 
     if constexpr (kFast)
         hot_ = h;
-    CycleBreakdown &b = result_.buckets;
-    b.issue += c.buckets.issue;
-    b.imissStall += c.buckets.imissStall;
-    b.dmissStall += c.buckets.dmissStall;
-    b.branchFlush += c.buckets.branchFlush;
-    b.diseStall += c.buckets.diseStall;
-    b.hazard += c.buckets.hazard;
-    b.drain += c.buckets.drain;
-    result_.mispredicts += c.mispredicts;
-    result_.decodeRedirects += c.decodeRedirects;
-    result_.diseMispredicts += c.diseMispredicts;
-    result_.expansionStalls += c.expansionStalls;
-    result_.missStallCycles += c.missStallCycles;
-    if constexpr (kFast) {
-        *icAccCell_ += c.icAccesses;
-        *dcAccCell_ += c.dcAccesses;
-        *dcWrCell_ += c.dcWrites;
-        *bpPredCell_ += c.predictions;
-        *bpUpdCell_ += c.updates;
-    }
+    addTally<kFast>(c);
 }
 
 // ---------------------------------------------------------------------
@@ -548,103 +544,72 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
 // ---------------------------------------------------------------------
 
 void
-PipelineSim::warmInst(const DynInst &dyn)
+PipelineSim::warmBatch(const DynInst *recs, size_t n)
 {
-    // I-side: the detailed front end touches the I-cache once per
-    // fetched line plus once per redirect target; a redirect (branch
-    // flush, PT/RT fill, syscall drain) re-accesses even a same-line
-    // target. Model that by invalidating the current-line latch on
-    // every redirect cause and accessing on line change.
-    const bool appBoundary = !dyn.expanded || dyn.firstOfSeq;
-    if (appBoundary) {
-        if (dyn.missPenalty > 0)
-            hot_.curLine = ~uint64_t(0); // PT/RT fill flushes front end
-        const uint64_t line = fetchLine(dyn.pc);
-        if (line != hot_.curLine) {
-            ++*icAccCell_;
-            mem_.icache().accessHot(dyn.pc, false);
-            hot_.curLine = line;
+    // The current-line latch and the tally live in locals for the whole
+    // run, as in timeBatch.
+    uint64_t curLine = hot_.curLine;
+    Tally c;
+    for (const DynInst *rec = recs, *const end = recs + n; rec != end;
+         ++rec) {
+        const DynInst &dyn = *rec;
+
+        // I-side: the detailed front end touches the I-cache once per
+        // fetched line plus once per redirect target; a redirect (branch
+        // flush, PT/RT fill, syscall drain) re-accesses even a same-line
+        // target. Model that by invalidating the current-line latch on
+        // every redirect cause and accessing on line change.
+        if (!dyn.expanded || dyn.firstOfSeq) {
+            if (dyn.missPenalty > 0)
+                curLine = ~uint64_t(0); // PT/RT fill flushes front end
+            const uint64_t line = fetchLine(dyn.pc);
+            if (line != curLine) {
+                fetchAccessT<true>(c, dyn.pc);
+                curLine = line;
+            }
         }
-    }
 
-    // D-side: loads and stores in program order, exactly as the
-    // detailed model orders its calls (loads at issue, stores at
-    // commit, both within the same per-instruction pass).
-    if (dyn.isMem) {
-        ++*dcAccCell_;
-        if (dyn.isStore)
-            ++*dcWrCell_;
-        mem_.dcache().accessHot(dyn.memAddr, dyn.isStore);
-    }
+        // D-side: loads and stores in program order, exactly as the
+        // detailed model orders its calls (loads at issue, stores at
+        // commit, both within the same per-instruction pass).
+        if (dyn.isMem)
+            dataAccessT<true>(c, dyn.memAddr, dyn.isStore);
 
-    // Branch predictor: replicate the detailed model's predict/update/
-    // RAS traffic, including sequence-level prediction for expansions.
-    // A refetch happens iff the branch was taken (actual redirect or
-    // correctly predicted taken) or predicted taken (wrong-direction
-    // flush) — in all three cases the detailed front end starts a new
-    // fetch group with an unconditional I-cache access.
-    if (!dyn.expanded) {
-        if (dyn.isAppControl) {
-            ++*bpPredCell_;
-            const auto pred =
-                bpred_.predictHot(dyn.pc, dyn.inst.cls, dyn.pc + 4);
-            ++*bpUpdCell_;
-            bpred_.updateHot(dyn.pc, dyn.inst.cls, dyn.taken,
+        // Branch predictor: replicate the detailed model's predict/
+        // update/RAS traffic, including sequence-level prediction for
+        // expansions. A refetch happens iff the branch was taken (actual
+        // redirect or correctly predicted taken) or predicted taken
+        // (wrong-direction flush) — in all three cases the detailed
+        // front end starts a new fetch group with an unconditional
+        // I-cache access.
+        if (!dyn.expanded) {
+            if (dyn.isAppControl) {
+                const auto pred =
+                    predictT<true>(c, dyn.pc, dyn.inst.cls, dyn.pc + 4);
+                trainT<true>(c, dyn.pc, dyn.inst.cls, dyn.taken,
                              dyn.actualTarget);
-            if (dyn.inst.cls == OpClass::Call ||
-                dyn.inst.cls == OpClass::CallIndirect)
-                bpred_.pushReturn(dyn.pc + 4);
-            if (dyn.taken || pred.taken)
-                hot_.curLine = ~uint64_t(0);
-        }
-    } else {
-        if (dyn.firstOfSeq) {
-            seqPredCls_ = dyn.seqPredClass;
-            seqTriggerPC_ = dyn.pc;
-            seqTrigTaken_ = false;
-            seqTrigTarget_ = 0;
-            seqRedirected_ = false;
-            seqRedirTarget_ = 0;
-            if (seqPredCls_ != OpClass::Nop) {
-                ++*bpPredCell_;
-                seqPred_ = bpred_.predictHot(dyn.pc, seqPredCls_,
-                                             dyn.pc + 4);
-            } else {
-                seqPred_ = BranchPredictor::Prediction{};
-                seqPred_.target = dyn.pc + 4;
-                seqPred_.targetKnown = true;
+                if (dyn.taken || pred.taken)
+                    curLine = ~uint64_t(0);
+            }
+        } else {
+            if (dyn.firstOfSeq)
+                seqOpenT<true>(c, dyn);
+            if (dyn.inst.isDiseBranch() && dyn.taken)
+                curLine = ~uint64_t(0); // unpredicted redirect, refetch
+            if (dyn.isAppControl && dyn.taken)
+                seqNoteTaken(dyn);
+            if (dyn.lastOfSeq) {
+                trainT<true>(c, seqTriggerPC_, seqPredCls_, seqTaken(),
+                             seqNextPC(dyn));
+                if (seqTaken() || seqPred_.taken)
+                    curLine = ~uint64_t(0);
             }
         }
-        if (dyn.inst.isDiseBranch() && dyn.taken)
-            hot_.curLine = ~uint64_t(0); // unpredicted redirect, refetch
-        if (dyn.isAppControl && dyn.taken) {
-            if (dyn.triggerSlot) {
-                seqTrigTaken_ = true;
-                seqTrigTarget_ = dyn.actualTarget;
-            } else {
-                seqRedirected_ = true;
-                seqRedirTarget_ = dyn.actualTarget;
-            }
-        }
-        if (dyn.lastOfSeq) {
-            const bool taken = seqRedirected_ || seqTrigTaken_;
-            const Addr next = seqRedirected_
-                                  ? seqRedirTarget_
-                                  : (seqTrigTaken_ ? seqTrigTarget_
-                                                   : dyn.pc + 4);
-            if (seqPredCls_ != OpClass::Nop) {
-                ++*bpUpdCell_;
-                bpred_.updateHot(seqTriggerPC_, seqPredCls_, taken, next);
-                if (seqPredCls_ == OpClass::Call ||
-                    seqPredCls_ == OpClass::CallIndirect)
-                    bpred_.pushReturn(seqTriggerPC_ + 4);
-            }
-            if (taken || seqPred_.taken)
-                hot_.curLine = ~uint64_t(0);
-        }
+        if (dyn.isSyscall)
+            curLine = ~uint64_t(0); // drain forces a refetch
     }
-    if (dyn.isSyscall)
-        hot_.curLine = ~uint64_t(0); // drain forces a refetch
+    hot_.curLine = curLine;
+    addTally<true>(c);
 }
 
 // ---------------------------------------------------------------------
@@ -683,26 +648,24 @@ PipelineSim::runStepDriven(uint64_t maxInsts, uint64_t maxCycles)
     return stop;
 }
 
-bool
-PipelineSim::samplePhase(const DynInst &dyn)
+size_t
+PipelineSim::samplePhaseRun(const DynInst *recs, size_t n)
 {
-    if (phaseLeft_ == 0 && (!dyn.expanded || dyn.firstOfSeq)) {
-        if (phaseDetail_) {
-            const uint64_t warmLen = samplePeriod_ - sampleDetail_;
-            if (warmLen > 0) {
-                phaseDetail_ = false;
-                phaseLeft_ = warmLen;
-            } else {
-                phaseLeft_ = sampleDetail_; // detail == period
-            }
-        } else {
-            phaseDetail_ = true;
-            phaseLeft_ = sampleDetail_;
-        }
+    const auto appBoundary = [](const DynInst &d) {
+        return !d.expanded || d.firstOfSeq;
+    };
+    if (phaseLeft_ == 0 && appBoundary(recs[0])) {
+        // Detail -> warm -> detail; detail == period stays in detail.
+        const uint64_t warmLen = samplePeriod_ - sampleDetail_;
+        phaseDetail_ = !phaseDetail_ || warmLen == 0;
+        phaseLeft_ = phaseDetail_ ? sampleDetail_ : warmLen;
     }
-    if (phaseLeft_ > 0)
-        --phaseLeft_;
-    return phaseDetail_;
+    size_t len = size_t(std::min<uint64_t>(n, phaseLeft_));
+    phaseLeft_ -= len;
+    // A used-up phase runs on to the next application boundary.
+    while (len < n && !appBoundary(recs[len]))
+        ++len;
+    return len;
 }
 
 PipelineSim::RunStop
@@ -750,26 +713,18 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
         if (!sampling) {
             timeBatch<true>(ring, n);
         } else {
-            // Split the batch into maximal same-phase runs: each detail
-            // run is one timeBatch, each warm run goes record by record.
-            // The phase schedule depends only on the records, so it can
-            // run ahead of the timing of the run it closes.
-            bool detail = samplePhase(ring[0]);
+            // Split the batch into same-phase runs: each detail run is
+            // one timeBatch, each warm run one warmBatch.
             for (size_t i = 0; i < n;) {
-                size_t j = i + 1;
-                bool next = detail;
-                while (j < n && (next = samplePhase(ring[j])) == detail)
-                    ++j;
-                if (detail) {
-                    timeBatch<true>(ring + i, j - i);
-                    result_.sampling.sampledInsts += j - i;
+                const size_t len = samplePhaseRun(ring + i, n - i);
+                if (phaseDetail_) {
+                    timeBatch<true>(ring + i, len);
+                    result_.sampling.sampledInsts += len;
                 } else {
-                    for (size_t k = i; k < j; ++k)
-                        warmInst(ring[k]);
-                    result_.sampling.warmedInsts += j - i;
+                    warmBatch(ring + i, len);
+                    result_.sampling.warmedInsts += len;
                 }
-                i = j;
-                detail = next;
+                i += len;
             }
         }
         stop.steps += n;

@@ -375,11 +375,13 @@ class PipelineSim
      * entry points (Cache::access, BranchPredictor::predict/update) —
      * the frozen reference; kFast = true uses the inline hot variants
      * plus the batch tally of the cached StatGroup cells, leaving every
-     * timing decision byte-for-byte the same. Both walk registers
-     * through DecodedInst::visitSrcRegs and destReg, the op table's one
-     * walk. Identity between the two paths is by construction, not by
-     * parallel maintenance. The helpers take the batch's local state by
-     * reference and are forced inline, so it never escapes to memory.
+     * timing decision byte-for-byte the same. Registers come from the
+     * record's translation-time descriptor (DynInst::regs) on kFast and
+     * from the op-table walk (DecodedInst::visitSrcRegs, destReg) on
+     * the reference, so every feed-vs-step identity check also checks
+     * the one against the other. The helpers take the batch's local
+     * state by reference and are forced inline, so it never escapes to
+     * memory.
      */
     /// @{
     /**
@@ -390,6 +392,9 @@ class PipelineSim
      * step-driven reference (n = 1).
      */
     template <bool kFast> void timeBatch(const DynInst *recs, size_t n);
+
+    /** Add one batch's tally to result_ (and, kFast, the stat cells). */
+    template <bool kFast> void addTally(const Tally &c);
 
     /** Front-end delivery: returns the decode cycle of @p dyn. */
     template <bool kFast>
@@ -410,6 +415,41 @@ class PipelineSim
                          uint64_t decodeCycle,
                          const BranchPredictor::Prediction &pred);
 
+    /** Train the predictor (and the RAS, for calls) on a resolved
+     *  transfer; a Nop class (an unpredicted sequence) trains nothing. */
+    template <bool kFast>
+    void trainT(Tally &c, Addr pc, OpClass cls, bool taken, Addr target);
+
+    /**
+     * @name Sequence-level prediction, shared by detailed timing and
+     * functional warming: opened at an expansion's first slot, told of
+     * each taken application transfer in it, and resolved at its last
+     * slot against where the sequence went.
+     */
+    /// @{
+    template <bool kFast> void seqOpenT(Tally &c, const DynInst &dyn);
+    void
+    seqNoteTaken(const DynInst &dyn)
+    {
+        // A taken trigger is deferred to the sequence end, unless a
+        // later non-trigger branch redirects first.
+        if (dyn.triggerSlot) {
+            seqTrigTaken_ = true;
+            seqTrigTarget_ = dyn.actualTarget;
+        } else {
+            seqRedirected_ = true;
+            seqRedirTarget_ = dyn.actualTarget;
+        }
+    }
+    bool seqTaken() const { return seqRedirected_ || seqTrigTaken_; }
+    Addr
+    seqNextPC(const DynInst &last) const
+    {
+        return seqRedirected_ ? seqRedirTarget_
+                              : (seqTrigTaken_ ? seqTrigTarget_ : last.pc + 4);
+    }
+    /// @}
+
     /** Leaf accessors (see the group comment). */
     template <bool kFast> uint32_t fetchAccessT(Tally &c, Addr pc);
     template <bool kFast>
@@ -429,21 +469,22 @@ class PipelineSim
     RunStop runFeed(uint64_t maxInsts, uint64_t maxCycles);
 
     /**
-     * Advance the sampling phase schedule past @p dyn. Phase switches
-     * wait for an application boundary, so a replacement sequence is
-     * never split across modes. @return True when @p dyn is timed in
-     * detail, false when it is functionally warmed.
+     * Advance the sampling phase schedule over the same-phase run that
+     * starts at @p recs[0] (at most @p n records) and return its
+     * length; phaseDetail_ then names its mode. Phase switches wait for
+     * an application boundary, so a replacement sequence is never split
+     * across modes.
      */
-    bool samplePhase(const DynInst &dyn);
+    size_t samplePhaseRun(const DynInst *recs, size_t n);
 
     /**
-     * Functionally warm one instruction (sampling gaps): replicate
-     * exactly the I-cache, D-cache and branch-predictor traffic the
-     * detailed model would generate — including redirect-induced
-     * refetches and sequence-level prediction — while advancing the
-     * cycle clock by nothing.
+     * Functionally warm @p n consecutive instructions (sampling gaps):
+     * replicate exactly the I-cache, D-cache and branch-predictor
+     * traffic the detailed model would generate — including
+     * redirect-induced refetches and sequence-level prediction — while
+     * advancing the cycle clock by nothing.
      */
-    void warmInst(const DynInst &dyn);
+    void warmBatch(const DynInst *recs, size_t n);
 
     /**
      * Re-resolve the cached StatGroup cell pointers the kFast leaves
@@ -461,7 +502,6 @@ class PipelineSim
     }
 
     static void raiseRedirect(Hot &h, uint64_t cycle, StallCause cause);
-    uint32_t instLatency(const DynInst &dyn) const;
 
     PipelineParams params_;
     DiseController *controller_;
@@ -477,6 +517,8 @@ class PipelineSim
     bool stallPerExpansion_ = false;
     uint32_t feLineShift_ = 0;
     bool feLinePow2_ = false;
+    /** Execution latency per OpClass, from the PipelineParams. */
+    std::array<uint32_t, size_t(OpClass::Invalid) + 1> latency_{};
     /// @}
 
     StatGroup pipeStats_{"pipeline"};

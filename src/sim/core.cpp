@@ -506,8 +506,10 @@ ExecCore::execAppInst(const DecodedInst &fetched, DynInst *out)
         pc_ = (dyn.isAppControl && dyn.taken) ? dyn.actualTarget
                                               : pc_ + 4;
     }
-    if constexpr (kEmit)
+    if constexpr (kEmit) {
+        dyn.regs = fetched.timingRegs();
         *out = dyn;
+    }
     return true;
 }
 
@@ -600,8 +602,10 @@ ExecCore::execFusedPair(const DecodedInst &fz, DynInst *out)
     if (dyn.isStore)
         noteTextStore(dyn.memAddr, 8);
     pc_ = taken ? dyn.actualTarget : pc_ + 8;
-    if constexpr (kEmit)
+    if constexpr (kEmit) {
+        dyn.regs = fz.timingRegs();
         *out = dyn;
+    }
     return true;
 }
 
@@ -684,6 +688,7 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
     dyn.disepc = slot + 1;
     if constexpr (kEmit) {
         dyn.inst = inst;
+        dyn.regs = inst.timingRegs();
         dyn.expanded = true;
         dyn.triggerSlot = triggerSlot;
         dyn.firstOfSeq = (slot == 0);
@@ -957,6 +962,7 @@ ExecCore::translateBlock(Addr entry)
         op.useLit = d.useLit;
         op.imm = d.imm;
         op.inst = d;
+        op.regs = d.timingRegs();
 
         if (fz) {
             op.handler = OpHandler::Fused;
@@ -1114,6 +1120,7 @@ translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
         DynInst &d = st.tmpl[s];
         d.disepc = s + 1;
         d.inst = r.insts[s];
+        d.regs = r.insts[s].timingRegs();
         d.expanded = true;
         d.triggerSlot = st.ops[s].trigger;
         d.firstOfSeq = s == 0;
@@ -1510,6 +1517,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         *eout = DynInst{};                                                  \
         eout->pc = pc;                                                      \
         eout->inst = t->inst;                                               \
+        eout->regs = t->regs;                                               \
     } while (0)
 #define CHAIN_EMIT()                                                        \
     do {                                                                    \
@@ -1684,6 +1692,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         if constexpr (kEmit) {
             fdyn.pc = pc;
             fdyn.inst = t->inst;
+            fdyn.regs = t->regs;
             *eout = fdyn;
             ++eout;
         }

@@ -158,7 +158,7 @@ struct alignas(64) DynInst
      * control (e.g. the compressed-out branch ending a dictionary
      * entry), else Nop (predict fall-through).
      */
-    OpClass seqPredClass = OpClass::Nop;
+    OpClass seqPredClass : 4 = OpClass::Nop;
     bool expanded : 1 = false;    ///< part of a replacement sequence
     bool triggerSlot : 1 = false; ///< this slot is T.INSN
     bool firstOfSeq : 1 = false;
@@ -175,10 +175,20 @@ struct alignas(64) DynInst
     bool isStore : 1 = false;
     bool isSyscall : 1 = false;
     /// @}
+
+    /**
+     * inst's timing descriptor (DecodedInst::timingRegs). Translation
+     * stamps it into TransOp and SeqTrans::tmpl, and the generic
+     * emitters compute it only when they emit, so the feed's timeBatch
+     * reads it instead of walking the op table per record.
+     */
+    TimingRegs regs;
 };
 static_assert(sizeof(DynInst) == 64,
               "DynInst must stay a single cache line — the trace feed "
               "streams one record per retired instruction");
+static_assert(size_t(OpClass::Invalid) < 16,
+              "DynInst::seqPredClass is a 4-bit field");
 
 /** One pre-translated slot of a memoized replacement sequence. */
 struct SeqOp
@@ -216,11 +226,11 @@ struct SeqTrans
     std::vector<SeqOp> ops;
     /**
      * Pre-built trace records, one per real slot: every field that is
-     * static for the sequence (slot position, decoded instruction,
-     * expansion flags) is stamped at translation time, so the emitting
-     * interpreter copies a record and fills in only the trigger PC,
-     * the slot-0 expansion outcome, and per-execution extras. Same
-     * validity as @c ops.
+     * static for the sequence (slot position, decoded instruction and
+     * its timing descriptor, expansion flags) is stamped at translation
+     * time, so the emitting interpreter copies a record and fills in
+     * only the trigger PC, the slot-0 expansion outcome, and
+     * per-execution extras. Same validity as @c ops.
      */
     std::vector<DynInst> tmpl;
 };
@@ -239,6 +249,8 @@ struct TransOp
     Addr target = 0;  ///< pre-computed direct-branch target
     /** Full decode, for Engine slots and diagnostics. */
     DecodedInst inst;
+    /** inst.timingRegs(), copied into the slot's trace records. */
+    TimingRegs regs;
     /** @name Execution-time state of slots in a block the dispatcher
      *  otherwise treats as immutable (patched on first execution,
      *  validated by stamps on every use). */

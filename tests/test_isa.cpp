@@ -339,40 +339,22 @@ TEST(Disasm, InvalidWord)
 }
 
 /**
- * Golden digest of every operand role, recorded from the hand-written
- * per-format and per-class walks the op table replaced: OpInfo of all
- * 64 codes; destination and sources in walk order (zero register
- * included) plus T.RS/T.RT/T.RD over a dense sweep of raw words, roles
- * only on words PatternSpec::matches accepts (not Invalid); and every
- * fused op, synthesized with its table class, in both literal forms.
+ * The operand-role sweep: a dense sweep of raw words over all 64 codes
+ * (@p trigger true on words PatternSpec::matches accepts, i.e. not
+ * Invalid), then every fused op, synthesized with its table class, in
+ * both literal forms.
  */
-TEST(Isa, OperandRoleDigest)
+template <typename Fn>
+void
+forEachSweptInst(Fn &&fn)
 {
-    Digest d;
-    for (unsigned i = 0; i < unsigned(Opcode::NUM_OPCODES); ++i) {
-        const OpInfo &info = opInfo(Opcode(i));
-        d.str(info.mnemonic);
-        d.byte(uint8_t(info.format));
-        d.byte(uint8_t(info.cls));
-        d.byte(info.valid);
-    }
-    auto roles = [&d](const DecodedInst &inst, bool trigger) {
-        d.byte(inst.destReg());
-        inst.visitSrcRegs([&d](RegField, RegIndex r) { d.byte(r); });
-        d.byte(0xff);
-        if (trigger) {
-            d.byte(inst.triggerRS());
-            d.byte(inst.triggerRT());
-            d.byte(inst.triggerRD());
-        }
-    };
     uint64_t lcg = 0x2545F4914F6CDD1Dull;
     for (uint32_t op6 = 0; op6 < 64; ++op6) {
         for (uint32_t k = 0; k < 4096; ++k) {
             lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
             const DecodedInst inst =
                 decode((op6 << 26) | (Word(lcg >> 32) & 0x03ffffffu));
-            roles(inst, inst.cls != OpClass::Invalid);
+            fn(inst, inst.cls != OpClass::Invalid);
         }
     }
     for (unsigned i = unsigned(Opcode::FCMPBR); i <= unsigned(Opcode::FLDOP);
@@ -385,11 +367,81 @@ TEST(Isa, OperandRoleDigest)
             fused.rb = 5;
             fused.rc = 7;
             fused.useLit = lit;
-            roles(fused, true);
+            fn(fused, true);
         }
     }
+}
+
+/**
+ * Golden digest of every operand role, recorded from the hand-written
+ * per-format and per-class walks the op table replaced: OpInfo of all
+ * 64 codes; destination and sources in walk order (zero register
+ * included) plus T.RS/T.RT/T.RD over forEachSweptInst's sweep, roles
+ * only where it passes trigger.
+ */
+TEST(Isa, OperandRoleDigest)
+{
+    Digest d;
+    for (unsigned i = 0; i < unsigned(Opcode::NUM_OPCODES); ++i) {
+        const OpInfo &info = opInfo(Opcode(i));
+        d.str(info.mnemonic);
+        d.byte(uint8_t(info.format));
+        d.byte(uint8_t(info.cls));
+        d.byte(info.valid);
+    }
+    forEachSweptInst([&d](const DecodedInst &inst, bool trigger) {
+        d.byte(inst.destReg());
+        inst.visitSrcRegs([&d](RegField, RegIndex r) { d.byte(r); });
+        d.byte(0xff);
+        if (trigger) {
+            d.byte(inst.triggerRS());
+            d.byte(inst.triggerRT());
+            d.byte(inst.triggerRD());
+        }
+    });
     EXPECT_EQ(d.value(), 0xdf58d416070144e6ull)
         << strFormat("0x%016llx", (unsigned long long)d.value());
+}
+
+/**
+ * The timing descriptor is the walk: destReg() and visitSrcRegs()'s
+ * sources in order, padded with the zero register. Over the operand-role
+ * sweep, plus every one of the 64 codes synthesized with dedicated
+ * registers (which no raw word can name) in both literal forms.
+ */
+TEST(Isa, TimingRegsMatchWalk)
+{
+    size_t checked = 0;
+    auto check = [&checked](const DecodedInst &inst, bool) {
+        TimingRegs want;
+        want.dest = inst.destReg();
+        unsigned n = 0;
+        inst.visitSrcRegs([&](RegField, RegIndex r) {
+            ASSERT_LT(n, 3u) << opName(inst.op);
+            want.src[n++] = r;
+        });
+        const TimingRegs got = inst.timingRegs();
+        ASSERT_TRUE(got == want)
+            << opName(inst.op) << " raw 0x" << std::hex << inst.raw
+            << " lit " << inst.useLit << ": dest " << int(got.dest)
+            << " src " << int(got.src[0]) << "," << int(got.src[1]) << ","
+            << int(got.src[2]);
+        ++checked;
+    };
+    forEachSweptInst(check);
+    for (unsigned i = 0; i < unsigned(Opcode::NUM_OPCODES); ++i) {
+        for (const bool lit : {false, true}) {
+            DecodedInst inst;
+            inst.op = Opcode(i);
+            inst.cls = opInfo(inst.op).cls;
+            inst.ra = kDiseRegBase + 1;
+            inst.rb = kDiseRegBase + 4;
+            inst.rc = kNumLogicalRegs - 1;
+            inst.useLit = lit;
+            check(inst, true);
+        }
+    }
+    EXPECT_EQ(checked, 64u * 4096u + 12u + 128u);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/branch/predictor.hpp"
+#include "src/common/logging.hpp"
 
 namespace dise {
 namespace {
@@ -156,6 +157,23 @@ TEST(Ras, DeepRecursionWraps)
     // The newest 4 survive; the first pop returns the last push.
     auto pred = bp.predict(0x5000000, OpClass::Return, 0);
     EXPECT_EQ(pred.target, 0x4000000u + 5 * 16);
+}
+
+TEST(Ras, SizeMustBeAPowerOfTwo)
+{
+    // The stack is indexed with a mask: zero (which once divided by
+    // zero) and non-powers of two are configuration errors.
+    for (const uint32_t entries : {0u, 3u, 12u}) {
+        PredictorParams params;
+        params.rasEntries = entries;
+        EXPECT_THROW(BranchPredictor bp(params), PanicError) << entries;
+    }
+    PredictorParams params;
+    params.rasEntries = 1;
+    BranchPredictor bp(params);
+    bp.pushReturn(0x4000104);
+    bp.pushReturn(0x4000204);
+    EXPECT_EQ(bp.predict(0x5000000, OpClass::Return, 0).target, 0x4000204u);
 }
 
 TEST(Ras, EmptyStackFallsBackGracefully)

@@ -21,6 +21,7 @@
 #include "src/service/runner.hpp"
 #include "src/service/session.hpp"
 #include "src/workloads/workloads.hpp"
+#include "tests/digest.hpp"
 #include "tests/trace_streams.hpp"
 
 namespace dise {
@@ -107,6 +108,66 @@ TEST(TraceFeed, FillMatchesStepMfi)
     // the next fill.
     expectSameStream(mixedProgramWithHelper(300), true, 3);
     expectSameStream(mixedProgramWithHelper(300), true, 64);
+}
+
+/** A core set up the way the runner sets one up for @p job. */
+std::unique_ptr<ExecCore>
+jobCore(const PreparedJob &job, std::unique_ptr<DiseController> &ctl,
+        bool traceCache)
+{
+    if (job.productions) {
+        ctl = std::make_unique<DiseController>(job.dise);
+        ctl->install(job.productions);
+    }
+    auto core = std::make_unique<ExecCore>(*job.prog, ctl.get());
+    core->setTraceCacheEnabled(traceCache);
+    core->setFusionEnabled(job.fusion);
+    if (job.initCore)
+        job.initCore(*core);
+    return core;
+}
+
+/**
+ * A workload request drained through fillTrace and through step(): the
+ * fused-pair and codeword-sequence emitters stamp records (and their
+ * timing descriptors) too.
+ */
+void
+expectSameJobStream(const RunRequest &req)
+{
+    const PreparedJob job = prepareJob(req);
+    std::unique_ptr<DiseController> cf, cs;
+    auto feed = jobCore(job, cf, true);
+    auto step = jobCore(job, cs, false);
+    const std::vector<DynInst> a = drainViaFill(*feed, 64);
+    const std::vector<DynInst> b = drainViaStep(*step);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_TRUE(sameRecord(a[i], b[i]))
+            << "record " << i << " pc 0x" << std::hex << a[i].pc;
+    }
+    EXPECT_EQ(feed->result().outcome, RunOutcome::Exit);
+    EXPECT_EQ(feed->result().dynInsts, step->result().dynInsts);
+}
+
+TEST(TraceFeed, FillMatchesStepFused)
+{
+    RunRequest req;
+    req.workload = "bzip2";
+    req.scale = 0.02;
+    req.acfs.resize(1);
+    req.acfs[0].kind = "fusion";
+    req.acfsExplicit = true;
+    expectSameJobStream(req);
+}
+
+TEST(TraceFeed, FillMatchesStepCompressed)
+{
+    RunRequest req;
+    req.workload = "bzip2";
+    req.scale = 0.02;
+    req.compress = true;
+    expectSameJobStream(req);
 }
 
 // ---------------------------------------------------------------------
@@ -673,6 +734,59 @@ stripHost(const Json &detail)
             out[kv.first] = kv.second;
     }
     return out;
+}
+
+/**
+ * Golden digests of sampled timing, recorded with the per-record
+ * warming loop the batched one replaced: the full --stats-json registry
+ * (minus host) of bzip2, gcc and mcf under MFI at two sampling
+ * geometries, plus bzip2 with small RTs so PT/RT misses land in warming
+ * gaps. At this scale every miss of the 64-entry RT (and of the default
+ * one) is a cold miss; the 4-entry RT misses on capacity throughout.
+ */
+TEST(TraceFeed, SampledGoldenDigests)
+{
+    struct Case
+    {
+        const char *workload;
+        uint64_t period, detail;
+        uint32_t rtEntries; ///< 0: the default RT
+        uint64_t golden;
+    };
+    const Case cases[] = {
+        {"bzip2", 10000, 2000, 0, 0x05a5aa4b653ba741ull},
+        {"bzip2", 1000, 200, 0, 0x40ad924170b9c572ull},
+        {"gcc", 10000, 2000, 0, 0x36f88aa4195aff87ull},
+        {"gcc", 1000, 200, 0, 0x630d50dc7a589b42ull},
+        {"mcf", 10000, 2000, 0, 0x2634717bfd966ab0ull},
+        {"mcf", 1000, 200, 0, 0x771b45b26f221801ull},
+        {"bzip2", 10000, 2000, 64, 0x05a5aa4b653ba741ull},
+        {"bzip2", 1000, 200, 64, 0x40ad924170b9c572ull},
+        {"bzip2", 1000, 200, 4, 0x46ed8d5c90878e64ull},
+    };
+    for (const Case &c : cases) {
+        RunRequest req;
+        req.workload = c.workload;
+        req.scale = 0.05;
+        req.mode = RunMode::Timing;
+        req.mfi = true;
+        req.samplePeriod = c.period;
+        req.sampleDetail = c.detail;
+        if (c.rtEntries != 0)
+            req.dise.rtEntries = c.rtEntries;
+        SimOptions opts;
+        opts.registry = true;
+        const TimingOutcome out = runTimingSim(prepareJob(req), opts);
+        ASSERT_GT(out.timing.sampling.warmedInsts, 0u) << c.workload;
+        if (c.rtEntries == 64 && c.period == 1000) {
+            EXPECT_EQ(out.timing.missStallCycles, 120u);
+        }
+        Digest d;
+        d.str(stripHost(out.registry).dump());
+        EXPECT_EQ(d.value(), c.golden)
+            << c.workload << " " << c.period << ":" << c.detail << " rt "
+            << c.rtEntries << " got 0x" << std::hex << d.value();
+    }
 }
 
 TEST(TraceFeed, SampledBatchDeterministicAcrossWorkers)

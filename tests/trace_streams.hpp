@@ -2,7 +2,8 @@
  * @file
  * Retire-record stream helpers shared by the trace tests: drain a core
  * through step() or through fillTrace, and compare two records field
- * by field.
+ * by field, the timing descriptor included (translation stamps it into
+ * TransOp and SeqTrans templates; step() computes it per emission).
  */
 
 #ifndef DISE_TESTS_TRACE_STREAMS_HPP
@@ -34,7 +35,7 @@ sameRecord(const DynInst &a, const DynInst &b)
            a.ptMiss == b.ptMiss && a.rtMiss == b.rtMiss &&
            a.isAppControl == b.isAppControl && a.taken == b.taken &&
            a.isMem == b.isMem && a.isStore == b.isStore &&
-           a.isSyscall == b.isSyscall;
+           a.isSyscall == b.isSyscall && a.regs == b.regs;
 }
 
 /** Drain a core through fillTrace with the given ring capacity. */

@@ -26,8 +26,8 @@ DiseEngine::setProductions(std::shared_ptr<const ProductionSet> set)
     set_ = std::move(set);
     flushTables();
     patternsByOpcode_.assign(static_cast<size_t>(Opcode::NUM_OPCODES), {});
-    seqPcDependent_.clear();
-    seqById_.clear();
+    seqs_.clear();
+    rtWaySlots_.clear();
     rtShift_ = 3;
     if (!set_)
         return;
@@ -43,12 +43,13 @@ DiseEngine::setProductions(std::shared_ptr<const ProductionSet> set)
     uint32_t maxLen = 1;
     for (const auto &kv : set_->sequences()) {
         maxLen = std::max(maxLen, kv.second.length());
-        if (kv.first >= seqPcDependent_.size()) {
-            seqPcDependent_.resize(kv.first + 1, 0);
-            seqById_.resize(kv.first + 1, nullptr);
-        }
-        seqPcDependent_[kv.first] = seqDependsOnPC(kv.second) ? 1 : 0;
-        seqById_[kv.first] = &kv.second;
+        if (kv.first >= seqs_.size())
+            seqs_.resize(kv.first + 1);
+        SeqInfo &info = seqs_[kv.first];
+        info.seq = &kv.second;
+        info.pcDependent = seqDependsOnPC(kv.second);
+        info.rtWayBase = static_cast<uint32_t>(rtWaySlots_.size());
+        rtWaySlots_.resize(rtWaySlots_.size() + kv.second.length());
     }
     while ((1u << rtShift_) < maxLen)
         ++rtShift_;
@@ -60,6 +61,7 @@ DiseEngine::flushTables()
     // Covers setProductions too (it always flushes): any install or
     // flush invalidates translated traces built against the old tables.
     ++generation_;
+    ++rtEpoch_;
     opcodeResident_.assign(static_cast<size_t>(Opcode::NUM_OPCODES), false);
     ptStamp_.assign(set_ ? set_->productions().size() : 0, 0);
     ptResidentCount_ = 0;
@@ -101,6 +103,7 @@ DiseEngine::corruptReplacementEntry(uint64_t pick, unsigned bit)
     RtEntry &entry = rt_[valid[pick % valid.size()]];
     entry.corrupt = true;
     entry.corruptBit = bit;
+    ++rtEpoch_;
     stats_.add("rt_faults_injected");
     ++generation_; // stale traces must observe the corrupted entry
     corruptResident_ = true;
@@ -232,6 +235,7 @@ DiseEngine::checkReplacementTable(SeqId id, const ReplacementSeq &seq)
                 hit->valid = false;
                 hit->corrupt = false;
                 hit = nullptr;
+                ++rtEpoch_;
             } else {
                 // No parity: the garbled entry hits and its instruction
                 // is delivered bit-flipped (applied in expand()).
@@ -257,6 +261,7 @@ DiseEngine::checkReplacementTable(SeqId id, const ReplacementSeq &seq)
             victim->disepc = slot;
             victim->lastUse = ++useCounter_;
             victim->corrupt = false;
+            ++rtEpoch_;
         }
     }
     return miss;
@@ -319,7 +324,7 @@ DiseEngine::expand(const DecodedInst &fetched, Addr pc)
     }
 
     const ReplacementSeq *seq =
-        *seqId < seqById_.size() ? seqById_[*seqId] : nullptr;
+        *seqId < seqs_.size() ? seqs_[*seqId].seq : nullptr;
     if (!seq) {
         // A tagged trigger naming an unbound dictionary entry is a user
         // error (corrupt codeword); surface it loudly.
@@ -349,7 +354,7 @@ DiseEngine::expand(const DecodedInst &fetched, Addr pc)
     // synthesized instructions) are not keyable and use the scratch
     // buffer, as does everything once the cache is full or disabled.
     if (config_.expansionCache && fetched.raw != 0) {
-        const bool pcDep = seqPcDependent_[*seqId] != 0;
+        const bool pcDep = seqs_[*seqId].pcDependent;
         const SeqKey key{*seqId, fetched.raw, pcDep ? pc : 0};
         auto it = expCache_.find(key);
         if (it == expCache_.end() &&
@@ -394,7 +399,7 @@ DiseEngine::expand(const DecodedInst &fetched, Addr pc)
 }
 
 bool
-DiseEngine::expandFast(const ExpandMemo &memo, ExpandResult &out)
+DiseEngine::expandFast(const ExpandMemo &memo)
 {
     // A memo at the live generation proves the active set, the pattern
     // list, and the memoized instantiation span are all unchanged; the
@@ -414,55 +419,50 @@ DiseEngine::expandFast(const ExpandMemo &memo, ExpandResult &out)
         ++inspected_;
         for (const uint32_t idx : covering)
             ptStamp_[idx] = ++useCounter_;
-        out = ExpandResult();
         return true;
     }
 
-    // Expanded: every RT slot must still be a clean resident hit. Probe
-    // first with no state changes, then commit the PT stamp refreshes
-    // and RT lastUse updates in expand()'s exact order so the shared
-    // LRU clock evolves bit-identically.
-    constexpr uint32_t kMaxFastSeqLen = 64;
+    // Expanded: every RT slot must still be a clean resident hit. A
+    // way-cache record at the live RT epoch proves it (nothing entered
+    // or left the RT since the slots last hit); otherwise probe with no
+    // state changes and record the ways on success. Then commit the PT
+    // stamp refreshes and RT lastUse updates in expand()'s exact order
+    // so the shared LRU clock evolves bit-identically.
     const uint32_t len = memo.seq->length();
-    RtEntry *hits[kMaxFastSeqLen];
+    uint32_t *ways = nullptr;
     if (config_.rtEntries != 0) {
-        if (len > kMaxFastSeqLen)
-            return false;
-        for (uint32_t slot = 0; slot < len; ++slot) {
-            const unsigned set = rtIndex(memo.seqId, slot);
-            RtEntry *way = &rt_[size_t(set) * config_.rtAssoc];
-            RtEntry *hit = nullptr;
-            for (uint32_t w = 0; w < config_.rtAssoc; ++w) {
-                if (way[w].valid && way[w].seqId == memo.seqId &&
-                    way[w].disepc == slot) {
-                    hit = &way[w];
-                    break;
+        SeqInfo &info = seqs_[memo.seqId];
+        ways = &rtWaySlots_[info.rtWayBase];
+        if (info.rtEpoch != rtEpoch_) {
+            for (uint32_t slot = 0; slot < len; ++slot) {
+                const size_t first =
+                    size_t(rtIndex(memo.seqId, slot)) * config_.rtAssoc;
+                size_t hit = first + config_.rtAssoc;
+                for (size_t w = first; w < first + config_.rtAssoc; ++w) {
+                    if (rt_[w].valid && rt_[w].seqId == memo.seqId &&
+                        rt_[w].disepc == slot) {
+                        hit = w;
+                        break;
+                    }
                 }
+                if (hit == first + config_.rtAssoc || rt_[hit].corrupt)
+                    return false; // miss (or fault): the full path fills it
+                ways[slot] = static_cast<uint32_t>(hit);
             }
-            if (!hit || hit->corrupt)
-                return false; // miss (or fault): the full path fills it
-            hits[slot] = hit;
+            info.rtEpoch = rtEpoch_;
         }
     }
 
     ++inspected_;
     for (const uint32_t idx : covering)
         ptStamp_[idx] = ++useCounter_;
-    if (config_.rtEntries != 0) {
+    if (ways != nullptr) {
         for (uint32_t slot = 0; slot < len; ++slot)
-            hits[slot]->lastUse = ++useCounter_;
+            rt_[ways[slot]].lastUse = ++useCounter_;
     }
     ++cacheHits_; // the memoized span is still in expCache_
     ++expansions_;
     replacementInsts_ += memo.numInsts;
-
-    out = ExpandResult();
-    out.expanded = true;
-    out.seqId = memo.seqId;
-    out.seq = memo.seq;
-    out.insts = memo.insts;
-    out.numInsts = memo.numInsts;
-    out.memoized = true;
     return true;
 }
 

@@ -95,9 +95,11 @@ struct DiseConfig
  * clean expand() of one static instruction — either "covered opcode but
  * no pattern matched" or "expanded to this memoized span" — so repeated
  * dynamic instances can skip the pattern match and the expansion-cache
- * hash lookup entirely (DiseEngine::expandFast). Invalid whenever the
- * recorded generation lags the engine's: installs, flushes, and fault
- * injections all advance it.
+ * hash lookup entirely (DiseEngine::expandFast). After a successful
+ * expandFast the caller adopts an Expanded outcome straight from these
+ * fields (no miss, memoized span). Invalid whenever the recorded
+ * generation lags the engine's: installs, flushes, and fault injections
+ * all advance it.
  */
 struct ExpandMemo
 {
@@ -173,7 +175,7 @@ class DiseEngine
      * The active set's owning handle (snapshot/restore plumbing). The
      * engine is value-copyable — tables, caches, stats and the LRU/
      * generation counters all copy; internal sequence pointers
-     * (seqById_) reference the shared set, which the copy co-owns — so
+     * (seqs_) reference the shared set, which the copy co-owns — so
      * a plain `DiseEngine` copy is a complete engine snapshot, and
      * restoring is plain assignment. DiseController::restoreEngine
      * uses this accessor to keep its own active-set handle in sync.
@@ -201,12 +203,16 @@ class DiseEngine
      * residency intact, every RT slot of the sequence still a clean
      * hit), performs the inspection with bit-identical counter and LRU
      * evolution to expand() — PT stamp refreshes, RT lastUse updates,
-     * inspected/expansions/cache-hit counters — and fills @p out,
-     * returning true. Returns false (with no state touched) whenever
-     * any check fails or any injected corruption may be resident; the
-     * caller then runs the full expand() and may re-fill the memo.
+     * inspected/expansions/cache-hit counters — and returns true: the
+     * outcome is then exactly the one @p memo records. Returns false
+     * (with no state touched) whenever any check fails or any injected
+     * corruption may be resident; the caller then runs the full
+     * expand() and may re-fill the memo.
+     *
+     * The RT check costs no probe while the sequence's RT way cache
+     * (see rtWaySlots_) is current.
      */
-    bool expandFast(const ExpandMemo &memo, ExpandResult &out);
+    bool expandFast(const ExpandMemo &memo);
 
     /**
      * Record the outcome of a full expand() of @p fetched into @p memo
@@ -342,6 +348,22 @@ class DiseEngine
     std::vector<RtEntry> rt_;
     uint32_t rtSets_ = 0;
     /**
+     * RT content epoch: bumped by every change to which (sequence,
+     * slot) pairs the RT holds — a fill (and the eviction it makes), a
+     * parity invalidation, an injected corruption, a flush. LRU stamp
+     * refreshes do not bump it.
+     */
+    uint64_t rtEpoch_ = 0;
+    /**
+     * RT way cache: for each sequence, the rt_ index of the entry each
+     * of its slots hit on its last clean probe (expandFast), at
+     * rtWaySlots_[SeqInfo::rtWayBase + slot] and valid while
+     * SeqInfo::rtEpoch equals rtEpoch_. A valid record lets expandFast
+     * skip the associative probe and refresh the recorded entries' LRU
+     * stamps directly.
+     */
+    std::vector<uint32_t> rtWaySlots_;
+    /**
      * log2 of the per-sequence slot stride in the RT index: derived
      * from the active set's longest replacement sequence (rounded up to
      * a power of two, floor 8 slots) so distinct sequences never alias
@@ -382,18 +404,25 @@ class DiseEngine
      */
     std::unordered_map<SeqKey, std::vector<DecodedInst>, SeqKeyHash>
         expCache_;
+    /** What the engine keeps per sequence id. */
+    struct SeqInfo
+    {
+        /** The sequence (a pointer into the active set, valid while
+         *  set_ is held); nullptr marks unbound ids. */
+        const ReplacementSeq *seq = nullptr;
+        /** rtEpoch_ at which the RT way-cache record was taken. */
+        uint64_t rtEpoch = ~uint64_t(0);
+        /** The sequence's first slot in rtWaySlots_. */
+        uint32_t rtWayBase = 0;
+        /** PC-dependence class (see seqDependsOnPC). */
+        bool pcDependent = false;
+    };
     /**
-     * Per-sequence PC-dependence class (see seqDependsOnPC), dense over
-     * [0, max seqId] — ids are small (explicit dictionary tags are 11
-     * bits). 0 = independent, 1 = dependent.
+     * Dense over [0, max seqId] — ids are small (explicit dictionary
+     * tags are 11 bits) — so an expansion never walks the set's
+     * std::map.
      */
-    std::vector<uint8_t> seqPcDependent_;
-    /**
-     * Dense seqId -> replacement-sequence lookup (pointers into the
-     * active set, valid while set_ is held); avoids the set's std::map
-     * walk on every expansion. nullptr marks unbound ids.
-     */
-    std::vector<const ReplacementSeq *> seqById_;
+    std::vector<SeqInfo> seqs_;
     /** Reused instantiation buffer for uncacheable expansions. */
     std::vector<DecodedInst> scratch_;
     /// @}

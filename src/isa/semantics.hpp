@@ -66,11 +66,11 @@
     X(Ldl, LDL, 4, true)                                                    \
     X(Ldq, LDQ, 8, false)
 
-/** Stores: X(OPCODE, width in bytes); one Store handler serves all. */
+/** Stores: X(Handler, OPCODE, width in bytes). */
 #define DISE_STORE_OPS(X)                                                   \
-    X(STB, 1)                                                               \
-    X(STL, 4)                                                               \
-    X(STQ, 8)
+    X(Stb, STB, 1)                                                          \
+    X(Stl, STL, 4)                                                          \
+    X(Stq, STQ, 8)
 
 namespace dise {
 
@@ -107,7 +107,7 @@ memWidth(Opcode op)
         return width;
         DISE_LOAD_OPS(DISE_X)
 #undef DISE_X
-#define DISE_X(OP, width)                                                   \
+#define DISE_X(name, OP, width)                                             \
       case Opcode::OP:                                                      \
         return width;
         DISE_STORE_OPS(DISE_X)

@@ -7,18 +7,6 @@
 
 namespace dise {
 
-/**
- * The in-page fast path assembles/disassembles values with one memcpy,
- * which matches the architected little-endian layout only on a
- * little-endian host; big-endian hosts use the byte loop everywhere.
- */
-#if defined(__BYTE_ORDER__) &&                                              \
-    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-static constexpr bool kHostLittleEndian = true;
-#else
-static constexpr bool kHostLittleEndian = false;
-#endif
-
 uint8_t *
 Memory::pageDataForWriteSlow(uint64_t pn, TransEntry &entry)
 {
@@ -37,7 +25,7 @@ Memory::pageDataForWriteSlow(uint64_t pn, TransEntry &entry)
 }
 
 uint64_t
-Memory::read(Addr addr, unsigned size) const
+Memory::readSlow(Addr addr, unsigned size) const
 {
     DISE_ASSERT(size == 1 || size == 2 || size == 4 || size == 8,
                 "bad access size");
@@ -58,7 +46,7 @@ Memory::read(Addr addr, unsigned size) const
 }
 
 void
-Memory::write(Addr addr, uint64_t value, unsigned size)
+Memory::writeSlow(Addr addr, uint64_t value, unsigned size)
 {
     DISE_ASSERT(size == 1 || size == 2 || size == 4 || size == 8,
                 "bad access size");

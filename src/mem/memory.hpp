@@ -24,16 +24,24 @@
  *    image's pages, and copying *from* an image demotes the source's
  *    write-valid entries (its pages just became shared).
  *
- *  - Multi-byte read/write that do not cross a page boundary are a
- *    single in-page memcpy; only page-crossing accesses decompose into
- *    per-byte page lookups.
+ *  - read() and write() are inline for the common case: a valid width
+ *    (1, 2, 4 or 8 bytes), inside one page, whose page the translation
+ *    cache holds (write-valid, for a write). At a compile-time width
+ *    that case is one tag compare and one host load or store, with no
+ *    call. All other accesses take the out-of-line readSlow() /
+ *    writeSlow(): a bad width panics, a page-crossing access
+ *    decomposes into per-byte page lookups, a cache miss fills the
+ *    entry (allocating an absent page, or cloning a shared one, on a
+ *    write), and a big-endian host always takes the per-byte path.
  */
 
 #ifndef DISE_MEM_MEMORY_HPP
 #define DISE_MEM_MEMORY_HPP
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -100,9 +108,26 @@ class Memory
     }
 
     /** Little-endian read of 1, 2, 4 or 8 bytes. */
-    uint64_t read(Addr addr, unsigned size) const;
+    uint64_t
+    read(Addr addr, unsigned size) const
+    {
+        const TransEntry &e = trans_[(addr >> kPageShift) % kTransEntries];
+        if (!inlineHit(e.pageNum, addr, size))
+            return readSlow(addr, size);
+        uint64_t value = 0;
+        std::memcpy(&value, e.data + addr % kPageSize, size);
+        return value;
+    }
     /** Little-endian write of 1, 2, 4 or 8 bytes. */
-    void write(Addr addr, uint64_t value, unsigned size);
+    void
+    write(Addr addr, uint64_t value, unsigned size)
+    {
+        const TransEntry &e = trans_[(addr >> kPageShift) % kTransEntries];
+        if (inlineHit(e.writableNum, addr, size))
+            std::memcpy(e.data + addr % kPageSize, &value, size);
+        else
+            writeSlow(addr, value, size);
+    }
 
     uint32_t readWord(Addr addr) const
     {
@@ -161,6 +186,31 @@ class Memory
         uint8_t *data = nullptr;
     };
     static constexpr size_t kTransEntries = 64;
+
+    /** One host memcpy matches the architected little-endian layout
+     *  only on a little-endian host; others take the per-byte path. */
+    static constexpr bool kHostLittleEndian =
+        std::endian::native == std::endian::little;
+
+    /**
+     * Whether a @p size-byte access at @p addr finishes inline through
+     * the cache entry at addr's index, whose read or write tag is
+     * @p tag: a valid width on a little-endian host, and @p tag naming
+     * the page of the access's last byte. A valid entry at addr's
+     * index holds a page congruent to addr's modulo kTransEntries, and
+     * the last byte of a valid width is at most one page further on,
+     * so a match proves the whole access lies in that one cached page.
+     */
+    static bool
+    inlineHit(uint64_t tag, Addr addr, unsigned size)
+    {
+        return kHostLittleEndian &&
+               (size == 1 || size == 2 || size == 4 || size == 8) &&
+               tag == (addr + size - 1) >> kPageShift;
+    }
+    /** The accesses read() and write() do not finish inline. */
+    uint64_t readSlow(Addr addr, unsigned size) const;
+    void writeSlow(Addr addr, uint64_t value, unsigned size);
 
     void
     resetTranslationCache()

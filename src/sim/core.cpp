@@ -1,6 +1,7 @@
 #include "src/sim/core.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/common/logging.hpp"
@@ -16,27 +17,24 @@ namespace {
 constexpr size_t kMaxBlockLen = 128;
 
 /**
- * Map an opcode to its flat interpreter handler (writing the access
- * size for stores); OpHandler::NUM when the opcode is outside the
- * translated repertoire (syscalls, codewords, reserved/invalid
- * encodings). Shared by block and replacement-sequence translation so
- * the two interpreters agree on the repertoire.
+ * Map an opcode to its flat interpreter handler; OpHandler::NUM when
+ * the opcode is outside the translated repertoire (syscalls,
+ * codewords, reserved/invalid encodings). Shared by block and
+ * replacement-sequence translation so the two interpreters agree on
+ * the repertoire.
  */
 OpHandler
-baseHandler(Opcode op, uint8_t &size)
+baseHandler(Opcode op)
 {
     switch (op) {
       case Opcode::NOP: return OpHandler::Nop;
 #define ROW_CASE(name, OP, ...) case Opcode::OP: return OpHandler::name;
-#define STORE_CASE(OP, width)                                               \
-      case Opcode::OP: size = width; return OpHandler::Store;
       DISE_ADDR_OPS(ROW_CASE)
       DISE_OPERATE_OPS(ROW_CASE)
       DISE_CMOV_OPS(ROW_CASE)
       DISE_LOAD_OPS(ROW_CASE)
-      DISE_STORE_OPS(STORE_CASE)
+      DISE_STORE_OPS(ROW_CASE)
 #undef ROW_CASE
-#undef STORE_CASE
       case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
       case Opcode::BLE: case Opcode::BGT: case Opcode::BGE:
       case Opcode::BLBC: case Opcode::BLBS:
@@ -369,21 +367,20 @@ ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
         writeReg(inst.ra, loadExtend(memory_.read(dyn.memAddr, width),      \
                                      width, signExtended));                 \
         break;
-#define EXEC_STORE(OP, width) case Opcode::OP:
+#define EXEC_STORE(name, OP, width)                                         \
+      case Opcode::OP:                                                      \
+        dyn.isMem = true;                                                   \
+        dyn.isStore = true;                                                 \
+        dyn.memAddr = effAddr(inst);                                        \
+        ++result_.stores;                                                   \
+        memory_.write(dyn.memAddr, readReg(inst.ra), width);                \
+        noteTextStore(dyn.memAddr, width);                                  \
+        break;
       DISE_ADDR_OPS(EXEC_ADDR)
       DISE_OPERATE_OPS(EXEC_OPERATE)
       DISE_CMOV_OPS(EXEC_CMOV)
       DISE_LOAD_OPS(EXEC_LOAD)
-      DISE_STORE_OPS(EXEC_STORE) {
-        dyn.isMem = true;
-        dyn.isStore = true;
-        dyn.memAddr = effAddr(inst);
-        ++result_.stores;
-        const unsigned size = memWidth(inst.op);
-        memory_.write(dyn.memAddr, readReg(inst.ra), size);
-        noteTextStore(dyn.memAddr, size);
-        break;
-      }
+      DISE_STORE_OPS(EXEC_STORE)
 #undef EXEC_ADDR
 #undef EXEC_OPERATE
 #undef EXEC_CMOV
@@ -457,9 +454,27 @@ ExecCore::adoptExpansion(const ExpandResult &r)
     seqIdx_ = 0;
     seqTriggerPC_ = pc_;
     seqHasPendingOutcome_ = false;
-    pendingExpand_ = r;
+    seqMemoized_ = r.memoized;
+    seqPtMiss_ = r.ptMiss;
+    seqRtMiss_ = r.rtMiss;
+    seqMissPenalty_ = r.missPenalty;
     ++result_.expansions;
     ++result_.appInsts;
+}
+
+void
+ExecCore::adoptMemo(const ExpandMemo &m)
+{
+    // What expand() returns for a clean hit on the memoized span: no
+    // PT/RT miss, no penalty.
+    ExpandResult r;
+    r.expanded = true;
+    r.seqId = m.seqId;
+    r.seq = m.seq;
+    r.insts = m.insts;
+    r.numInsts = m.numInsts;
+    r.memoized = true;
+    adoptExpansion(r);
 }
 
 void
@@ -694,9 +709,9 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
         dyn.firstOfSeq = (slot == 0);
         dyn.seqLen = seqLen_;
         if (slot == 0) {
-            dyn.ptMiss = pendingExpand_.ptMiss;
-            dyn.rtMiss = pendingExpand_.rtMiss;
-            dyn.missPenalty = pendingExpand_.missPenalty;
+            dyn.ptMiss = seqPtMiss_;
+            dyn.rtMiss = seqRtMiss_;
+            dyn.missPenalty = seqMissPenalty_;
             // Sequence-level prediction class (DynInst::seqPredClass).
             const DecodedInst &trigger = fetchDecode(seqTriggerPC_);
             if (isControlClass(trigger.cls)) {
@@ -935,8 +950,10 @@ ExecCore::resumeAt(Addr pc, uint32_t disepc)
     seqSpec_ = r.seq;
     seqTriggerPC_ = pc;
     seqIdx_ = disepc - 1;
-    pendingExpand_ = r;
-    pendingExpand_.missPenalty = 0; // already charged before the trap
+    seqMemoized_ = r.memoized;
+    seqPtMiss_ = r.ptMiss;
+    seqRtMiss_ = r.rtMiss;
+    seqMissPenalty_ = 0; // already charged before the trap
 }
 
 std::shared_ptr<const TransBlock>
@@ -947,8 +964,13 @@ ExecCore::translateBlock(Addr entry)
     block->engineGen =
         controller_ ? controller_->engine().generation() : 0;
 
+    // Slots collect in the reused scratch vector; the block gets one
+    // exactly sized copy at the end instead of a doubling regrowth
+    // that copies every 208-byte TransOp on each step.
+    std::vector<TransOp> &ops = blockScratch_;
+    ops.clear();
     Addr pc = entry;
-    while (block->ops.size() < kMaxBlockLen && prog_.inText(pc)) {
+    while (ops.size() < kMaxBlockLen && prog_.inText(pc)) {
         // The same per-PC fusion decision step() takes, baked into one
         // slot covering two words (see the numInsts accounting below).
         const DecodedInst *fz = fusionEnabled_ ? fusionAt(pc) : nullptr;
@@ -973,7 +995,7 @@ ExecCore::translateBlock(Addr entry)
             // static block either way.
             op.handler = OpHandler::Engine;
         } else {
-            op.handler = baseHandler(d.op, op.size);
+            op.handler = baseHandler(d.op);
             if (op.handler == OpHandler::NUM ||
                 op.handler == OpHandler::DiseCond ||
                 op.handler == OpHandler::DiseBr) {
@@ -987,7 +1009,7 @@ ExecCore::translateBlock(Addr entry)
                 op.handler == OpHandler::DirBranch)
                 op.target = d.branchTarget(pc);
         }
-        block->ops.push_back(op);
+        ops.push_back(op);
         pc += fz ? 8 : 4;
         if (d.isControl())
             break; // branches, jumps and fused compare+branch end a block
@@ -996,12 +1018,14 @@ ExecCore::translateBlock(Addr entry)
     // its own width (4, or 8 for a fused pair), so coveredEnd() keeps
     // seeing the fused second words for SMC overlap checks.
     block->numInsts = static_cast<uint32_t>((pc - entry) / 4);
-    if (!block->ops.empty()) {
+    if (!ops.empty()) {
         // Close the slot array with the End sentinel (the fall-through
         // exit) so the interpreter needs no bounds check.
         TransOp end;
         end.handler = OpHandler::End;
-        block->ops.push_back(end);
+        ops.push_back(end);
+        block->ops.assign(std::make_move_iterator(ops.begin()),
+                          std::make_move_iterator(ops.end()));
     }
     return block;
 }
@@ -1060,26 +1084,28 @@ ExecCore::chainTarget(Addr pc)
 namespace {
 
 /**
- * Lower a memoized replacement sequence into SeqOps. Leaves
+ * Lower a memoized replacement sequence (@p seq instantiated as the
+ * @p numInsts instructions at @p insts) into SeqOps. Leaves
  * @c st.usable false (fast path declines, generic path runs) when any
  * slot is outside the repertoire: syscalls, codewords, invalid
  * encodings.
  */
 void
-translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
+translateSeq(const ReplacementSeq *seq, const DecodedInst *insts,
+             uint32_t numInsts, SeqTrans &st, uint64_t gen,
              OpClass triggerCls)
 {
-    st.insts = r.insts;
-    st.numInsts = r.numInsts;
+    st.insts = insts;
+    st.numInsts = numInsts;
     st.gen = gen;
     st.usable = false;
     st.ops.clear();
     st.tmpl.clear();
-    if (r.seq == nullptr || r.seq->insts.size() != r.numInsts)
+    if (seq == nullptr || seq->insts.size() != numInsts)
         return;
-    st.ops.reserve(r.numInsts + 1);
-    for (uint32_t s = 0; s < r.numInsts; ++s) {
-        const DecodedInst &d = r.insts[s];
+    st.ops.reserve(numInsts + 1);
+    for (uint32_t s = 0; s < numInsts; ++s) {
+        const DecodedInst &d = insts[s];
         SeqOp op;
         op.op = d.op;
         op.ra = d.ra;
@@ -1089,9 +1115,9 @@ translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
         op.imm = d.imm;
         // T.INSN / T.OP slots retire as the application's own
         // instruction (see execSeqSlotBody).
-        op.trigger = r.seq->insts[s].isTriggerInsn ||
-                     r.seq->insts[s].opDir == OpDirective::Trigger;
-        op.handler = baseHandler(d.op, op.size);
+        op.trigger = seq->insts[s].isTriggerInsn ||
+                     seq->insts[s].opDir == OpDirective::Trigger;
+        op.handler = baseHandler(d.op);
         if (op.handler == OpHandler::NUM) {
             st.ops.clear();
             return;
@@ -1101,7 +1127,7 @@ translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
             const int64_t target =
                 static_cast<int64_t>(s) + 1 + d.imm;
             op.diseValid =
-                target >= 0 && target <= static_cast<int64_t>(r.numInsts);
+                target >= 0 && target <= static_cast<int64_t>(numInsts);
             op.diseTarget =
                 op.diseValid ? static_cast<uint32_t>(target) : 0;
         }
@@ -1115,16 +1141,16 @@ translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
     // Trace-record templates: everything static for the sequence is
     // stamped once here; the emitting interpreter copies a template and
     // fills in only the per-execution fields (see SEQ_EMIT_BASE).
-    st.tmpl.resize(r.numInsts);
-    for (uint32_t s = 0; s < r.numInsts; ++s) {
+    st.tmpl.resize(numInsts);
+    for (uint32_t s = 0; s < numInsts; ++s) {
         DynInst &d = st.tmpl[s];
         d.disepc = s + 1;
-        d.inst = r.insts[s];
-        d.regs = r.insts[s].timingRegs();
+        d.inst = insts[s];
+        d.regs = insts[s].timingRegs();
         d.expanded = true;
         d.triggerSlot = st.ops[s].trigger;
         d.firstOfSeq = s == 0;
-        d.seqLen = r.numInsts;
+        d.seqLen = numInsts;
     }
     // Sequence-level prediction class (see DynInst::seqPredClass): a
     // translation-time constant of (trigger, sequence), so the emitting
@@ -1133,9 +1159,9 @@ translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
     OpClass predCls = OpClass::Nop;
     if (isControlClass(triggerCls))
         predCls = triggerCls;
-    else if (r.numInsts > 0 && isControlClass(r.insts[r.numInsts - 1].cls))
-        predCls = r.insts[r.numInsts - 1].cls;
-    if (r.numInsts > 0)
+    else if (numInsts > 0 && isControlClass(insts[numInsts - 1].cls))
+        predCls = insts[numInsts - 1].cls;
+    if (numInsts > 0)
         st.tmpl[0].seqPredClass = predCls;
     st.usable = true;
 }
@@ -1145,14 +1171,12 @@ translateSeq(const ExpandResult &r, SeqTrans &st, uint64_t gen,
 const SeqTrans *
 ExecCore::seqTransFor(const TransOp &t)
 {
-    const ExpandResult &r = pendingExpand_;
-    if (!r.memoized)
+    if (!seqMemoized_)
         return nullptr; // span contents may differ call to call
     SeqTrans &st = t.seqCache;
     const uint64_t gen = controller_->engine().generation();
-    if (st.insts != r.insts || st.numInsts != r.numInsts ||
-        st.gen != gen)
-        translateSeq(r, st, gen, t.inst.cls);
+    if (st.insts != seqInsts_ || st.numInsts != seqLen_ || st.gen != gen)
+        translateSeq(seqSpec_, seqInsts_, seqLen_, st, gen, t.inst.cls);
     return st.usable ? &st : nullptr;
 }
 
@@ -1177,7 +1201,8 @@ ExecCore::seqTransFor(const TransOp &t)
 #define TABLE_LABEL(name, ...) &&lbl_##name,
 #define TABLE_LABELS                                                        \
     &&lbl_Nop, DISE_ADDR_OPS(TABLE_LABEL) DISE_OPERATE_OPS(TABLE_LABEL)     \
-        DISE_CMOV_OPS(TABLE_LABEL) DISE_LOAD_OPS(TABLE_LABEL)
+        DISE_CMOV_OPS(TABLE_LABEL) DISE_LOAD_OPS(TABLE_LABEL)               \
+            DISE_STORE_OPS(TABLE_LABEL)
 
 template <bool kEmit>
 void
@@ -1221,9 +1246,9 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
         *eout = tmpl[j];                                                    \
         eout->pc = tpc;                                                     \
         if (j == 0) {                                                       \
-            eout->ptMiss = pendingExpand_.ptMiss;                           \
-            eout->rtMiss = pendingExpand_.rtMiss;                           \
-            eout->missPenalty = pendingExpand_.missPenalty;                 \
+            eout->ptMiss = seqPtMiss_;                                      \
+            eout->rtMiss = seqRtMiss_;                                      \
+            eout->missPenalty = seqMissPenalty_;                            \
         }                                                                   \
     } while (0)
 #define SEQ_EMIT_PLAIN()                                                    \
@@ -1282,10 +1307,33 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
         ++j;                                                                \
         SEQ_DISPATCH();                                                     \
     }
+    /* Self-modifying store: the sequence itself lives in the engine's
+     * tables and keeps running; the enclosing block's staleness is
+     * caught by the Engine slot's epoch check. */
+#define SEQ_STORE(name, OP, width)                                          \
+    lbl_##name:                                                             \
+    {                                                                       \
+        SEQ_CHECK();                                                        \
+        const SeqOp &t = ops[j];                                            \
+        const Addr addr = effAddr(t);                                       \
+        ++stores;                                                           \
+        memory_.write(addr, readReg(t.ra), width);                          \
+        noteTextStore(addr, width);                                         \
+        SEQ_RETIRE(t.trigger);                                              \
+        if constexpr (kEmit) {                                              \
+            SEQ_EMIT_BASE();                                                \
+            eout->isMem = true;                                             \
+            eout->isStore = true;                                           \
+            eout->memAddr = addr;                                           \
+            ++eout;                                                         \
+        }                                                                   \
+        ++j;                                                                \
+        SEQ_DISPATCH();                                                     \
+    }
 
     static void *const kTab[] = {
         TABLE_LABELS
-        &&lbl_Store, &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
+        &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
         &&lbl_bad /* Engine */, &&lbl_DiseCond, &&lbl_DiseBr,
         // Fusion is not a ProductionSet: translateSeq never emits it.
         &&lbl_bad /* Fused */, &&lbl_End,
@@ -1300,28 +1348,7 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
     DISE_OPERATE_OPS(SEQ_OPERATE)
     DISE_CMOV_OPS(SEQ_CMOV)
     DISE_LOAD_OPS(SEQ_LOAD)
-    lbl_Store:
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        const Addr addr = effAddr(t);
-        ++stores;
-        memory_.write(addr, readReg(t.ra), t.size);
-        // Self-modifying store: the sequence itself lives in the
-        // engine's tables and keeps running; the enclosing block's
-        // staleness is caught by the Engine slot's epoch check.
-        noteTextStore(addr, t.size);
-        SEQ_RETIRE(t.trigger);
-        if constexpr (kEmit) {
-            SEQ_EMIT_BASE();
-            eout->isMem = true;
-            eout->isStore = true;
-            eout->memAddr = addr;
-            ++eout;
-        }
-        ++j;
-        SEQ_DISPATCH();
-    }
+    DISE_STORE_OPS(SEQ_STORE)
     lbl_CondBranch:
     {
         SEQ_CHECK();
@@ -1464,6 +1491,7 @@ seq_done:
 #undef SEQ_OPERATE
 #undef SEQ_CMOV
 #undef SEQ_LOAD
+#undef SEQ_STORE
 }
 
 template <bool kEmit>
@@ -1571,10 +1599,36 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         pc += 4;                                                            \
         CHAIN_DISPATCH();                                                   \
     }
+    /* A self-modifying store leaves the fast path: stale decodes and
+     * traces are gone (possibly blocks of this very chain — parked on
+     * the graveyard, so the cursor stays valid), and the rewritten
+     * code must be re-translated before it executes. */
+#define CHAIN_STORE(name, OP, width)                                        \
+    lbl_##name:                                                             \
+    {                                                                       \
+        const Addr addr = effAddr(*t);                                      \
+        ++stores;                                                           \
+        memory_.write(addr, readReg(t->ra), width);                         \
+        CHAIN_RETIRE();                                                     \
+        if constexpr (kEmit) {                                              \
+            CHAIN_EMIT_BASE();                                              \
+            eout->isMem = true;                                             \
+            eout->isStore = true;                                           \
+            eout->memAddr = addr;                                           \
+            ++eout;                                                         \
+        }                                                                   \
+        if (noteTextStore(addr, width)) {                                   \
+            pc_ = pc + 4;                                                   \
+            goto exit_flush;                                                \
+        }                                                                   \
+        ++t;                                                                \
+        pc += 4;                                                            \
+        CHAIN_DISPATCH();                                                   \
+    }
 
     static void *const kTab[] = {
         TABLE_LABELS
-        &&lbl_Store, &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
+        &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
         &&lbl_Engine, &&lbl_bad /* DiseCond */, &&lbl_bad /* DiseBr */,
         &&lbl_Fused, &&lbl_End,
     };
@@ -1588,32 +1642,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
     DISE_OPERATE_OPS(CHAIN_OPERATE)
     DISE_CMOV_OPS(CHAIN_CMOV)
     DISE_LOAD_OPS(CHAIN_LOAD)
-    lbl_Store:
-    {
-        const Addr addr = effAddr(*t);
-        ++stores;
-        memory_.write(addr, readReg(t->ra), t->size);
-        CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            CHAIN_EMIT_BASE();
-            eout->isMem = true;
-            eout->isStore = true;
-            eout->memAddr = addr;
-            ++eout;
-        }
-        if (noteTextStore(addr, t->size)) {
-            // Self-modifying store: stale decodes and traces are gone
-            // (possibly blocks of this very chain — parked on the
-            // graveyard, so the cursor stays valid); leave the fast
-            // path so the rewritten code is re-translated before it
-            // executes.
-            pc_ = pc + 4;
-            goto exit_flush;
-        }
-        ++t;
-        pc += 4;
-        CHAIN_DISPATCH();
-    }
+    DISE_STORE_OPS(CHAIN_STORE)
     lbl_CondBranch:
     {
         const bool taken = condTaken(t->op, readReg(t->ra));
@@ -1718,15 +1747,22 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         CHAIN_FLUSH();
         {
             DiseEngine &eng = controller_->engine();
-            ExpandResult r;
-            if (!eng.expandFast(t->memo, r)) {
+            bool expanded;
+            if (eng.expandFast(t->memo)) {
+                expanded = t->memo.kind == ExpandMemo::Expanded;
+                if (expanded)
+                    adoptMemo(t->memo);
+            } else {
                 // Full inspection; refresh the slot's memo from its
                 // outcome so the next dynamic instance takes the
                 // memoized path.
-                r = eng.expand(t->inst, pc);
+                const ExpandResult r = eng.expand(t->inst, pc);
                 eng.fillMemo(t->memo, t->inst, r);
+                expanded = r.expanded;
+                if (expanded)
+                    adoptExpansion(r);
             }
-            if (!r.expanded) {
+            if (!expanded) {
                 // Pass-through (or trap: checked below via trapped_).
                 if constexpr (kEmit) {
                     if (execAppInst<true>(t->inst, emit_))
@@ -1735,7 +1771,6 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
                     execAppInst<false>(t->inst, nullptr);
                 }
             } else {
-                adoptExpansion(r);
                 if (const SeqTrans *sq = seqTransFor(*t)) {
                     runSeqFast<kEmit>(*sq, maxInsts);
                 } else {
@@ -1851,6 +1886,7 @@ exit_flush:
 #undef CHAIN_OPERATE
 #undef CHAIN_CMOV
 #undef CHAIN_LOAD
+#undef CHAIN_STORE
 }
 
 #undef TABLE_LABEL

@@ -339,6 +339,8 @@ class ExecCore
     bool beginExpansion(const DecodedInst &fetched);
     /** Adopt a just-produced expansion as the in-flight sequence. */
     void adoptExpansion(const ExpandResult &r);
+    /** Adopt the Expanded outcome an expandFast() hit on @p m replays. */
+    void adoptMemo(const ExpandMemo &m);
     /** Drop the in-flight sequence: it ended, trapped, or was discarded. */
     void clearSeq();
     /**
@@ -398,8 +400,8 @@ class ExecCore
         return cancelRequested();
     }
     /**
-     * Pre-translated form of the just-begun expansion (pendingExpand_),
-     * cached on the Engine slot @p t. Null when the expansion is not
+     * Pre-translated form of the just-begun expansion (the in-flight
+     * sequence), cached on the Engine slot @p t. Null when the expansion is not
      * memoized or a slot falls outside the fast-path repertoire — the
      * caller then drains the sequence through execSeqSlot instead.
      */
@@ -477,10 +479,9 @@ class ExecCore
         return true;
     }
     void doSyscall(DynInst &dyn);
-    uint64_t readReg(RegIndex r) const
-    {
-        return r == kZeroReg ? 0 : regs_[r];
-    }
+    /** A plain load: every write path (writeReg, setReg) skips the
+     *  zero register, so regs_[kZeroReg] stays 0. */
+    uint64_t readReg(RegIndex r) const { return regs_[r]; }
     void
     writeReg(RegIndex r, uint64_t value)
     {
@@ -547,7 +548,13 @@ class ExecCore
     bool seqHasPendingOutcome_ = false; ///< trigger branch seen, deferred
     bool seqPendingTaken_ = false;
     Addr seqPendingTarget_ = 0;
-    ExpandResult pendingExpand_;
+    /** The span is the engine's memoized one (ExpandResult::memoized),
+     *  so the Engine slot may cache its translation. */
+    bool seqMemoized_ = false;
+    /** The expansion's miss outcome, carried by slot 0's record. */
+    bool seqPtMiss_ = false;
+    bool seqRtMiss_ = false;
+    uint32_t seqMissPenalty_ = 0;
     /** Re-point a suspended sequence at core-owned copies (see the
      *  group comment). Idempotent; no-op at an app boundary. */
     void pinSuspendedSeq();
@@ -605,6 +612,8 @@ class ExecCore
      * graveyard only defers destruction, never revival.
      */
     std::vector<std::shared_ptr<const TransBlock>> retired_;
+    /** translateBlock's slot buffer, reused across translations. */
+    std::vector<TransOp> blockScratch_;
     /**
      * Cache-pressure bound on traces_ (see setTraceBlockCap). At the
      * default, fig-scale workloads never evict; the cap exists so a

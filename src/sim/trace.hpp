@@ -32,11 +32,15 @@
  * slow path), so PT/RT residency state, miss events, and every engine
  * counter evolve bit-identically to a step()-driven run. A per-slot
  * ExpandMemo short-circuits the engine's pattern match and expansion-
- * cache hash lookup for repeated clean hits (see
- * DiseEngine::expandFast). Instructions the fast path cannot model
- * (syscalls, codewords, invalid encodings, DISE branches in the
- * application stream) terminate translation and execute through the
- * ordinary step() fallback.
+ * cache hash lookup for repeated clean hits, and the engine's RT way
+ * cache skips the associative RT probe while no RT entry has been
+ * filled, evicted, invalidated or corrupted since the sequence's slots
+ * last hit (see DiseEngine::expandFast). A replayed memo costs the PT
+ * and RT LRU stamp refreshes and nothing else; the slot adopts the
+ * sequence straight from the memo's fields. Instructions the fast path
+ * cannot model (syscalls, codewords, invalid encodings, DISE branches
+ * in the application stream) terminate translation and execute through
+ * the ordinary step() fallback.
  *
  * Invalidation (see DESIGN.md sections 9 and 13):
  *  - blocks are keyed by entry PC and stamped with the DISE engine's
@@ -74,8 +78,8 @@ struct TransBlock;
  * subset that can appear in its slot stream.
  */
 enum class OpHandler : uint8_t {
-    /** @name Straight-line compute and loads (both interpreters), one
-     *  per semantics-table row. */
+    /** @name Straight-line compute, loads and stores (both
+     *  interpreters), one per semantics-table row. */
     /// @{
     Nop,
 #define DISE_X(name, ...) name,
@@ -83,10 +87,9 @@ enum class OpHandler : uint8_t {
     DISE_OPERATE_OPS(DISE_X)
     DISE_CMOV_OPS(DISE_X)
     DISE_LOAD_OPS(DISE_X)
+    DISE_STORE_OPS(DISE_X)
 #undef DISE_X
     /// @}
-    /** Every store width (size pre-resolved; both interpreters). */
-    Store,
     /** @name Control (block: terminators; sequence: trigger-relative). */
     /// @{
     CondBranch, DirBranch, Jump,
@@ -202,7 +205,6 @@ struct SeqOp
     /** Slot retires as the application's own instruction (T.INSN /
      *  T.OP re-emission), not DISE-inserted work. */
     bool trigger = false;
-    uint8_t size = 0;        ///< memory access size (Store)
     bool diseValid = false;  ///< DISE-branch target is within range
     int64_t imm = 0;         ///< pre-sign-extended immediate / literal
     uint32_t diseTarget = 0; ///< resolved DISE-branch target slot
@@ -244,7 +246,6 @@ struct TransOp
     RegIndex rb = 0;
     RegIndex rc = 0;
     bool useLit = false;
-    uint8_t size = 0; ///< memory access size (Store)
     int64_t imm = 0;  ///< pre-sign-extended immediate / literal
     Addr target = 0;  ///< pre-computed direct-branch target
     /** Full decode, for Engine slots and diagnostics. */
@@ -258,7 +259,8 @@ struct TransOp
     /** Terminators and Engine slots: the patched successor edge. */
     mutable ChainEdge chain;
     /** Engine slots: the engine-side expansion memo (skips the pattern
-     *  match and cache hash on repeated clean hits). */
+     *  match, the cache hash and, through the RT way cache, the RT
+     *  probe on repeated clean hits). */
     mutable ExpandMemo memo;
     /** Engine slots: cached translation of this slot's memoized
      *  replacement sequence (see SeqTrans). */

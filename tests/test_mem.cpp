@@ -282,6 +282,42 @@ TEST(Memory, TranslationCacheAliasingPages)
     EXPECT_EQ(mem.read(a + 16, 1), 0x33u);
 }
 
+TEST(Memory, InvalidWidthPanics)
+{
+    // The width check sits on the out-of-line slow path. The inline
+    // path must route every bad width there, including an in-page
+    // access to a page the translation cache holds write-valid.
+    Memory mem;
+    const Addr page = Addr(9) << Memory::kPageShift;
+    mem.write(page, 0x1122334455667788ULL, 8);
+    const Addr inPage = page + 64;
+    const Addr crossing = page + Memory::kPageSize - 2;
+    for (const unsigned size : {0u, 3u, 5u, 16u}) {
+        for (const Addr addr : {inPage, crossing}) {
+            EXPECT_THROW(mem.read(addr, size), PanicError)
+                << "read size " << size << " at 0x" << std::hex << addr;
+            EXPECT_THROW(mem.write(addr, 0, size), PanicError)
+                << "write size " << size << " at 0x" << std::hex << addr;
+        }
+    }
+    EXPECT_EQ(mem.read(page, 8), 0x1122334455667788ULL);
+}
+
+TEST(Memory, AccessWrappingTheAddressSpace)
+{
+    // The last bytes of the address space and page 0 share no
+    // translation-cache entry, so a wrapping access must take the
+    // per-byte path even with both pages cached.
+    Memory mem;
+    const Addr top = ~Addr(0) - 3;
+    mem.write(0, 0, 8);
+    mem.write(top - 8, 0, 8);
+    mem.write(top, 0x8877665544332211ULL, 8);
+    EXPECT_EQ(mem.read(top, 8), 0x8877665544332211ULL);
+    EXPECT_EQ(mem.readByte(~Addr(0)), 0x44);
+    EXPECT_EQ(mem.read(0, 4), 0x88776655u);
+}
+
 /** Plain associative-LRU write-back model, no MRU shortcut. */
 struct RefLruCache
 {

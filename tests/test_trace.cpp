@@ -5,9 +5,10 @@
  * across block boundaries, engine-generation invalidation on table
  * installs and injected table corruption, full fast-vs-slow-path
  * bit-identity (architectural result, engine counters, register file,
- * memory image) on a generated MFI workload, per-op edge-value identity
- * across the step(), block and replacement-sequence tiers, and fusion
- * decisions invalidated by a store just past a block.
+ * memory image) on a generated MFI workload, the same identity under
+ * tiny RTs and a tiny PT (the expansion memo's stale cases), per-op
+ * edge-value identity across the step(), block and replacement-sequence
+ * tiers, and fusion decisions invalidated by a store just past a block.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,8 @@
 #include "src/common/scheduler.hpp"
 #include "src/dise/controller.hpp"
 #include "src/dise/parser.hpp"
+#include "src/service/request.hpp"
+#include "src/service/runner.hpp"
 #include "src/sim/core.hpp"
 #include "src/workloads/workloads.hpp"
 #include "tests/trace_streams.hpp"
@@ -504,6 +507,99 @@ TEST(Trace, FastSlowIdentityAcrossWorkerCounts)
         for (const RunSnapshot &snap : snaps)
             expectIdentical(snap, referenceFast);
     }
+}
+
+/** Run a prepared job under engine configuration @p dise. */
+RunSnapshot
+runJob(const PreparedJob &job, const DiseConfig &dise, bool traceCache)
+{
+    DiseController controller(dise);
+    controller.install(job.productions);
+    ExecCore core(*job.prog, &controller);
+    core.setTraceCacheEnabled(traceCache);
+    if (job.initCore)
+        job.initCore(core);
+    RunSnapshot snap;
+    snap.result = core.run(job.maxInsts);
+    snap.engineStats = controller.engine().stats().counters();
+    for (RegIndex r = 0; r < kNumLogicalRegs; ++r)
+        snap.regs.push_back(core.reg(r));
+    snap.memChecksum =
+        core.memory().checksum(job.prog->dataBase, uint64_t(1) << 20);
+    return snap;
+}
+
+/** Engine counter @p name of @p snap (0 when never incremented). */
+uint64_t
+counter(const RunSnapshot &snap, const std::string &name)
+{
+    const auto it = snap.engineStats.find(name);
+    return it == snap.engineStats.end() ? 0 : it->second;
+}
+
+TEST(Trace, RtWayCacheStaysExactUnderEviction)
+{
+    // expandFast skips the RT probe while a sequence's way-cache record
+    // carries the live RT content epoch. The default 2048-entry RT
+    // never evicts on these workloads, so only tiny RTs reach the
+    // stale-record cases (a fill evicting a recorded slot, one
+    // sequence's slots evicting each other). The chained run must
+    // match the step() reference in the result, every register and
+    // every engine counter.
+    struct AcfCase
+    {
+        const char *name;
+        void (*apply)(RunRequest &);
+    };
+    const AcfCase acfs[] = {
+        {"mfi", [](RunRequest &r) { r.mfi = true; }},
+        {"compress", [](RunRequest &r) { r.compress = true; }},
+        {"mfi:dise4+watchpoint",
+         [](RunRequest &r) {
+             r.mfi = true;
+             r.mfiVariant = MfiVariant::Dise4;
+             r.watchpoint = true;
+         }},
+    };
+    const std::pair<uint32_t, uint32_t> rts[] = {{8, 1}, {16, 2}, {64, 4}};
+    uint64_t rtMisses = 0;
+    for (const char *workload : {"bzip2", "gcc", "mcf"}) {
+        for (const AcfCase &acf : acfs) {
+            RunRequest req;
+            req.workload = workload;
+            req.scale = 0.05;
+            acf.apply(req);
+            const PreparedJob job = prepareJob(req);
+            for (const auto &[entries, assoc] : rts) {
+                SCOPED_TRACE(std::string(workload) + " " + acf.name +
+                             " rt " + std::to_string(entries) + "/" +
+                             std::to_string(assoc));
+                DiseConfig dise = job.dise;
+                dise.rtEntries = entries;
+                dise.rtAssoc = assoc;
+                const RunSnapshot fast = runJob(job, dise, true);
+                const RunSnapshot slow = runJob(job, dise, false);
+                EXPECT_GT(fast.result.expansions, 0u);
+                expectIdentical(fast, slow);
+                rtMisses += counter(fast, "rt_misses");
+            }
+        }
+    }
+    EXPECT_GT(rtMisses, 10000u); // the RTs really do thrash
+
+    // A 2-entry PT: PT misses evict patterns between dynamic triggers,
+    // so the memo's PT-residency check fails as well.
+    RunRequest req;
+    req.workload = "gcc";
+    req.scale = 0.05;
+    acfs[2].apply(req);
+    const PreparedJob job = prepareJob(req);
+    DiseConfig dise = job.dise;
+    dise.ptEntries = 2;
+    const RunSnapshot fast = runJob(job, dise, true);
+    const RunSnapshot slow = runJob(job, dise, false);
+    EXPECT_GT(counter(fast, "pt_misses"), 1000u);
+    expectIdentical(fast, slow);
 }
 
 

@@ -9,8 +9,9 @@ DiseController::DiseController(const DiseConfig &config) : engine_(config)
 void
 DiseController::install(std::shared_ptr<const ProductionSet> set)
 {
+    // The engine may refuse the set; only an accepted one becomes active.
+    engine_.setProductions(set);
     active_ = std::move(set);
-    engine_.setProductions(active_);
 }
 
 void

@@ -52,6 +52,8 @@ class DiseController
     /**
      * Translate and activate a production set. The previous set is
      * deactivated and the PT/RT start cold (entries fault in on use).
+     * A set the engine refuses (see DiseEngine::setProductions) throws
+     * and leaves the previous set active.
      */
     void install(std::shared_ptr<const ProductionSet> set);
 

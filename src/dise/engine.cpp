@@ -23,6 +23,20 @@ DiseEngine::DiseEngine(const DiseConfig &config)
 void
 DiseEngine::setProductions(std::shared_ptr<const ProductionSet> set)
 {
+    // Checked before any state changes, so a refused set (a serve
+    // request's productions, say) fails alone and leaves the engine as
+    // it was.
+    if (set) {
+        for (const auto &[id, seq] : set->sequences()) {
+            if (seq.length() > kMaxSeqLen) {
+                fatal(strFormat("replacement sequence '%s' (id %u) has "
+                                "%u instructions; at most %u are "
+                                "supported",
+                                seq.name.c_str(), id, seq.length(),
+                                kMaxSeqLen));
+            }
+        }
+    }
     set_ = std::move(set);
     flushTables();
     patternsByOpcode_.assign(static_cast<size_t>(Opcode::NUM_OPCODES), {});

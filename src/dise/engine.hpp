@@ -90,8 +90,16 @@ struct DiseConfig
 };
 
 /**
+ * Longest replacement sequence, in instructions, that
+ * DiseEngine::setProductions accepts. The trace record's DISEPC fields
+ * are 16 bits wide (DynInst in src/sim/trace.hpp asserts they hold
+ * it), so a longer sequence would alias slot positions.
+ */
+constexpr uint32_t kMaxSeqLen = 65535;
+
+/**
  * Per-static-trigger expansion memo, owned by the caller (one per
- * translated Engine slot, see TransOp::memo). Records the outcome of a
+ * translated Engine slot, see SlotSide::memo). Records the outcome of a
  * clean expand() of one static instruction — either "covered opcode but
  * no pattern matched" or "expanded to this memoized span" — so repeated
  * dynamic instances can skip the pattern match and the expansion-cache
@@ -165,7 +173,11 @@ class DiseEngine
   public:
     explicit DiseEngine(const DiseConfig &config = {});
 
-    /** Install (activate) a production set; cold PT/RT. */
+    /**
+     * Install (activate) a production set; cold PT/RT.
+     * @throws FatalError, with no state changed, when a sequence is
+     *         longer than kMaxSeqLen instructions.
+     */
     void setProductions(std::shared_ptr<const ProductionSet> set);
 
     /** The active set (may be null). */

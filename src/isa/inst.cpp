@@ -5,12 +5,6 @@
 
 namespace dise {
 
-Addr
-DecodedInst::branchTarget(Addr pc) const
-{
-    return pc + 4 + static_cast<uint64_t>(imm) * 4;
-}
-
 bool
 DecodedInst::operator==(const DecodedInst &other) const
 {

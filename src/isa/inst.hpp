@@ -185,7 +185,11 @@ struct DecodedInst
     /// @}
 
     /** Direct-branch target for a trigger fetched at @p pc. */
-    Addr branchTarget(Addr pc) const;
+    Addr
+    branchTarget(Addr pc) const
+    {
+        return pc + 4 + static_cast<uint64_t>(imm) * 4;
+    }
 
     bool operator==(const DecodedInst &other) const;
 };

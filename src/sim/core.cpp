@@ -1,7 +1,6 @@
 #include "src/sim/core.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "src/common/logging.hpp"
@@ -15,6 +14,7 @@ namespace {
 
 /** Longest straight-line run one translated block may cover. */
 constexpr size_t kMaxBlockLen = 128;
+static_assert(kMaxBlockLen <= 0xffff, "TransOp::side is 16 bits");
 
 /**
  * Map an opcode to its flat interpreter handler; OpHandler::NUM when
@@ -324,9 +324,9 @@ ExecCore::doSyscall(DynInst &dyn)
 
 /*
  * Register effect of one straight-line semantics-table row on slot @p s
- * (a DecodedInst, SeqOp or TransOp): each binds the operand names the
- * row's expression is written over. Shared by execute() and both
- * translated interpreters.
+ * (a DecodedInst — a TransOp's inst — or a SeqOp): each binds the
+ * operand names the row's expression is written over. Shared by
+ * execute() and both translated interpreters.
  */
 #define SLOT_ADDR(s, expr)                                                  \
     do {                                                                    \
@@ -460,21 +460,6 @@ ExecCore::adoptExpansion(const ExpandResult &r)
     seqMissPenalty_ = r.missPenalty;
     ++result_.expansions;
     ++result_.appInsts;
-}
-
-void
-ExecCore::adoptMemo(const ExpandMemo &m)
-{
-    // What expand() returns for a clean hit on the memoized span: no
-    // PT/RT miss, no penalty.
-    ExpandResult r;
-    r.expanded = true;
-    r.seqId = m.seqId;
-    r.seq = m.seq;
-    r.insts = m.insts;
-    r.numInsts = m.numInsts;
-    r.memoized = true;
-    adoptExpansion(r);
 }
 
 void
@@ -965,10 +950,10 @@ ExecCore::translateBlock(Addr entry)
         controller_ ? controller_->engine().generation() : 0;
 
     // Slots collect in the reused scratch vector; the block gets one
-    // exactly sized copy at the end instead of a doubling regrowth
-    // that copies every 208-byte TransOp on each step.
+    // exactly sized copy at the end instead of a doubling regrowth.
     std::vector<TransOp> &ops = blockScratch_;
     ops.clear();
+    uint16_t numSide = 0;
     Addr pc = entry;
     while (ops.size() < kMaxBlockLen && prog_.inText(pc)) {
         // The same per-PC fusion decision step() takes, baked into one
@@ -977,12 +962,6 @@ ExecCore::translateBlock(Addr entry)
         const DecodedInst &d = fz ? *fz : fetchDecode(pc);
 
         TransOp op;
-        op.op = d.op;
-        op.ra = d.ra;
-        op.rb = d.rb;
-        op.rc = d.rc;
-        op.useLit = d.useLit;
-        op.imm = d.imm;
         op.inst = d;
         op.regs = d.timingRegs();
 
@@ -1005,10 +984,11 @@ ExecCore::translateBlock(Addr entry)
                 // side effects.
                 break;
             }
-            if (op.handler == OpHandler::CondBranch ||
-                op.handler == OpHandler::DirBranch)
-                op.target = d.branchTarget(pc);
         }
+        // Engine slots and control terminators keep run-time state
+        // (memo, sequence translation, chain edge) out of line.
+        if (op.handler == OpHandler::Engine || d.isControl())
+            op.side = numSide++;
         ops.push_back(op);
         pc += fz ? 8 : 4;
         if (d.isControl())
@@ -1024,8 +1004,8 @@ ExecCore::translateBlock(Addr entry)
         TransOp end;
         end.handler = OpHandler::End;
         ops.push_back(end);
-        block->ops.assign(std::make_move_iterator(ops.begin()),
-                          std::make_move_iterator(ops.end()));
+        block->ops.assign(ops.begin(), ops.end());
+        block->side.resize(numSide);
     }
     return block;
 }
@@ -1081,28 +1061,22 @@ ExecCore::chainTarget(Addr pc)
     return b->numInsts == 0 ? nullptr : b;
 }
 
-namespace {
-
-/**
- * Lower a memoized replacement sequence (@p seq instantiated as the
- * @p numInsts instructions at @p insts) into SeqOps. Leaves
- * @c st.usable false (fast path declines, generic path runs) when any
- * slot is outside the repertoire: syscalls, codewords, invalid
- * encodings.
- */
 void
-translateSeq(const ReplacementSeq *seq, const DecodedInst *insts,
-             uint32_t numInsts, SeqTrans &st, uint64_t gen,
-             OpClass triggerCls)
+ExecCore::translateSeq(SeqTrans &st, OpClass triggerCls)
 {
+    const ReplacementSeq *seq = seqSpec_;
+    const DecodedInst *insts = seqInsts_;
+    const uint32_t numInsts = seqLen_;
     st.insts = insts;
     st.numInsts = numInsts;
-    st.gen = gen;
+    st.gen = controller_->engine().generation();
     st.usable = false;
     st.ops.clear();
     st.tmpl.clear();
-    if (seq == nullptr || seq->insts.size() != numInsts)
-        return;
+    // A memoized span is one instantiation of its sequence, one
+    // instruction per replacement slot (instantiateSeqInto).
+    DISE_ASSERT(seq != nullptr && seq->insts.size() == numInsts,
+                "memoized expansion span does not match its sequence");
     st.ops.reserve(numInsts + 1);
     for (uint32_t s = 0; s < numInsts; ++s) {
         const DecodedInst &d = insts[s];
@@ -1138,47 +1112,46 @@ translateSeq(const ReplacementSeq *seq, const DecodedInst *insts,
     SeqOp end;
     end.handler = OpHandler::End;
     st.ops.push_back(end);
-    // Trace-record templates: everything static for the sequence is
-    // stamped once here; the emitting interpreter copies a template and
-    // fills in only the per-execution fields (see SEQ_EMIT_BASE).
-    st.tmpl.resize(numInsts);
-    for (uint32_t s = 0; s < numInsts; ++s) {
-        DynInst &d = st.tmpl[s];
-        d.disepc = s + 1;
-        d.inst = insts[s];
-        d.regs = insts[s].timingRegs();
-        d.expanded = true;
-        d.triggerSlot = st.ops[s].trigger;
-        d.firstOfSeq = s == 0;
-        d.seqLen = numInsts;
-    }
     // Sequence-level prediction class (see DynInst::seqPredClass): a
     // translation-time constant of (trigger, sequence), so the emitting
     // interpreter never recomputes it. execSeqSlotBody derives the
     // identical value per visit on the generic path.
-    OpClass predCls = OpClass::Nop;
+    st.predCls = OpClass::Nop;
     if (isControlClass(triggerCls))
-        predCls = triggerCls;
+        st.predCls = triggerCls;
     else if (numInsts > 0 && isControlClass(insts[numInsts - 1].cls))
-        predCls = insts[numInsts - 1].cls;
-    if (numInsts > 0)
-        st.tmpl[0].seqPredClass = predCls;
+        st.predCls = insts[numInsts - 1].cls;
     st.usable = true;
 }
 
-} // namespace
+namespace {
 
-const SeqTrans *
-ExecCore::seqTransFor(const TransOp &t)
+/**
+ * Stamp @p st's trace-record templates: everything static for the
+ * sequence, so the emitting interpreter copies a template and fills in
+ * only the per-execution fields (see SEQ_EMIT_BASE). Runs on the first
+ * emitting execution of a translation; st.insts is the live span then
+ * (seqTransFor has just matched it).
+ */
+void
+buildSeqTemplates(SeqTrans &st)
 {
-    if (!seqMemoized_)
-        return nullptr; // span contents may differ call to call
-    SeqTrans &st = t.seqCache;
-    const uint64_t gen = controller_->engine().generation();
-    if (st.insts != seqInsts_ || st.numInsts != seqLen_ || st.gen != gen)
-        translateSeq(seqSpec_, seqInsts_, seqLen_, st, gen, t.inst.cls);
-    return st.usable ? &st : nullptr;
+    st.tmpl.resize(st.numInsts);
+    for (uint32_t s = 0; s < st.numInsts; ++s) {
+        DynInst &d = st.tmpl[s];
+        d.disepc = s + 1;
+        d.inst = st.insts[s];
+        d.regs = st.insts[s].timingRegs();
+        d.expanded = true;
+        d.triggerSlot = st.ops[s].trigger;
+        d.firstOfSeq = s == 0;
+        d.seqLen = st.numInsts;
+    }
+    if (st.numInsts > 0)
+        st.tmpl[0].seqPredClass = st.predCls;
 }
+
+} // namespace
 
 /*
  * Dispatch scaffolding for the two translated interpreters (runSeqFast
@@ -1206,7 +1179,7 @@ ExecCore::seqTransFor(const TransOp &t)
 
 template <bool kEmit>
 void
-ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
+ExecCore::runSeqFast(SeqTrans &st, uint64_t maxInsts)
 {
     const Addr tpc = seqTriggerPC_;
     const SeqOp *const ops = st.ops.data();
@@ -1225,9 +1198,14 @@ ExecCore::runSeqFast(const SeqTrans &st, uint64_t maxInsts)
     // so seqBase marks where this sequence's records start.
     [[maybe_unused]] DynInst *eout = emit_;
     [[maybe_unused]] DynInst *const seqBase = eout;
-    // Pre-built per-slot records (see translateSeq): SEQ_EMIT_BASE
-    // copies one — slot 0's template already carries the sequence-level
-    // prediction class — and stamps only the per-execution fields.
+    // Pre-built per-slot records (see buildSeqTemplates), made on the
+    // first emitting run: SEQ_EMIT_BASE copies one — slot 0's template
+    // already carries the sequence-level prediction class — and stamps
+    // only the per-execution fields.
+    if constexpr (kEmit) {
+        if (st.tmpl.size() != len)
+            buildSeqTemplates(st);
+    }
     [[maybe_unused]] const DynInst *const tmpl = st.tmpl.data();
 
 #define SEQ_FLUSH()                                                         \
@@ -1577,17 +1555,19 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         pc += 4;                                                            \
         CHAIN_DISPATCH();                                                   \
     }
-#define CHAIN_ADDR(name, OP, expr) CHAIN_PLAIN(name, SLOT_ADDR(*t, expr))
+#define CHAIN_ADDR(name, OP, expr)                                          \
+    CHAIN_PLAIN(name, SLOT_ADDR(t->inst, expr))
 #define CHAIN_OPERATE(name, OP, expr)                                       \
-    CHAIN_PLAIN(name, SLOT_OPERATE(*t, expr))
-#define CHAIN_CMOV(name, OP, cond) CHAIN_PLAIN(name, SLOT_CMOV(*t, cond))
+    CHAIN_PLAIN(name, SLOT_OPERATE(t->inst, expr))
+#define CHAIN_CMOV(name, OP, cond)                                          \
+    CHAIN_PLAIN(name, SLOT_CMOV(t->inst, cond))
 #define CHAIN_LOAD(name, OP, width, signExtended)                           \
     lbl_##name:                                                             \
     {                                                                       \
-        const Addr addr = effAddr(*t);                                      \
+        const Addr addr = effAddr(t->inst);                                 \
         ++loads;                                                            \
-        writeReg(t->ra, loadExtend(memory_.read(addr, width), width,        \
-                                   signExtended));                          \
+        writeReg(t->inst.ra, loadExtend(memory_.read(addr, width), width,   \
+                                        signExtended));                     \
         CHAIN_RETIRE();                                                     \
         if constexpr (kEmit) {                                              \
             CHAIN_EMIT_BASE();                                              \
@@ -1606,9 +1586,9 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
 #define CHAIN_STORE(name, OP, width)                                        \
     lbl_##name:                                                             \
     {                                                                       \
-        const Addr addr = effAddr(*t);                                      \
+        const Addr addr = effAddr(t->inst);                                 \
         ++stores;                                                           \
-        memory_.write(addr, readReg(t->ra), width);                         \
+        memory_.write(addr, readReg(t->inst.ra), width);                    \
         CHAIN_RETIRE();                                                     \
         if constexpr (kEmit) {                                              \
             CHAIN_EMIT_BASE();                                              \
@@ -1645,7 +1625,8 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
     DISE_STORE_OPS(CHAIN_STORE)
     lbl_CondBranch:
     {
-        const bool taken = condTaken(t->op, readReg(t->ra));
+        const bool taken = condTaken(t->inst.op, readReg(t->inst.ra));
+        const Addr target = t->inst.branchTarget(pc);
         CHAIN_RETIRE();
         if constexpr (kEmit) {
             // actualTarget is stamped even when not taken (execute()
@@ -1653,7 +1634,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
             CHAIN_EMIT_BASE();
             eout->isAppControl = true;
             eout->taken = taken;
-            eout->actualTarget = t->target;
+            eout->actualTarget = target;
             ++eout;
         }
         if (!taken) {
@@ -1661,35 +1642,16 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
             pc += 4;
             CHAIN_DISPATCH();
         }
-        if (errorAddr_ != 0 && t->target == errorAddr_)
+        if (errorAddr_ != 0 && target == errorAddr_)
             ++result_.acfDetections;
-        nextPC = t->target;
-        edge = &t->chain;
+        nextPC = target;
+        edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_DirBranch:
     {
-        writeReg(t->ra, pc + 4);
-        CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            CHAIN_EMIT_BASE();
-            eout->isAppControl = true;
-            eout->taken = true;
-            eout->actualTarget = t->target;
-            ++eout;
-        }
-        if (errorAddr_ != 0 && t->target == errorAddr_)
-            ++result_.acfDetections;
-        nextPC = t->target;
-        edge = &t->chain;
-        goto chain;
-    }
-    lbl_Jump:
-    {
-        // Target read before the link write (execute() order; the two
-        // may name the same register).
-        const Addr target = readReg(t->rb) & ~Addr(3);
-        writeReg(t->ra, pc + 4);
+        const Addr target = t->inst.branchTarget(pc);
+        writeReg(t->inst.ra, pc + 4);
         CHAIN_RETIRE();
         if constexpr (kEmit) {
             CHAIN_EMIT_BASE();
@@ -1701,7 +1663,27 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         if (errorAddr_ != 0 && target == errorAddr_)
             ++result_.acfDetections;
         nextPC = target;
-        edge = &t->chain;
+        edge = &blk->side[t->side].chain;
+        goto chain;
+    }
+    lbl_Jump:
+    {
+        // Target read before the link write (execute() order; the two
+        // may name the same register).
+        const Addr target = readReg(t->inst.rb) & ~Addr(3);
+        writeReg(t->inst.ra, pc + 4);
+        CHAIN_RETIRE();
+        if constexpr (kEmit) {
+            CHAIN_EMIT_BASE();
+            eout->isAppControl = true;
+            eout->taken = true;
+            eout->actualTarget = target;
+            ++eout;
+        }
+        if (errorAddr_ != 0 && target == errorAddr_)
+            ++result_.acfDetections;
+        nextPC = target;
+        edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_Fused:
@@ -1717,7 +1699,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         loads += fdyn.isMem && !fdyn.isStore;
         stores += fdyn.isStore;
         ++statFusedPairs_;
-        ++statFusedFamily_[fusedFamilyIndex(t->op)];
+        ++statFusedFamily_[fusedFamilyIndex(t->inst.op)];
         if constexpr (kEmit) {
             fdyn.pc = pc;
             fdyn.inst = t->inst;
@@ -1738,7 +1720,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
             CHAIN_DISPATCH();
         }
         nextPC = fdyn.actualTarget;
-        edge = &t->chain;
+        edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_Engine:
@@ -1747,17 +1729,18 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         CHAIN_FLUSH();
         {
             DiseEngine &eng = controller_->engine();
+            SlotSide &side = blk->side[t->side];
             bool expanded;
-            if (eng.expandFast(t->memo)) {
-                expanded = t->memo.kind == ExpandMemo::Expanded;
+            if (eng.expandFast(side.memo)) {
+                expanded = side.memo.kind == ExpandMemo::Expanded;
                 if (expanded)
-                    adoptMemo(t->memo);
+                    adoptMemo(side.memo);
             } else {
                 // Full inspection; refresh the slot's memo from its
                 // outcome so the next dynamic instance takes the
                 // memoized path.
                 const ExpandResult r = eng.expand(t->inst, pc);
-                eng.fillMemo(t->memo, t->inst, r);
+                eng.fillMemo(side.memo, t->inst, r);
                 expanded = r.expanded;
                 if (expanded)
                     adoptExpansion(r);
@@ -1771,7 +1754,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
                     execAppInst<false>(t->inst, nullptr);
                 }
             } else {
-                if (const SeqTrans *sq = seqTransFor(*t)) {
+                if (SeqTrans *sq = seqTransFor(side.seq, t->inst.cls)) {
                     runSeqFast<kEmit>(*sq, maxInsts);
                 } else {
                     while (seqSpec_ && result_.dynInsts < maxInsts &&
@@ -1808,7 +1791,7 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         // Expansion redirect: chain straight into the successor block,
         // so a hot memoized expansion costs zero dispatcher trips.
         nextPC = pc_;
-        edge = &t->chain;
+        edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_End:
@@ -1837,29 +1820,27 @@ chain:
     {
         const uint64_t gen =
             haveEngine ? controller_->engine().generation() : 0;
-        const TransBlock *nb;
-        if (edge->next != nullptr && edge->epoch == traceEpoch_ &&
-            edge->gen == gen && edge->target == nextPC) {
-            nb = edge->next;
-        } else {
+        if (edge->next == nullptr || edge->epoch != traceEpoch_ ||
+            edge->gen != gen || edge->target != nextPC) {
             // Patch (or re-patch) the edge. chainTarget may evict or
             // retranslate — either bumps traceEpoch_, so the stamps
             // are read only after it returns. (The engine generation
             // cannot move inside a run.)
-            nb = chainTarget(nextPC);
+            const TransBlock *nb = chainTarget(nextPC);
             if (nb == nullptr) {
                 pc_ = nextPC; // untranslatable successor: dispatcher
                 goto exit_flush;
             }
             edge->next = nb;
+            edge->first = nb->ops.data();
             edge->epoch = traceEpoch_;
             edge->gen = gen;
             edge->target = nextPC;
         }
-        blk = nb;
+        blk = edge->next;
+        t = edge->first;
     }
     ++chainFollows;
-    t = blk->ops.data();
     pc = nextPC;
     epoch0 = traceEpoch_;
     CHAIN_DISPATCH();

@@ -339,8 +339,28 @@ class ExecCore
     bool beginExpansion(const DecodedInst &fetched);
     /** Adopt a just-produced expansion as the in-flight sequence. */
     void adoptExpansion(const ExpandResult &r);
-    /** Adopt the Expanded outcome an expandFast() hit on @p m replays. */
-    void adoptMemo(const ExpandMemo &m);
+    /**
+     * Adopt the Expanded outcome an expandFast() hit on @p m replays —
+     * what expand() returns for a clean hit on the memoized span: no
+     * PT/RT miss, no penalty. Writes the in-flight sequence fields
+     * directly; no ExpandResult is built.
+     */
+    void
+    adoptMemo(const ExpandMemo &m)
+    {
+        seqInsts_ = m.insts;
+        seqLen_ = m.numInsts;
+        seqSpec_ = m.seq;
+        seqIdx_ = 0;
+        seqTriggerPC_ = pc_;
+        seqHasPendingOutcome_ = false;
+        seqMemoized_ = true;
+        seqPtMiss_ = false;
+        seqRtMiss_ = false;
+        seqMissPenalty_ = 0;
+        ++result_.expansions;
+        ++result_.appInsts;
+    }
     /** Drop the in-flight sequence: it ended, trapped, or was discarded. */
     void clearSeq();
     /**
@@ -401,11 +421,29 @@ class ExecCore
     }
     /**
      * Pre-translated form of the just-begun expansion (the in-flight
-     * sequence), cached on the Engine slot @p t. Null when the expansion is not
-     * memoized or a slot falls outside the fast-path repertoire — the
-     * caller then drains the sequence through execSeqSlot instead.
+     * sequence), cached in an Engine slot's side entry @p st; @p
+     * triggerCls is the slot's instruction class. Null when the
+     * expansion is not memoized or a slot falls outside the fast-path
+     * repertoire — the caller then drains the sequence through
+     * execSeqSlot instead. Inline: on every expansion but the first
+     * per slot, this is a span and generation compare.
      */
-    const SeqTrans *seqTransFor(const TransOp &t);
+    SeqTrans *
+    seqTransFor(SeqTrans &st, OpClass triggerCls)
+    {
+        if (!seqMemoized_)
+            return nullptr; // span contents may differ call to call
+        if (st.insts != seqInsts_ || st.numInsts != seqLen_ ||
+            st.gen != controller_->engine().generation())
+            translateSeq(st, triggerCls);
+        return st.usable ? &st : nullptr;
+    }
+    /**
+     * Lower the in-flight sequence into @p st (seqTransFor's miss
+     * path). Leaves st.usable false when a slot is outside the
+     * repertoire: syscalls, codewords, invalid encodings.
+     */
+    void translateSeq(SeqTrans &st, OpClass triggerCls);
     /**
      * Drain the in-flight replacement sequence through its
      * pre-translated form. Equivalent to looping execSeqSlot<false>:
@@ -414,10 +452,12 @@ class ExecCore
      * and seqIdx_ consistent for a later generic resume) when the
      * instruction budget expires mid-sequence. kEmit mirrors
      * runChain: each retiring slot writes its trace record through
-     * emit_ (equivalent to looping execSeqSlot<true>).
+     * emit_ (equivalent to looping execSeqSlot<true>); its first such
+     * run on @p st builds the sequence's record templates
+     * (SeqTrans::tmpl).
      */
     template <bool kEmit>
-    void runSeqFast(const SeqTrans &st, uint64_t maxInsts);
+    void runSeqFast(SeqTrans &st, uint64_t maxInsts);
 
     /**
      * Execute @p inst, recording outcome fields into @p dyn (the fast
@@ -488,7 +528,7 @@ class ExecCore
         if (r != kZeroReg)
             regs_[r] = value;
     }
-    /** @name Operands of a DecodedInst, SeqOp or TransOp slot @p s. */
+    /** @name Operands of a DecodedInst or SeqOp slot @p s. */
     /// @{
     /** Memory-format effective address: rb + displacement. */
     template <typename Slot>

@@ -4,43 +4,49 @@
  * fast-path representation of straight-line guest code.
  *
  * A TransBlock pre-resolves one basic block of decoded instructions into
- * compact slots — a flat dispatch handler, operand register indices,
- * pre-sign-extended immediate, pre-computed direct-branch target —
- * executed by a direct-threaded interpreter in ExecCore (see core.cpp)
- * that bypasses the per-instruction fetch/decode/DISE-inspection
- * machinery of step(). Every slot ends in one computed-goto jump to its
- * handler, and every slot array ends in an OpHandler::End sentinel so
- * the inner loop needs no bounds check. The straight-line handlers are
- * generated from the op tables of src/isa/semantics.hpp, the same rows
- * step()'s execute() expands, so the tiers share one definition of each
- * instruction.
+ * 32-byte slots — the decoded instruction, its timing descriptor, a flat
+ * dispatch handler and a side-entry index — executed by a
+ * direct-threaded interpreter in ExecCore (see core.cpp) that bypasses
+ * the per-instruction fetch/decode/DISE-inspection machinery of step().
+ * Every slot ends in one computed-goto jump to its handler, and every
+ * slot array ends in an OpHandler::End sentinel so the inner loop needs
+ * no bounds check. The straight-line handlers are generated from the op
+ * tables of src/isa/semantics.hpp, the same rows step()'s execute()
+ * expands, so the tiers share one definition of each instruction.
+ *
+ * Slots hold nothing that changes at run time. The mutable state of the
+ * few slots that need it lives out of line, in the block's side array
+ * (TransBlock::side, indexed by TransOp::side): only Engine slots and
+ * control terminators own an entry, so straight-line slots stay two to
+ * a cache line.
  *
  * Steady-state execution additionally follows **superblock chain
- * edges**: each terminator slot (and the block-level fall-through)
- * carries a patchable ChainEdge naming its successor block, stamped
- * with the trace epoch and engine generation at patch time. A valid
- * edge jumps block-to-block without consulting the dispatch cache or
- * the block map at all; a stale stamp falls back to a lookup and
- * re-patch. See DESIGN.md section 13 for the edge-invalidation rules
- * and the pointer-stability contract (every block erasure either bumps
- * the trace epoch or strictly advances the generation, and erased
- * blocks are parked on a graveyard until the interpreter is outside
- * any chain).
+ * edges**: each terminator's side entry (and the block-level
+ * fall-through) carries a patchable ChainEdge naming its successor
+ * block and that block's first slot, stamped with the trace epoch and
+ * engine generation at patch time. A valid edge jumps block-to-block
+ * without consulting the dispatch cache or the block map at all; a
+ * stale stamp falls back to a lookup and re-patch. See DESIGN.md
+ * section 13 for the edge-invalidation rules and the pointer-stability
+ * contract (every block erasure either bumps the trace epoch or
+ * strictly advances the generation, and erased blocks are parked on a
+ * graveyard until the interpreter is outside any chain).
  *
  * Slots whose opcode the active DISE production set covers are kept as
  * Engine slots: they consult the engine at run time (exactly like the
  * slow path), so PT/RT residency state, miss events, and every engine
- * counter evolve bit-identically to a step()-driven run. A per-slot
- * ExpandMemo short-circuits the engine's pattern match and expansion-
- * cache hash lookup for repeated clean hits, and the engine's RT way
- * cache skips the associative RT probe while no RT entry has been
- * filled, evicted, invalidated or corrupted since the sequence's slots
- * last hit (see DiseEngine::expandFast). A replayed memo costs the PT
- * and RT LRU stamp refreshes and nothing else; the slot adopts the
- * sequence straight from the memo's fields. Instructions the fast path
- * cannot model (syscalls, codewords, invalid encodings, DISE branches
- * in the application stream) terminate translation and execute through
- * the ordinary step() fallback.
+ * counter evolve bit-identically to a step()-driven run. The slot's
+ * side entry holds an ExpandMemo that short-circuits the engine's
+ * pattern match and expansion-cache hash lookup for repeated clean
+ * hits, and the engine's RT way cache skips the associative RT probe
+ * while no RT entry has been filled, evicted, invalidated or corrupted
+ * since the sequence's slots last hit (see DiseEngine::expandFast). A
+ * replayed memo costs the PT and RT LRU stamp refreshes and nothing
+ * else; the slot adopts the sequence straight from the memo's fields
+ * and runs its pre-translated form (SeqTrans, also in the side entry).
+ * Instructions the fast path cannot model (syscalls, codewords, invalid
+ * encodings, DISE branches in the application stream) terminate
+ * translation and execute through the ordinary step() fallback.
  *
  * Invalidation (see DESIGN.md sections 9 and 13):
  *  - blocks are keyed by entry PC and stamped with the DISE engine's
@@ -60,6 +66,8 @@
 #define DISE_SIM_TRACE_HPP
 
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "src/dise/engine.hpp"
@@ -69,6 +77,7 @@
 namespace dise {
 
 struct TransBlock;
+struct TransOp;
 
 /**
  * Flat dispatch handler of one translated slot: one indirect jump per
@@ -116,8 +125,8 @@ enum class OpHandler : uint8_t {
  * gen) pair still matches the core's live trace epoch and the engine's
  * table generation AND the recorded target PC equals the dynamic
  * successor PC (indirect jumps and expansion redirects patch a
- * monomorphic target; a mispredicted target re-patches). The pointer
- * is raw by design — it is only dereferenced after the stamps
+ * monomorphic target; a mispredicted target re-patches). The pointers
+ * are raw by design — they are only dereferenced after the stamps
  * validate, and the core guarantees no block is destroyed without
  * either a trace-epoch bump or a generation advance (see the
  * graveyard in ExecCore).
@@ -125,6 +134,9 @@ enum class OpHandler : uint8_t {
 struct ChainEdge
 {
     const TransBlock *next = nullptr;
+    /** next's first slot (next->ops.data()): following the edge loads
+     *  the successor's first handler without going through the block. */
+    const TransOp *first = nullptr;
     uint64_t epoch = ~uint64_t(0);
     uint64_t gen = 0;
     Addr target = 0;
@@ -137,8 +149,8 @@ struct ChainEdge
  * per retired instruction from the emitting interpreters to the timing
  * model, so record size is ring and cache traffic. The narrow fields
  * are safe by construction — disepc/seqLen/diseTarget index into a
- * replacement sequence, and dictionary sequences are bounded far below
- * 64Ki slots.
+ * replacement sequence, and DiseEngine::setProductions refuses any
+ * sequence longer than kMaxSeqLen slots (see the static_assert below).
  */
 struct alignas(64) DynInst
 {
@@ -181,9 +193,9 @@ struct alignas(64) DynInst
 
     /**
      * inst's timing descriptor (DecodedInst::timingRegs). Translation
-     * stamps it into TransOp and SeqTrans::tmpl, and the generic
-     * emitters compute it only when they emit, so the feed's timeBatch
-     * reads it instead of walking the op table per record.
+     * stamps it into TransOp, SeqTrans::tmpl copies it in, and the
+     * generic emitters compute it only when they emit, so the feed's
+     * timeBatch reads it instead of walking the op table per record.
      */
     TimingRegs regs;
 };
@@ -192,6 +204,10 @@ static_assert(sizeof(DynInst) == 64,
               "streams one record per retired instruction");
 static_assert(size_t(OpClass::Invalid) < 16,
               "DynInst::seqPredClass is a 4-bit field");
+static_assert(kMaxSeqLen <=
+                  std::numeric_limits<decltype(DynInst::seqLen)>::max(),
+              "DynInst::disepc/seqLen/diseTarget must hold every slot "
+              "position of the longest sequence setProductions accepts");
 
 /** One pre-translated slot of a memoized replacement sequence. */
 struct SeqOp
@@ -211,11 +227,11 @@ struct SeqOp
 };
 
 /**
- * Pre-translated form of one memoized replacement sequence, cached per
- * Engine slot. Valid while the engine still hands out the same span
- * (same insts pointer/length) at the same table generation; expansions
- * that are not memoized (scratch-backed or fault-garbled) never use it.
- * @c ops holds numInsts real slots plus the End sentinel.
+ * Pre-translated form of one memoized replacement sequence, cached in an
+ * Engine slot's side entry. Valid while the engine still hands out the
+ * same span (same insts pointer/length) at the same table generation;
+ * expansions that are not memoized (scratch-backed or fault-garbled)
+ * never use it. @c ops holds numInsts real slots plus the End sentinel.
  */
 struct SeqTrans
 {
@@ -225,47 +241,64 @@ struct SeqTrans
     /** False when a slot is outside the fast-path repertoire (e.g. a
      *  syscall): the generic per-slot path runs instead. */
     bool usable = false;
+    /** Sequence-level prediction class (DynInst::seqPredClass), a
+     *  translation-time constant of (trigger, sequence). */
+    OpClass predCls = OpClass::Nop;
     std::vector<SeqOp> ops;
     /**
      * Pre-built trace records, one per real slot: every field that is
      * static for the sequence (slot position, decoded instruction and
-     * its timing descriptor, expansion flags) is stamped at translation
-     * time, so the emitting interpreter copies a record and fills in
-     * only the trigger PC, the slot-0 expansion outcome, and
-     * per-execution extras. Same validity as @c ops.
+     * its timing descriptor, expansion flags, slot 0's prediction class)
+     * is stamped once, so the emitting interpreter copies a record and
+     * fills in only the trigger PC, the slot-0 expansion outcome, and
+     * per-execution extras. Built by the first emitting run
+     * (runSeqFast<true>), so functional runs never build them;
+     * translation clears them. Same validity as @c ops.
      */
     std::vector<DynInst> tmpl;
 };
 
-/** One pre-resolved slot of a translated basic block. */
+/**
+ * One pre-resolved slot of a translated basic block: exactly what the
+ * dispatch and the trace record read, two slots to a cache line.
+ * Direct-branch targets are recomputed from inst (branchTarget) rather
+ * than stored.
+ */
 struct TransOp
 {
-    OpHandler handler = OpHandler::End;
-    Opcode op = Opcode::NOP;
-    RegIndex ra = 0;
-    RegIndex rb = 0;
-    RegIndex rc = 0;
-    bool useLit = false;
-    int64_t imm = 0;  ///< pre-sign-extended immediate / literal
-    Addr target = 0;  ///< pre-computed direct-branch target
-    /** Full decode, for Engine slots and diagnostics. */
+    /** The decoded instruction: the handlers' operands, and the trace
+     *  record's inst field. */
     DecodedInst inst;
     /** inst.timingRegs(), copied into the slot's trace records. */
     TimingRegs regs;
-    /** @name Execution-time state of slots in a block the dispatcher
-     *  otherwise treats as immutable (patched on first execution,
-     *  validated by stamps on every use). */
-    /// @{
-    /** Terminators and Engine slots: the patched successor edge. */
-    mutable ChainEdge chain;
+    OpHandler handler = OpHandler::End;
+    /** Engine and terminator slots: the slot's TransBlock::side entry.
+     *  Straight-line slots own none (and leave it 0). */
+    uint16_t side = 0;
+};
+static_assert(sizeof(TransOp) == 32,
+              "TransOp must stay 32 bytes — runChain walks slots at this "
+              "stride; mutable per-slot state belongs in SlotSide");
+static_assert(std::is_trivially_copyable_v<TransOp>,
+              "TransOp must stay trivially copyable");
+
+/**
+ * Execution-time state of one Engine or terminator slot, in a block the
+ * dispatcher otherwise treats as immutable: patched on first execution,
+ * validated by stamps on every use.
+ */
+struct SlotSide
+{
+    /** The patched successor edge: a terminator's taken exit, or an
+     *  Engine slot's expansion redirect. */
+    ChainEdge chain;
     /** Engine slots: the engine-side expansion memo (skips the pattern
      *  match, the cache hash and, through the RT way cache, the RT
      *  probe on repeated clean hits). */
-    mutable ExpandMemo memo;
+    ExpandMemo memo;
     /** Engine slots: cached translation of this slot's memoized
      *  replacement sequence (see SeqTrans). */
-    mutable SeqTrans seqCache;
-    /// @}
+    SeqTrans seq;
 };
 
 /**
@@ -284,6 +317,9 @@ struct TransBlock
     /** DiseEngine::generation() at build time (0 without a controller). */
     uint64_t engineGen = 0;
     std::vector<TransOp> ops;
+    /** Side entries of the Engine and terminator slots, indexed by
+     *  TransOp::side. */
+    mutable std::vector<SlotSide> side;
     /** Patched successor for the fall-through exit (End sentinel). */
     mutable ChainEdge fallChain;
 

@@ -578,6 +578,40 @@ TEST(Engine, UnboundTagIsFatal)
                  FatalError);
 }
 
+TEST(Engine, OverlongSequenceRefusedBeforeAnyStateChange)
+{
+    // The trace record's DISEPC fields are 16 bits: a sequence one
+    // slot longer than kMaxSeqLen must be refused, naming itself, and
+    // leave the controller and engine exactly as they were.
+    DiseController controller;
+    controller.install(mfiLikeSet());
+    const DiseEngine &engine = controller.engine();
+    const ProductionSet *active = engine.productions();
+    const uint64_t gen = engine.generation();
+
+    auto set = std::make_shared<ProductionSet>();
+    const SeqId id = set->addSequence(ReplacementSeq{
+        "Overlong",
+        std::vector<ReplacementInst>(kMaxSeqLen + 1, rTriggerInsn())});
+    PatternSpec loads;
+    loads.opclass = OpClass::Load;
+    set->addPattern(loads, id);
+    try {
+        controller.install(set);
+        FAIL() << "a 65,536-slot sequence was installed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'Overlong'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(engine.productions(), active);
+    EXPECT_EQ(controller.active().get(), active);
+    EXPECT_EQ(engine.generation(), gen);
+    const ExpandResult r = controller.engine().expand(aLoad(), 0x4000000);
+    ASSERT_TRUE(r.expanded);
+    EXPECT_EQ(r.size(), 4u); // still the installed MFI-like sequence
+}
+
 TEST(Controller, InstallAndDeactivate)
 {
     DiseController controller;

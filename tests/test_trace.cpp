@@ -298,9 +298,11 @@ TEST(Trace, FlushTablesBumpsGenerationAndStaysIdentical)
 
 TEST(Trace, SequenceTrapsIdenticalAcrossPaths)
 {
-    // A production whose DISE branch jumps out of range when taken:
-    // the pre-translated sequence path must raise the same trap at the
-    // same retirement point as the generic path.
+    // Productions whose DISE branch jumps out of range when taken: the
+    // pre-translated sequence path must raise the same trap at the
+    // same retirement point as the generic path. The second is the
+    // longest sequence setProductions accepts, trapping at its last
+    // slot: the 16-bit DISEPC record fields must hold that position.
     const Program prog = assemble(".text\n"
                                   "main:\n"
                                   "    laq buf, t5\n"
@@ -309,26 +311,43 @@ TEST(Trace, SequenceTrapsIdenticalAcrossPaths)
                                   "    syscall\n"
                                   ".data\n"
                                   "buf:\n    .quad 7\n");
-    auto set = std::make_shared<ProductionSet>(parseProductions(
-        "P1: class == load -> R1\n"
-        "R1: lda $dr1, 1(zero)\n"
-        "    dbne $dr1, +9\n"
-        "    T.INSN\n",
-        prog.symbols));
+    std::string longest = "P1: class == load -> R1\nR1:";
+    for (uint32_t s = 0; s + 1 < kMaxSeqLen; ++s)
+        longest += "    lda $dr1, 1($dr1)\n";
+    longest += "    dbr zero, +5\n";
+    const struct
+    {
+        std::string productions;
+        uint32_t disepc; ///< the trapping slot + 1
+    } cases[] = {
+        {"P1: class == load -> R1\n"
+         "R1: lda $dr1, 1(zero)\n"
+         "    dbne $dr1, +9\n"
+         "    T.INSN\n",
+         2},
+        {longest, kMaxSeqLen},
+    };
 
-    RunResult results[2];
-    for (int traceCache = 0; traceCache < 2; ++traceCache) {
-        DiseController controller;
-        controller.install(set);
-        ExecCore core(prog, &controller);
-        core.setTraceCacheEnabled(traceCache != 0);
-        results[traceCache] = core.run();
+    for (const auto &c : cases) {
+        auto set = std::make_shared<ProductionSet>(
+            parseProductions(c.productions, prog.symbols));
+        RunResult results[2];
+        for (int traceCache = 0; traceCache < 2; ++traceCache) {
+            DiseController controller;
+            controller.install(set);
+            ExecCore core(prog, &controller);
+            core.setTraceCacheEnabled(traceCache != 0);
+            results[traceCache] = core.run();
+            EXPECT_EQ(results[traceCache].outcome, RunOutcome::Trap);
+            EXPECT_EQ(results[traceCache].trap.cause,
+                      TrapCause::DiseBranchOutOfRange);
+            EXPECT_EQ(results[traceCache].trap.disepc, c.disepc)
+                << "trace cache " << traceCache;
+        }
+        EXPECT_EQ(results[1].trap.pc, results[0].trap.pc);
+        EXPECT_EQ(results[1].trap.faultAddr, results[0].trap.faultAddr);
+        EXPECT_EQ(results[1].dynInsts, results[0].dynInsts);
     }
-    EXPECT_EQ(results[1].outcome, RunOutcome::Trap);
-    EXPECT_EQ(results[1].trap.cause, results[0].trap.cause);
-    EXPECT_EQ(results[1].trap.pc, results[0].trap.pc);
-    EXPECT_EQ(results[1].trap.disepc, results[0].trap.disepc);
-    EXPECT_EQ(results[1].dynInsts, results[0].dynInsts);
 }
 
 TEST(Trace, ChainingEngagesAndMatchesNoChainRun)

@@ -413,70 +413,26 @@ DiseEngine::expand(const DecodedInst &fetched, Addr pc)
 }
 
 bool
-DiseEngine::expandFast(const ExpandMemo &memo)
+DiseEngine::recordRtWays(const ExpandMemo &memo)
 {
-    // A memo at the live generation proves the active set, the pattern
-    // list, and the memoized instantiation span are all unchanged; the
-    // dynamic preconditions (PT residency, clean RT hits) are verified
-    // below before any state is touched, so a bail-out leaves the
-    // tables exactly as expand() expects to find them.
-    if (memo.gen != generation_ || memo.kind == ExpandMemo::Unknown ||
-        corruptResident_)
-        return false;
-    if (!opcodeResident_[static_cast<size_t>(memo.op)])
-        return false;
-    const auto &covering = patternsByOpcode_[static_cast<size_t>(memo.op)];
-
-    if (memo.kind == ExpandMemo::NoMatch) {
-        // Covered opcode, resident patterns, no match: expand() would
-        // refresh the PT stamps and return a pass-through result.
-        ++inspected_;
-        for (const uint32_t idx : covering)
-            ptStamp_[idx] = ++useCounter_;
-        return true;
-    }
-
-    // Expanded: every RT slot must still be a clean resident hit. A
-    // way-cache record at the live RT epoch proves it (nothing entered
-    // or left the RT since the slots last hit); otherwise probe with no
-    // state changes and record the ways on success. Then commit the PT
-    // stamp refreshes and RT lastUse updates in expand()'s exact order
-    // so the shared LRU clock evolves bit-identically.
-    const uint32_t len = memo.seq->length();
-    uint32_t *ways = nullptr;
-    if (config_.rtEntries != 0) {
-        SeqInfo &info = seqs_[memo.seqId];
-        ways = &rtWaySlots_[info.rtWayBase];
-        if (info.rtEpoch != rtEpoch_) {
-            for (uint32_t slot = 0; slot < len; ++slot) {
-                const size_t first =
-                    size_t(rtIndex(memo.seqId, slot)) * config_.rtAssoc;
-                size_t hit = first + config_.rtAssoc;
-                for (size_t w = first; w < first + config_.rtAssoc; ++w) {
-                    if (rt_[w].valid && rt_[w].seqId == memo.seqId &&
-                        rt_[w].disepc == slot) {
-                        hit = w;
-                        break;
-                    }
-                }
-                if (hit == first + config_.rtAssoc || rt_[hit].corrupt)
-                    return false; // miss (or fault): the full path fills it
-                ways[slot] = static_cast<uint32_t>(hit);
+    SeqInfo &info = seqs_[memo.seqId];
+    uint32_t *ways = &rtWaySlots_[info.rtWayBase];
+    for (uint32_t slot = 0; slot < memo.numInsts; ++slot) {
+        const size_t first =
+            size_t(rtIndex(memo.seqId, slot)) * config_.rtAssoc;
+        size_t hit = first + config_.rtAssoc;
+        for (size_t w = first; w < first + config_.rtAssoc; ++w) {
+            if (rt_[w].valid && rt_[w].seqId == memo.seqId &&
+                rt_[w].disepc == slot) {
+                hit = w;
+                break;
             }
-            info.rtEpoch = rtEpoch_;
         }
+        if (hit == first + config_.rtAssoc || rt_[hit].corrupt)
+            return false;
+        ways[slot] = static_cast<uint32_t>(hit);
     }
-
-    ++inspected_;
-    for (const uint32_t idx : covering)
-        ptStamp_[idx] = ++useCounter_;
-    if (ways != nullptr) {
-        for (uint32_t slot = 0; slot < len; ++slot)
-            rt_[ways[slot]].lastUse = ++useCounter_;
-    }
-    ++cacheHits_; // the memoized span is still in expCache_
-    ++expansions_;
-    replacementInsts_ += memo.numInsts;
+    info.rtEpoch = rtEpoch_;
     return true;
 }
 

@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/bits.hpp"
 #include "src/common/stats.hpp"
 #include "src/dise/production.hpp"
 
@@ -222,9 +223,53 @@ class DiseEngine
      * expand() and may re-fill the memo.
      *
      * The RT check costs no probe while the sequence's RT way cache
-     * (see rtWaySlots_) is current.
+     * (see rtWaySlots_) is current. Header-inline: the hit is the
+     * translated interpreter's per-expansion cost. Only the probe that
+     * re-records the ways (recordRtWays) is a call.
      */
-    bool expandFast(const ExpandMemo &memo);
+    DISE_ALWAYS_INLINE bool
+    expandFast(const ExpandMemo &memo)
+    {
+        // A memo at the live generation proves the active set, the
+        // pattern list, and the memoized instantiation span are all
+        // unchanged; the dynamic preconditions (PT residency, clean RT
+        // hits) are verified before any state is touched, so a bail-out
+        // leaves the tables exactly as expand() expects to find them.
+        if (memo.gen != generation_ || memo.kind == ExpandMemo::Unknown ||
+            corruptResident_ ||
+            !opcodeResident_[static_cast<size_t>(memo.op)])
+            return false;
+        const bool expanded = memo.kind == ExpandMemo::Expanded;
+        const uint32_t *ways = nullptr;
+        if (expanded && config_.rtEntries != 0) {
+            // Every RT slot must still be a clean resident hit: a
+            // way-cache record at the live RT epoch proves it.
+            const SeqInfo &info = seqs_[memo.seqId];
+            if (info.rtEpoch != rtEpoch_ && !recordRtWays(memo))
+                return false; // miss (or fault): the full path fills it
+            ways = &rtWaySlots_[info.rtWayBase];
+        }
+        // Commit the PT stamp refreshes and RT lastUse updates in
+        // expand()'s exact order so the shared LRU clock evolves
+        // bit-identically. The clock stays in a local: the stamp stores
+        // could alias useCounter_ as far as the compiler knows.
+        uint64_t clock = useCounter_;
+        for (const uint32_t idx :
+             patternsByOpcode_[static_cast<size_t>(memo.op)])
+            ptStamp_[idx] = ++clock;
+        ++inspected_;
+        if (expanded) {
+            if (ways != nullptr) {
+                for (uint32_t slot = 0; slot < memo.numInsts; ++slot)
+                    rt_[ways[slot]].lastUse = ++clock;
+            }
+            ++cacheHits_; // the memoized span is still in expCache_
+            ++expansions_;
+            replacementInsts_ += memo.numInsts;
+        }
+        useCounter_ = clock;
+        return true;
+    }
 
     /**
      * Record the outcome of a full expand() of @p fetched into @p memo
@@ -325,6 +370,14 @@ class DiseEngine
 
     /** Check/maintain RT residency; returns true on an RT miss. */
     bool checkReplacementTable(SeqId id, const ReplacementSeq &seq);
+
+    /**
+     * expandFast's RT probe, with no state changes: record the rt_
+     * entry each slot of @p memo's sequence hits into the sequence's
+     * way cache, stamped with the live RT epoch. @return false when a
+     * slot misses or hits a corrupt entry.
+     */
+    bool recordRtWays(const ExpandMemo &memo);
 
     DiseConfig config_;
     std::shared_ptr<const ProductionSet> set_;

@@ -6,12 +6,12 @@
  *
  * The tables are X-macros. One row per op expands into every tier that
  * interprets the ISA: ExecCore::execute (the step() oracle), the fused
- * executor, the translated-block interpreter (runChain), and the
- * replacement-sequence interpreter (runSeqFast). The interpreters'
- * dispatch handlers (OpHandler, src/sim/trace.hpp) and handler tables
- * are generated from the same rows, so an op's behaviour changes in one
- * row here. A row expression is written over the operand names its
- * consumer binds:
+ * executor, and the translated interpreter (runChain), once for block
+ * slots and once for the lowered slots of replacement sequences. The
+ * dispatch handlers (OpHandler, src/sim/trace.hpp) and runChain's
+ * handler table are generated from the same rows, so an op's behaviour
+ * changes in one row here. A row expression is written over the
+ * operand names its consumer binds:
  *
  *   a  the ra value
  *   b  the rb value or operate literal (address ops: the base rb value)

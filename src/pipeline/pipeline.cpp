@@ -9,14 +9,41 @@ namespace dise {
 
 namespace {
 
-/** Records per ExecCore::fillTrace batch on the trace-feed path.
- *  Sized so the ring (kFeedBatch * sizeof(DynInst)) stays L1-resident:
- *  the producer writes and the consumer reads every record exactly
- *  once, so a larger ring only adds cache traffic. */
-constexpr size_t kFeedBatch = 64;
+/**
+ * Records per ExecCore::fillTrace batch on the trace-feed path. Each
+ * batch costs a fill prologue and epilogue, a switch between the two
+ * loops, and (when sampling) a phase split, so the batch is large: on a
+ * 4-vCPU Xeon VM the timing_sweep operations ran 0.88–0.93x the time of
+ * 64-record batches at 1024–16384 records, with identical cycles,
+ * buckets and counts. The ring (kFeedBatch * sizeof(DynInst) = 64 KB)
+ * stays L2-resident and below glibc's 128 KB mmap threshold: a 256 KB
+ * ring, allocated and freed once per timing run, raised that threshold
+ * and grew serve_mix's peak RSS from ~20 MB to ~60 MB.
+ */
+constexpr size_t kFeedBatch = 1024;
 
 /** Commit-clock advance between deadline-cancel polls (step path). */
 constexpr uint64_t kCancelPollCycles = 0x10000;
+
+/** Warming's current-line latch while a redirect is pending (no fetch
+ *  line is this large). */
+constexpr uint64_t kRedirect = ~uint64_t(1);
+
+/**
+ * Warming's current-line latch after resolving a control transfer
+ * predicted as @p pred: a mispredict raises a redirect, a correctly
+ * predicted taken branch starts a new fetch group, and a pending
+ * redirect stays pending (as in PipelineSim::resolveControlT).
+ */
+uint64_t
+warmRedirect(uint64_t curLine, const BranchPredictor::Prediction &pred,
+             bool taken, Addr target)
+{
+    if (pred.taken != taken ||
+        (taken && (!pred.targetKnown || pred.target != target)))
+        return kRedirect;
+    return taken && curLine != kRedirect ? ~uint64_t(0) : curLine;
+}
 
 /**
  * Claim one of @p width slots of an in-order stage (dispatch, commit)
@@ -557,11 +584,18 @@ PipelineSim::warmBatch(const DynInst *recs, size_t n)
         // I-side: the detailed front end touches the I-cache once per
         // fetched line plus once per redirect target; a redirect (branch
         // flush, PT/RT fill, syscall drain) re-accesses even a same-line
-        // target. Model that by invalidating the current-line latch on
-        // every redirect cause and accessing on line change.
+        // target, and a PT/RT fill that lands on a pending redirect
+        // refetches after the redirect's own fetch group. Model that
+        // with the current-line latch: kRedirect marks a pending
+        // redirect, ~0 a new fetch group after a correctly predicted
+        // taken branch (as in resolveControlT); both force an access on
+        // the next application boundary.
         if (!dyn.expanded || dyn.firstOfSeq) {
-            if (dyn.missPenalty > 0)
+            if (dyn.missPenalty > 0) {
+                if (curLine == kRedirect)
+                    fetchAccessT<true>(c, dyn.pc);
                 curLine = ~uint64_t(0); // PT/RT fill flushes front end
+            }
             const uint64_t line = fetchLine(dyn.pc);
             if (line != curLine) {
                 fetchAccessT<true>(c, dyn.pc);
@@ -588,25 +622,25 @@ PipelineSim::warmBatch(const DynInst *recs, size_t n)
                     predictT<true>(c, dyn.pc, dyn.inst.cls, dyn.pc + 4);
                 trainT<true>(c, dyn.pc, dyn.inst.cls, dyn.taken,
                              dyn.actualTarget);
-                if (dyn.taken || pred.taken)
-                    curLine = ~uint64_t(0);
+                curLine = warmRedirect(curLine, pred, dyn.taken,
+                                       dyn.actualTarget);
             }
         } else {
             if (dyn.firstOfSeq)
                 seqOpenT<true>(c, dyn);
             if (dyn.inst.isDiseBranch() && dyn.taken)
-                curLine = ~uint64_t(0); // unpredicted redirect, refetch
+                curLine = kRedirect; // unpredicted redirect, refetch
             if (dyn.isAppControl && dyn.taken)
                 seqNoteTaken(dyn);
             if (dyn.lastOfSeq) {
                 trainT<true>(c, seqTriggerPC_, seqPredCls_, seqTaken(),
                              seqNextPC(dyn));
-                if (seqTaken() || seqPred_.taken)
-                    curLine = ~uint64_t(0);
+                curLine = warmRedirect(curLine, seqPred_, seqTaken(),
+                                       seqNextPC(dyn));
             }
         }
         if (dyn.isSyscall)
-            curLine = ~uint64_t(0); // drain forces a refetch
+            curLine = kRedirect; // drain forces a refetch
     }
     hot_.curLine = curLine;
     addTally<true>(c);
@@ -742,8 +776,10 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
                 break;
             }
         }
-        // Deadline poll once per batch (finer than the reference's
-        // 1024-instruction stride).
+        // Deadline poll once per batch. The fill polls on its own at
+        // block boundaries (ExecCore::cancelPollDue, every ~1K
+        // retirements) and returns early, so a batch this large does
+        // not stretch the cancel latency.
         lastCancelPollCommit_ = hot_.lastCommit;
         if (core_.cancelRequested()) {
             stop.cycleBudgetExpired = true;

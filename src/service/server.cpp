@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -341,6 +342,13 @@ SimServer::listenerLoop()
 void
 SimServer::readerLoop(std::shared_ptr<Connection> conn)
 {
+    if (!host_.empty()) {
+        // A response is one small send. With Nagle's algorithm on, one
+        // written while the previous is still unacknowledged waits for
+        // the client's delayed ACK or its next request.
+        const int one = 1;
+        ::setsockopt(conn->fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
     std::string buffer;
     std::vector<char> chunk(64 * 1024);
     uint64_t seq = 0;

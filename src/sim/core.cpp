@@ -17,11 +17,11 @@ constexpr size_t kMaxBlockLen = 128;
 static_assert(kMaxBlockLen <= 0xffff, "TransOp::side is 16 bits");
 
 /**
- * Map an opcode to its flat interpreter handler; OpHandler::NUM when
- * the opcode is outside the translated repertoire (syscalls,
- * codewords, reserved/invalid encodings). Shared by block and
- * replacement-sequence translation so the two interpreters agree on
- * the repertoire.
+ * Map an opcode to its flat block handler (DiseBranch for a DISE
+ * branch); OpHandler::NUM when the opcode is outside the translated
+ * repertoire (syscalls, codewords, reserved/invalid encodings). Shared
+ * by block translation and sequence lowering (lowerSeq) so the two
+ * slot streams agree on the repertoire.
  */
 OpHandler
 baseHandler(Opcode op)
@@ -44,10 +44,8 @@ baseHandler(Opcode op)
       case Opcode::JMP: case Opcode::JSR: case Opcode::RET:
         return OpHandler::Jump;
       case Opcode::DBEQ: case Opcode::DBNE: case Opcode::DBLT:
-      case Opcode::DBGE:
-        return OpHandler::DiseCond;
-      case Opcode::DBR:
-        return OpHandler::DiseBr;
+      case Opcode::DBGE: case Opcode::DBR:
+        return OpHandler::DiseBranch;
       default:
         return OpHandler::NUM;
     }
@@ -323,10 +321,10 @@ ExecCore::doSyscall(DynInst &dyn)
 }
 
 /*
- * Register effect of one straight-line semantics-table row on slot @p s
- * (a DecodedInst — a TransOp's inst — or a SeqOp): each binds the
+ * Register effect of one straight-line semantics-table row on
+ * instruction @p s (a DecodedInst, or a TransOp's inst): each binds the
  * operand names the row's expression is written over. Shared by
- * execute() and both translated interpreters.
+ * execute() and the translated interpreter's block and sequence slots.
  */
 #define SLOT_ADDR(s, expr)                                                  \
     do {                                                                    \
@@ -435,14 +433,8 @@ ExecCore::execute(const DecodedInst &inst, DynInst &dyn)
         break;
     }
 
-    // An explicit control transfer into the program's "error" symbol is
-    // the architected signature of an ACF-detected violation (MFI
-    // segment matching, watchpoint assertions): count it so callers can
-    // distinguish a detected fault from a normal exit.
-    if (dyn.isAppControl && dyn.taken && errorAddr_ != 0 &&
-        dyn.actualTarget == errorAddr_) {
-        ++result_.acfDetections;
-    }
+    if (dyn.isAppControl && dyn.taken)
+        noteControlTarget(dyn.actualTarget);
 }
 
 void
@@ -453,8 +445,7 @@ ExecCore::adoptExpansion(const ExpandResult &r)
     seqSpec_ = r.seq;
     seqIdx_ = 0;
     seqTriggerPC_ = pc_;
-    seqHasPendingOutcome_ = false;
-    seqMemoized_ = r.memoized;
+    seqNext_ = pc_ + 4;
     seqPtMiss_ = r.ptMiss;
     seqRtMiss_ = r.rtMiss;
     seqMissPenalty_ = r.missPenalty;
@@ -469,7 +460,6 @@ ExecCore::clearSeq()
     seqInsts_ = nullptr;
     seqLen_ = 0;
     seqIdx_ = 0;
-    seqHasPendingOutcome_ = false;
 }
 
 bool
@@ -526,10 +516,8 @@ ExecCore::executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn)
         dyn.isAppControl = true;
         dyn.taken = condTaken(f.brOp, r);
         dyn.actualTarget = fz.branchTarget(pc);
-        if (dyn.taken && errorAddr_ != 0 &&
-            dyn.actualTarget == errorAddr_) {
-            ++result_.acfDetections;
-        }
+        if (dyn.taken)
+            noteControlTarget(dyn.actualTarget);
         return dyn.taken;
       }
       case Opcode::FLDAC:
@@ -751,9 +739,7 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
         if (triggerSlot) {
             // Trigger branch: instructions after it ride its predicted
             // (here: actual) path; apply the outcome at sequence end.
-            seqHasPendingOutcome_ = true;
-            seqPendingTaken_ = dyn.taken;
-            seqPendingTarget_ = dyn.actualTarget;
+            seqNext_ = dyn.taken ? dyn.actualTarget : seqTriggerPC_ + 4;
         } else if (dyn.taken) {
             // Non-trigger branch: post-branch slots belong to the
             // non-taken path, so a taken branch discards them.
@@ -769,15 +755,8 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
     if (endSeq) {
         if constexpr (kEmit)
             dyn.lastOfSeq = true;
-        if (!exited_) {
-            if (haveRedirect) {
-                pc_ = redirect;
-            } else if (seqHasPendingOutcome_ && seqPendingTaken_) {
-                pc_ = seqPendingTarget_;
-            } else {
-                pc_ = seqTriggerPC_ + 4;
-            }
-        }
+        if (!exited_)
+            pc_ = haveRedirect ? redirect : seqNext_;
         clearSeq();
     }
 
@@ -934,8 +913,8 @@ ExecCore::resumeAt(Addr pc, uint32_t disepc)
     seqLen_ = r.numInsts;
     seqSpec_ = r.seq;
     seqTriggerPC_ = pc;
+    seqNext_ = pc + 4;
     seqIdx_ = disepc - 1;
-    seqMemoized_ = r.memoized;
     seqPtMiss_ = r.ptMiss;
     seqRtMiss_ = r.rtMiss;
     seqMissPenalty_ = 0; // already charged before the trap
@@ -976,8 +955,7 @@ ExecCore::translateBlock(Addr entry)
         } else {
             op.handler = baseHandler(d.op);
             if (op.handler == OpHandler::NUM ||
-                op.handler == OpHandler::DiseCond ||
-                op.handler == OpHandler::DiseBr) {
+                op.handler == OpHandler::DiseBranch) {
                 // Syscalls, codewords, DISE branches, reserved/invalid
                 // encodings: end the block; the dispatcher executes
                 // them through step(), which models their traps and
@@ -1061,417 +1039,119 @@ ExecCore::chainTarget(Addr pc)
     return b->numInsts == 0 ? nullptr : b;
 }
 
-void
-ExecCore::translateSeq(SeqTrans &st, OpClass triggerCls)
-{
-    const ReplacementSeq *seq = seqSpec_;
-    const DecodedInst *insts = seqInsts_;
-    const uint32_t numInsts = seqLen_;
-    st.insts = insts;
-    st.numInsts = numInsts;
-    st.gen = controller_->engine().generation();
-    st.usable = false;
-    st.ops.clear();
-    st.tmpl.clear();
-    // A memoized span is one instantiation of its sequence, one
-    // instruction per replacement slot (instantiateSeqInto).
-    DISE_ASSERT(seq != nullptr && seq->insts.size() == numInsts,
-                "memoized expansion span does not match its sequence");
-    st.ops.reserve(numInsts + 1);
-    for (uint32_t s = 0; s < numInsts; ++s) {
-        const DecodedInst &d = insts[s];
-        SeqOp op;
-        op.op = d.op;
-        op.ra = d.ra;
-        op.rb = d.rb;
-        op.rc = d.rc;
-        op.useLit = d.useLit;
-        op.imm = d.imm;
-        // T.INSN / T.OP slots retire as the application's own
-        // instruction (see execSeqSlotBody).
-        op.trigger = seq->insts[s].isTriggerInsn ||
-                     seq->insts[s].opDir == OpDirective::Trigger;
-        op.handler = baseHandler(d.op);
-        if (op.handler == OpHandler::NUM) {
-            st.ops.clear();
-            return;
-        }
-        if (op.handler == OpHandler::DiseCond ||
-            op.handler == OpHandler::DiseBr) {
-            const int64_t target =
-                static_cast<int64_t>(s) + 1 + d.imm;
-            op.diseValid =
-                target >= 0 && target <= static_cast<int64_t>(numInsts);
-            op.diseTarget =
-                op.diseValid ? static_cast<uint32_t>(target) : 0;
-        }
-        st.ops.push_back(op);
-    }
-    // End sentinel: running off the sequence (including a DISE branch
-    // targeting slot == length) lands here and completes it.
-    SeqOp end;
-    end.handler = OpHandler::End;
-    st.ops.push_back(end);
-    // Sequence-level prediction class (see DynInst::seqPredClass): a
-    // translation-time constant of (trigger, sequence), so the emitting
-    // interpreter never recomputes it. execSeqSlotBody derives the
-    // identical value per visit on the generic path.
-    st.predCls = OpClass::Nop;
-    if (isControlClass(triggerCls))
-        st.predCls = triggerCls;
-    else if (numInsts > 0 && isControlClass(insts[numInsts - 1].cls))
-        st.predCls = insts[numInsts - 1].cls;
-    st.usable = true;
-}
-
 namespace {
 
 /**
- * Stamp @p st's trace-record templates: everything static for the
- * sequence, so the emitting interpreter copies a template and fills in
- * only the per-execution fields (see SEQ_EMIT_BASE). Runs on the first
- * emitting execution of a translation; st.insts is the live span then
- * (seqTransFor has just matched it).
+ * Lower @p side's memoized replacement sequence (the span its memo
+ * records) into slots runChain dispatches like block slots, closed by
+ * the SeqEnd sentinel. A sequence with a slot outside the repertoire
+ * (a syscall, a codeword, an invalid word) lowers to one SeqGeneric
+ * slot instead.
  */
 void
-buildSeqTemplates(SeqTrans &st)
+lowerSeq(SlotSide &side)
 {
-    st.tmpl.resize(st.numInsts);
-    for (uint32_t s = 0; s < st.numInsts; ++s) {
-        DynInst &d = st.tmpl[s];
-        d.disepc = s + 1;
-        d.inst = st.insts[s];
-        d.regs = st.insts[s].timingRegs();
-        d.expanded = true;
-        d.triggerSlot = st.ops[s].trigger;
-        d.firstOfSeq = s == 0;
-        d.seqLen = st.numInsts;
+    const ExpandMemo &m = side.memo;
+    // A memoized span is one instantiation of its sequence, one
+    // instruction per replacement slot (instantiateSeqInto).
+    DISE_ASSERT(m.seq->insts.size() == m.numInsts,
+                "memoized expansion span does not match its sequence");
+    std::vector<TransOp> &ops = side.seq;
+    ops.reserve(m.numInsts + 1);
+    for (uint32_t s = 0; s < m.numInsts; ++s) {
+        const DecodedInst &d = m.insts[s];
+        TransOp op;
+        op.inst = d;
+        op.regs = d.timingRegs();
+        op.side = static_cast<uint16_t>(s);
+        // T.INSN / T.OP slots retire as the application's own
+        // instruction (see execSeqSlotBody).
+        op.trigger = m.seq->insts[s].isTriggerInsn ||
+                     m.seq->insts[s].opDir == OpDirective::Trigger;
+        const OpHandler h = baseHandler(d.op);
+        if (h == OpHandler::DiseBranch) {
+            const int64_t target = static_cast<int64_t>(s) + 1 + d.imm;
+            op.handler =
+                target >= 0 && target <= static_cast<int64_t>(m.numInsts)
+                    ? OpHandler::DiseBranch
+                    : OpHandler::DiseBranchTrap;
+        } else if (h != OpHandler::NUM) {
+            op.handler = static_cast<OpHandler>(
+                static_cast<size_t>(h) +
+                static_cast<size_t>(OpHandler::SeqNop));
+        } else {
+            break;
+        }
+        ops.push_back(op);
     }
-    if (st.numInsts > 0)
-        st.tmpl[0].seqPredClass = st.predCls;
+    // An empty span lowers to SeqGeneric too, so it meets step()'s
+    // overrun assertion.
+    TransOp end;
+    end.handler = OpHandler::SeqEnd;
+    if (ops.size() != m.numInsts || ops.empty()) {
+        ops.clear();
+        end.handler = OpHandler::SeqGeneric;
+    }
+    ops.push_back(end);
+}
+
+/**
+ * Stamp @p side's trace-record templates (SlotSide::tmpl) from its
+ * lowered slots; @p triggerCls is the Engine slot's instruction class.
+ */
+void
+buildSeqTemplates(SlotSide &side, OpClass triggerCls)
+{
+    const std::vector<TransOp> &ops = side.seq;
+    const uint32_t len = static_cast<uint32_t>(ops.size() - 1);
+    side.tmpl.resize(len);
+    for (uint32_t s = 0; s < len; ++s) {
+        DynInst &d = side.tmpl[s];
+        d.disepc = s + 1;
+        d.inst = ops[s].inst;
+        d.regs = ops[s].regs;
+        d.expanded = true;
+        d.triggerSlot = ops[s].trigger;
+        d.firstOfSeq = s == 0;
+        d.seqLen = len;
+    }
+    // Sequence-level prediction class (DynInst::seqPredClass), which
+    // execSeqSlotBody derives per visit on the generic path.
+    if (len > 0) {
+        const OpClass last = ops[len - 1].inst.cls;
+        side.tmpl[0].seqPredClass = isControlClass(triggerCls) ? triggerCls
+                                    : isControlClass(last)     ? last
+                                                               : OpClass::Nop;
+    }
 }
 
 } // namespace
 
 /*
- * Dispatch scaffolding for the two translated interpreters (runSeqFast
- * and runChain). Every slot ends in one indirect jump through a
- * per-function &&label table ("direct threading"; like the rest of the
- * tree this needs a GNU-compatible compiler).
+ * The translated interpreter. Every slot ends in one indirect jump
+ * through runChain's &&label table ("direct threading"; like the rest
+ * of the tree this needs a GNU-compatible compiler). One table holds
+ * the block handlers and the sequence handlers; an Engine slot whose
+ * expansion replays its memo jumps into the sequence's lowered slots,
+ * and their SeqEnd sentinel jumps back.
  *
- * Shape rules both interpreters follow:
- *  - the straight-line handlers and their table entries are generated
- *    from the semantics tables (src/isa/semantics.hpp), in OpHandler
- *    order, through the SLOT_* effects execute() uses too;
- *  - every handler body is a brace block ending in a goto (dispatch,
- *    a trampoline label, or an exit);
- *  - architectural counters are accumulated in locals and written back
- *    at every exit (and around any call that touches result_ itself),
- *    keeping the member read-modify-writes off the per-slot path;
- *  - slot arrays end in an OpHandler::End sentinel, so the inner loop
- *    has no bounds check.
+ * Shape rules:
+ *  - the straight-line handlers of both slot streams and their table
+ *    entries are generated from the semantics tables
+ *    (src/isa/semantics.hpp), in OpHandler order, through the SLOT_*
+ *    effects execute() uses too;
+ *  - every handler body is a brace block ending in a goto (dispatch, a
+ *    trampoline label, or an exit);
+ *  - the retirement counters are accumulated in locals and written
+ *    back at every exit (and around any call that touches result_
+ *    itself), keeping member read-modify-writes off the per-slot path
+ *    (loads and stores, which few slots retire, update result_);
+ *  - slot arrays end in a sentinel (End, SeqEnd), so the inner loop has
+ *    no bounds check;
+ *  - block handlers test the budget before dispatch; sequence handlers
+ *    test it on entry, so running off a sequence's end completes it
+ *    even with the budget exactly spent (step()'s check order).
  */
-#define TABLE_LABEL(name, ...) &&lbl_##name,
-#define TABLE_LABELS                                                        \
-    &&lbl_Nop, DISE_ADDR_OPS(TABLE_LABEL) DISE_OPERATE_OPS(TABLE_LABEL)     \
-        DISE_CMOV_OPS(TABLE_LABEL) DISE_LOAD_OPS(TABLE_LABEL)               \
-            DISE_STORE_OPS(TABLE_LABEL)
-
-template <bool kEmit>
-void
-ExecCore::runSeqFast(SeqTrans &st, uint64_t maxInsts)
-{
-    const Addr tpc = seqTriggerPC_;
-    const SeqOp *const ops = st.ops.data();
-    const uint32_t len = st.numInsts;
-    uint32_t j = 0;
-    // Deferred trigger-branch outcome (seqHasPendingOutcome_ et al. in
-    // the generic path), applied when the sequence runs off its end.
-    bool pendingHas = false;
-    bool pendingTaken = false;
-    Addr pendingTarget = 0;
-    uint64_t dyn = result_.dynInsts;
-    uint64_t dise = result_.diseInsts;
-    uint64_t loads = result_.loads;
-    uint64_t stores = result_.stores;
-    // Emission cursor (kEmit only); runSeqFast always enters at slot 0,
-    // so seqBase marks where this sequence's records start.
-    [[maybe_unused]] DynInst *eout = emit_;
-    [[maybe_unused]] DynInst *const seqBase = eout;
-    // Pre-built per-slot records (see buildSeqTemplates), made on the
-    // first emitting run: SEQ_EMIT_BASE copies one — slot 0's template
-    // already carries the sequence-level prediction class — and stamps
-    // only the per-execution fields.
-    if constexpr (kEmit) {
-        if (st.tmpl.size() != len)
-            buildSeqTemplates(st);
-    }
-    [[maybe_unused]] const DynInst *const tmpl = st.tmpl.data();
-
-#define SEQ_FLUSH()                                                         \
-    do {                                                                    \
-        result_.dynInsts = dyn;                                             \
-        result_.diseInsts = dise;                                           \
-        result_.loads = loads;                                              \
-        result_.stores = stores;                                            \
-        if constexpr (kEmit)                                                \
-            emit_ = eout;                                                   \
-    } while (0)
-    /* The step()-identical trace record for the retiring slot j
-     * (kEmit call sites only); outcome extras are the caller's. */
-#define SEQ_EMIT_BASE()                                                     \
-    do {                                                                    \
-        *eout = tmpl[j];                                                    \
-        eout->pc = tpc;                                                     \
-        if (j == 0) {                                                       \
-            eout->ptMiss = seqPtMiss_;                                      \
-            eout->rtMiss = seqRtMiss_;                                      \
-            eout->missPenalty = seqMissPenalty_;                            \
-        }                                                                   \
-    } while (0)
-#define SEQ_EMIT_PLAIN()                                                    \
-    do {                                                                    \
-        if constexpr (kEmit) {                                              \
-            SEQ_EMIT_BASE();                                                \
-            ++eout;                                                         \
-        }                                                                   \
-    } while (0)
-    /* Budget/deadline prologue of every executing slot. The End
-     * sentinel skips it: running off the end completes the sequence
-     * even with the budget exactly exhausted, matching the generic
-     * path's check order (end-of-sequence tested before the budget). */
-#define SEQ_CHECK()                                                         \
-    do {                                                                    \
-        if (dyn >= maxInsts || cancelPollDue(dyn))                          \
-            goto suspend;                                                   \
-    } while (0)
-#define SEQ_RETIRE(isTrigger)                                               \
-    do {                                                                    \
-        ++dyn;                                                              \
-        dise += !(isTrigger);                                               \
-    } while (0)
-#define SEQ_DISPATCH() goto *kTab[static_cast<size_t>(ops[j].handler)]
-    /* One straight-line handler: @p effect is its register effect. */
-#define SEQ_PLAIN(name, effect)                                             \
-    lbl_##name:                                                             \
-    {                                                                       \
-        SEQ_CHECK();                                                        \
-        effect;                                                             \
-        SEQ_RETIRE(ops[j].trigger);                                         \
-        SEQ_EMIT_PLAIN();                                                   \
-        ++j;                                                                \
-        SEQ_DISPATCH();                                                     \
-    }
-#define SEQ_ADDR(name, OP, expr) SEQ_PLAIN(name, SLOT_ADDR(ops[j], expr))
-#define SEQ_OPERATE(name, OP, expr)                                         \
-    SEQ_PLAIN(name, SLOT_OPERATE(ops[j], expr))
-#define SEQ_CMOV(name, OP, cond) SEQ_PLAIN(name, SLOT_CMOV(ops[j], cond))
-#define SEQ_LOAD(name, OP, width, signExtended)                             \
-    lbl_##name:                                                             \
-    {                                                                       \
-        SEQ_CHECK();                                                        \
-        const SeqOp &t = ops[j];                                            \
-        const Addr addr = effAddr(t);                                       \
-        ++loads;                                                            \
-        writeReg(t.ra, loadExtend(memory_.read(addr, width), width,         \
-                                  signExtended));                           \
-        SEQ_RETIRE(t.trigger);                                              \
-        if constexpr (kEmit) {                                              \
-            SEQ_EMIT_BASE();                                                \
-            eout->isMem = true;                                             \
-            eout->memAddr = addr;                                           \
-            ++eout;                                                         \
-        }                                                                   \
-        ++j;                                                                \
-        SEQ_DISPATCH();                                                     \
-    }
-    /* Self-modifying store: the sequence itself lives in the engine's
-     * tables and keeps running; the enclosing block's staleness is
-     * caught by the Engine slot's epoch check. */
-#define SEQ_STORE(name, OP, width)                                          \
-    lbl_##name:                                                             \
-    {                                                                       \
-        SEQ_CHECK();                                                        \
-        const SeqOp &t = ops[j];                                            \
-        const Addr addr = effAddr(t);                                       \
-        ++stores;                                                           \
-        memory_.write(addr, readReg(t.ra), width);                          \
-        noteTextStore(addr, width);                                         \
-        SEQ_RETIRE(t.trigger);                                              \
-        if constexpr (kEmit) {                                              \
-            SEQ_EMIT_BASE();                                                \
-            eout->isMem = true;                                             \
-            eout->isStore = true;                                           \
-            eout->memAddr = addr;                                           \
-            ++eout;                                                         \
-        }                                                                   \
-        ++j;                                                                \
-        SEQ_DISPATCH();                                                     \
-    }
-
-    static void *const kTab[] = {
-        TABLE_LABELS
-        &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
-        &&lbl_bad /* Engine */, &&lbl_DiseCond, &&lbl_DiseBr,
-        // Fusion is not a ProductionSet: translateSeq never emits it.
-        &&lbl_bad /* Fused */, &&lbl_End,
-    };
-    static_assert(sizeof(kTab) / sizeof(kTab[0]) ==
-                      static_cast<size_t>(OpHandler::NUM),
-                  "sequence handler table out of sync with OpHandler");
-    SEQ_DISPATCH();
-
-    SEQ_PLAIN(Nop, (void)0)
-    DISE_ADDR_OPS(SEQ_ADDR)
-    DISE_OPERATE_OPS(SEQ_OPERATE)
-    DISE_CMOV_OPS(SEQ_CMOV)
-    DISE_LOAD_OPS(SEQ_LOAD)
-    DISE_STORE_OPS(SEQ_STORE)
-    lbl_CondBranch:
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        const bool taken = condTaken(t.op, readReg(t.ra));
-        const Addr target = tpc + 4 + static_cast<uint64_t>(t.imm) * 4;
-        SEQ_RETIRE(t.trigger);
-        if constexpr (kEmit) {
-            // actualTarget is stamped even when not taken (execute()
-            // sets it unconditionally for conditional branches).
-            SEQ_EMIT_BASE();
-            eout->isAppControl = true;
-            eout->taken = taken;
-            eout->actualTarget = target;
-            ++eout;
-        }
-        if (taken && errorAddr_ != 0 && target == errorAddr_)
-            ++result_.acfDetections;
-        if (t.trigger) {
-            // Trigger branch: later slots ride its path; apply the
-            // outcome at sequence end.
-            pendingHas = true;
-            pendingTaken = taken;
-            pendingTarget = target;
-        } else if (taken) {
-            // Non-trigger branch: post-branch slots belong to the
-            // non-taken path, so a taken branch discards them.
-            if constexpr (kEmit)
-                eout[-1].lastOfSeq = true;
-            pc_ = target;
-            goto seq_done;
-        }
-        ++j;
-        SEQ_DISPATCH();
-    }
-    lbl_DirBranch:
-    lbl_Jump:
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        // Jump reads the target before the link write (execute()
-        // order; the two may name the same register).
-        const Addr target =
-            t.handler == OpHandler::Jump
-                ? readReg(t.rb) & ~Addr(3)
-                : tpc + 4 + static_cast<uint64_t>(t.imm) * 4;
-        writeReg(t.ra, tpc + 4);
-        SEQ_RETIRE(t.trigger);
-        if constexpr (kEmit) {
-            SEQ_EMIT_BASE();
-            eout->isAppControl = true;
-            eout->taken = true;
-            eout->actualTarget = target;
-            ++eout;
-        }
-        if (errorAddr_ != 0 && target == errorAddr_)
-            ++result_.acfDetections;
-        if (t.trigger) {
-            pendingHas = true;
-            pendingTaken = true;
-            pendingTarget = target;
-            ++j;
-            SEQ_DISPATCH();
-        }
-        if constexpr (kEmit)
-            eout[-1].lastOfSeq = true;
-        pc_ = target;
-        goto seq_done;
-    }
-    lbl_DiseCond:
-    lbl_DiseBr:
-    {
-        SEQ_CHECK();
-        const SeqOp &t = ops[j];
-        const bool taken = t.handler == OpHandler::DiseBr ||
-                           condTaken(t.op, readReg(t.ra));
-        SEQ_RETIRE(t.trigger);
-        if (!taken) {
-            SEQ_EMIT_PLAIN();
-            ++j;
-            SEQ_DISPATCH();
-        }
-        if (!t.diseValid) {
-            // The slot retires but emits nothing: step() counts the
-            // retirement, then returns false without writing a record
-            // (execSeqSlotBody traps before its *out store).
-            const int64_t target = static_cast<int64_t>(j) + 1 + t.imm;
-            raiseTrap(TrapCause::DiseBranchOutOfRange, tpc, j + 1,
-                      static_cast<uint64_t>(target),
-                      strFormat("DISE branch target %lld outside "
-                                "sequence of length %u",
-                                (long long)target, len));
-            goto seq_done; // the slot retired; pc_ is the trap state
-        }
-        if constexpr (kEmit) {
-            SEQ_EMIT_BASE();
-            eout->taken = true;
-            eout->diseTarget = t.diseTarget;
-            ++eout;
-        }
-        j = t.diseTarget; // target == len lands on the End sentinel
-        SEQ_DISPATCH();
-    }
-    lbl_End:
-    {
-        // Running off the end completes the sequence: the generic path
-        // marks the final retiring slot lastOfSeq in the same pass.
-        if constexpr (kEmit) {
-            if (eout != seqBase)
-                eout[-1].lastOfSeq = true;
-        }
-        pc_ = (pendingHas && pendingTaken) ? pendingTarget : tpc + 4;
-        goto seq_done;
-    }
-lbl_bad:
-    fatal("runSeqFast: handler outside the sequence repertoire");
-
-suspend:
-    // Budget or deadline expired mid-sequence: write the cursor and
-    // the deferred outcome back so the generic path can resume.
-    seqIdx_ = j;
-    seqHasPendingOutcome_ = pendingHas;
-    seqPendingTaken_ = pendingTaken;
-    seqPendingTarget_ = pendingTarget;
-    SEQ_FLUSH();
-    return;
-
-seq_done:
-    clearSeq();
-    SEQ_FLUSH();
-
-#undef SEQ_FLUSH
-#undef SEQ_EMIT_BASE
-#undef SEQ_EMIT_PLAIN
-#undef SEQ_CHECK
-#undef SEQ_RETIRE
-#undef SEQ_DISPATCH
-#undef SEQ_PLAIN
-#undef SEQ_ADDR
-#undef SEQ_OPERATE
-#undef SEQ_CMOV
-#undef SEQ_LOAD
-#undef SEQ_STORE
-}
-
 template <bool kEmit>
 void
 ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
@@ -1485,52 +1165,46 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
     // Successor hand-off registers for the `chain` trampoline.
     Addr nextPC = 0;
     ChainEdge *edge = nullptr;
+    // dyn is the absolute count the budget is tested against; app and
+    // dise are deltas since the last flush (loads and stores, off the
+    // per-slot path, go to result_ directly). app counts the block
+    // slots' retirements, each an instruction the engine inspected
+    // without an expand() call: they are accounted in bulk at chain
+    // exit (inspected, see DiseEngine::noteInspected). An expansion's
+    // trigger goes to result_.appInsts directly.
     uint64_t dyn = result_.dynInsts;
-    uint64_t app = result_.appInsts;
-    uint64_t loads = result_.loads;
-    uint64_t stores = result_.stores;
-    // Uncovered-opcode slots bypass expand(); their inspections are
-    // accounted in bulk at chain exit (see DiseEngine::noteInspected).
+    uint64_t app = 0;
+    uint64_t dise = 0;
     uint64_t inspected = 0;
     uint64_t chainFollows = 0;
     // Emission cursor (kEmit only), synced with emit_ at every flush
     // point so the Engine handler's callees see a current cursor.
     [[maybe_unused]] DynInst *eout = emit_;
+    // The running lowered sequence: its Engine slot (pc stays at that
+    // slot's PC, the trigger's), whether its expansion missed (slot 0's
+    // records then carry seqPtMiss_ and friends), and its record
+    // templates (kEmit only). While it runs, pc_ holds where fetch
+    // resumes when it runs off its end: the trigger's successor, or a
+    // trigger branch's deferred outcome.
+    const TransOp *eng = nullptr;
+    bool seqMissed = false;
+    [[maybe_unused]] const DynInst *tmpl = nullptr;
 
 #define CHAIN_FLUSH()                                                       \
     do {                                                                    \
         result_.dynInsts = dyn;                                             \
-        result_.appInsts = app;                                             \
-        result_.loads = loads;                                              \
-        result_.stores = stores;                                            \
+        result_.appInsts += app;                                            \
+        inspected += app;                                                   \
+        result_.diseInsts += dise;                                          \
+        app = dise = 0;                                                     \
         if constexpr (kEmit)                                                \
             emit_ = eout;                                                   \
     } while (0)
 #define CHAIN_RELOAD()                                                      \
     do {                                                                    \
         dyn = result_.dynInsts;                                             \
-        app = result_.appInsts;                                             \
-        loads = result_.loads;                                              \
-        stores = result_.stores;                                            \
         if constexpr (kEmit)                                                \
             eout = emit_;                                                   \
-    } while (0)
-    /* The step()-identical trace record for the retiring application
-     * instruction at pc (kEmit call sites only); outcome extras are the
-     * caller's. */
-#define CHAIN_EMIT_BASE()                                                   \
-    do {                                                                    \
-        *eout = DynInst{};                                                  \
-        eout->pc = pc;                                                      \
-        eout->inst = t->inst;                                               \
-        eout->regs = t->regs;                                               \
-    } while (0)
-#define CHAIN_EMIT()                                                        \
-    do {                                                                    \
-        if constexpr (kEmit) {                                              \
-            CHAIN_EMIT_BASE();                                              \
-            ++eout;                                                         \
-        }                                                                   \
     } while (0)
 #define CHAIN_DISPATCH()                                                    \
     do {                                                                    \
@@ -1538,86 +1212,177 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
             goto budget_stop;                                               \
         goto *kTab[static_cast<size_t>(t->handler)];                        \
     } while (0)
+    /* The pieces of a handler in each slot stream S: S##_CHECK opens
+     * it, S##_RETIRE counts the retirement, S##_EMIT_BASE writes the
+     * step()-identical trace record (kEmit call sites only; outcome
+     * extras are the caller's), S##_TEXT_STORE follows a store into
+     * text, and S##_NEXT dispatches the next slot. A block slot is an
+     * application instruction at pc. Block slots test the budget in
+     * CHAIN_DISPATCH. */
+#define CHAIN_CHECK() (void)0
 #define CHAIN_RETIRE()                                                      \
     do {                                                                    \
         ++dyn;                                                              \
         ++app;                                                              \
-        inspected += haveEngine;                                            \
     } while (0)
-    /* One straight-line handler: @p effect is its register effect. */
-#define CHAIN_PLAIN(name, effect)                                           \
-    lbl_##name:                                                             \
-    {                                                                       \
-        effect;                                                             \
-        CHAIN_RETIRE();                                                     \
-        CHAIN_EMIT();                                                       \
-        ++t;                                                                \
-        pc += 4;                                                            \
-        CHAIN_DISPATCH();                                                   \
-    }
-#define CHAIN_ADDR(name, OP, expr)                                          \
-    CHAIN_PLAIN(name, SLOT_ADDR(t->inst, expr))
-#define CHAIN_OPERATE(name, OP, expr)                                       \
-    CHAIN_PLAIN(name, SLOT_OPERATE(t->inst, expr))
-#define CHAIN_CMOV(name, OP, cond)                                          \
-    CHAIN_PLAIN(name, SLOT_CMOV(t->inst, cond))
-#define CHAIN_LOAD(name, OP, width, signExtended)                           \
-    lbl_##name:                                                             \
-    {                                                                       \
-        const Addr addr = effAddr(t->inst);                                 \
-        ++loads;                                                            \
-        writeReg(t->inst.ra, loadExtend(memory_.read(addr, width), width,   \
-                                        signExtended));                     \
-        CHAIN_RETIRE();                                                     \
-        if constexpr (kEmit) {                                              \
-            CHAIN_EMIT_BASE();                                              \
-            eout->isMem = true;                                             \
-            eout->memAddr = addr;                                           \
-            ++eout;                                                         \
-        }                                                                   \
-        ++t;                                                                \
-        pc += 4;                                                            \
-        CHAIN_DISPATCH();                                                   \
-    }
+#define CHAIN_EMIT_BASE()                                                   \
+    do {                                                                    \
+        *eout = DynInst{};                                                  \
+        eout->pc = pc;                                                      \
+        eout->inst = t->inst;                                               \
+        eout->regs = t->regs;                                               \
+    } while (0)
     /* A self-modifying store leaves the fast path: stale decodes and
      * traces are gone (possibly blocks of this very chain — parked on
      * the graveyard, so the cursor stays valid), and the rewritten
      * code must be re-translated before it executes. */
-#define CHAIN_STORE(name, OP, width)                                        \
-    lbl_##name:                                                             \
+#define CHAIN_TEXT_STORE(addr, width)                                       \
+    do {                                                                    \
+        if (noteTextStore(addr, width)) {                                   \
+            pc_ = pc + 4;                                                   \
+            goto exit_flush;                                                \
+        }                                                                   \
+    } while (0)
+#define CHAIN_NEXT()                                                        \
+    do {                                                                    \
+        ++t;                                                                \
+        pc += 4;                                                            \
+        CHAIN_DISPATCH();                                                   \
+    } while (0)
+    /* A sequence slot retires at the trigger's PC, as DISE-inserted
+     * work unless it is a trigger slot. The budget test opens every
+     * executing handler (the SeqEnd sentinel skips it) and parks the
+     * sequence for the generic slot path. The record is a copy of the
+     * slot's template. */
+#define SEQ_CHECK()                                                         \
+    do {                                                                    \
+        if (dyn >= maxInsts)                                                \
+            goto seq_park;                                                  \
+    } while (0)
+#define SEQ_RETIRE()                                                        \
+    do {                                                                    \
+        ++dyn;                                                              \
+        dise += !t->trigger;                                                \
+    } while (0)
+#define SEQ_EMIT_BASE()                                                     \
+    do {                                                                    \
+        *eout = tmpl[t->side];                                              \
+        eout->pc = pc;                                                      \
+        if (seqMissed && t->side == 0) {                                    \
+            eout->ptMiss = seqPtMiss_;                                      \
+            eout->rtMiss = seqRtMiss_;                                      \
+            eout->missPenalty = seqMissPenalty_;                            \
+        }                                                                   \
+    } while (0)
+    /* The sequence itself lives in the engine's tables and keeps
+     * running; SeqEnd leaves the loop if the store made its block
+     * stale. */
+#define SEQ_TEXT_STORE(addr, width) noteTextStore(addr, width)
+#define SEQ_NEXT()                                                          \
+    do {                                                                    \
+        ++t;                                                                \
+        goto *kTab[static_cast<size_t>(t->handler)];                        \
+    } while (0)
+    /* The straight-line handlers of stream S, one per semantics-table
+     * row: @p effect is a row's register effect. */
+#define ROW_PLAIN(S, label, effect)                                         \
+    lbl_##label:                                                            \
     {                                                                       \
-        const Addr addr = effAddr(t->inst);                                 \
-        ++stores;                                                           \
-        memory_.write(addr, readReg(t->inst.ra), width);                    \
-        CHAIN_RETIRE();                                                     \
+        S##_CHECK();                                                        \
+        effect;                                                             \
+        S##_RETIRE();                                                       \
         if constexpr (kEmit) {                                              \
-            CHAIN_EMIT_BASE();                                              \
+            S##_EMIT_BASE();                                                \
+            ++eout;                                                         \
+        }                                                                   \
+        S##_NEXT();                                                         \
+    }
+#define ROW_LOAD(S, label, width, signExtended)                             \
+    lbl_##label:                                                            \
+    {                                                                       \
+        S##_CHECK();                                                        \
+        const Addr addr = effAddr(t->inst);                                 \
+        ++result_.loads;                                                    \
+        writeReg(t->inst.ra, loadExtend(memory_.read(addr, width), width,   \
+                                        signExtended));                     \
+        S##_RETIRE();                                                       \
+        if constexpr (kEmit) {                                              \
+            S##_EMIT_BASE();                                                \
+            eout->isMem = true;                                             \
+            eout->memAddr = addr;                                           \
+            ++eout;                                                         \
+        }                                                                   \
+        S##_NEXT();                                                         \
+    }
+#define ROW_STORE(S, label, width)                                          \
+    lbl_##label:                                                            \
+    {                                                                       \
+        S##_CHECK();                                                        \
+        const Addr addr = effAddr(t->inst);                                 \
+        ++result_.stores;                                                   \
+        memory_.write(addr, readReg(t->inst.ra), width);                    \
+        S##_RETIRE();                                                       \
+        if constexpr (kEmit) {                                              \
+            S##_EMIT_BASE();                                                \
             eout->isMem = true;                                             \
             eout->isStore = true;                                           \
             eout->memAddr = addr;                                           \
             ++eout;                                                         \
         }                                                                   \
-        if (noteTextStore(addr, width)) {                                   \
-            pc_ = pc + 4;                                                   \
-            goto exit_flush;                                                \
-        }                                                                   \
-        ++t;                                                                \
-        pc += 4;                                                            \
-        CHAIN_DISPATCH();                                                   \
+        S##_TEXT_STORE(addr, width);                                        \
+        S##_NEXT();                                                         \
     }
+#define CHAIN_ADDR(name, OP, expr)                                          \
+    ROW_PLAIN(CHAIN, name, SLOT_ADDR(t->inst, expr))
+#define CHAIN_OPERATE(name, OP, expr)                                       \
+    ROW_PLAIN(CHAIN, name, SLOT_OPERATE(t->inst, expr))
+#define CHAIN_CMOV(name, OP, cond)                                          \
+    ROW_PLAIN(CHAIN, name, SLOT_CMOV(t->inst, cond))
+#define CHAIN_LOAD(name, OP, width, sx) ROW_LOAD(CHAIN, name, width, sx)
+#define CHAIN_STORE(name, OP, width) ROW_STORE(CHAIN, name, width)
+#define SEQ_ADDR(name, OP, expr)                                            \
+    ROW_PLAIN(SEQ, Seq##name, SLOT_ADDR(t->inst, expr))
+#define SEQ_OPERATE(name, OP, expr)                                         \
+    ROW_PLAIN(SEQ, Seq##name, SLOT_OPERATE(t->inst, expr))
+#define SEQ_CMOV(name, OP, cond)                                            \
+    ROW_PLAIN(SEQ, Seq##name, SLOT_CMOV(t->inst, cond))
+#define SEQ_LOAD(name, OP, width, sx) ROW_LOAD(SEQ, Seq##name, width, sx)
+#define SEQ_STORE(name, OP, width) ROW_STORE(SEQ, Seq##name, width)
+    /* The record of a retiring control slot of stream S. */
+#define EMIT_CONTROL(S, isTaken, target)                                    \
+    do {                                                                    \
+        if constexpr (kEmit) {                                              \
+            S##_EMIT_BASE();                                                \
+            eout->isAppControl = true;                                      \
+            eout->taken = (isTaken);                                        \
+            eout->actualTarget = (target);                                  \
+            ++eout;                                                         \
+        }                                                                   \
+    } while (0)
+#define ROW_LABELS(prefix)                                                  \
+    &&lbl_##prefix##Nop, DISE_ADDR_OPS(ROW_LABEL_##prefix)                  \
+        DISE_OPERATE_OPS(ROW_LABEL_##prefix)                                \
+            DISE_CMOV_OPS(ROW_LABEL_##prefix)                               \
+                DISE_LOAD_OPS(ROW_LABEL_##prefix)                           \
+                    DISE_STORE_OPS(ROW_LABEL_##prefix)
+#define ROW_LABEL_(name, ...) &&lbl_##name,
+#define ROW_LABEL_Seq(name, ...) &&lbl_Seq##name,
 
     static void *const kTab[] = {
-        TABLE_LABELS
-        &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump,
-        &&lbl_Engine, &&lbl_bad /* DiseCond */, &&lbl_bad /* DiseBr */,
+        ROW_LABELS()
+        &&lbl_CondBranch, &&lbl_DirBranch, &&lbl_Jump, &&lbl_Engine,
         &&lbl_Fused, &&lbl_End,
+        ROW_LABELS(Seq)
+        &&lbl_SeqCondBranch, &&lbl_SeqDirBranch, &&lbl_SeqJump,
+        &&lbl_DiseBranch, &&lbl_DiseBranchTrap, &&lbl_SeqGeneric,
+        &&lbl_SeqEnd,
     };
     static_assert(sizeof(kTab) / sizeof(kTab[0]) ==
                       static_cast<size_t>(OpHandler::NUM),
-                  "block handler table out of sync with OpHandler");
+                  "handler table out of sync with OpHandler");
     CHAIN_DISPATCH();
 
-    CHAIN_PLAIN(Nop, (void)0)
+    ROW_PLAIN(CHAIN, Nop, (void)0)
     DISE_ADDR_OPS(CHAIN_ADDR)
     DISE_OPERATE_OPS(CHAIN_OPERATE)
     DISE_CMOV_OPS(CHAIN_CMOV)
@@ -1628,60 +1393,28 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         const bool taken = condTaken(t->inst.op, readReg(t->inst.ra));
         const Addr target = t->inst.branchTarget(pc);
         CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            // actualTarget is stamped even when not taken (execute()
-            // sets it unconditionally for conditional branches).
-            CHAIN_EMIT_BASE();
-            eout->isAppControl = true;
-            eout->taken = taken;
-            eout->actualTarget = target;
-            ++eout;
-        }
-        if (!taken) {
-            ++t;
-            pc += 4;
-            CHAIN_DISPATCH();
-        }
-        if (errorAddr_ != 0 && target == errorAddr_)
-            ++result_.acfDetections;
+        // actualTarget is stamped even when not taken (execute() sets
+        // it unconditionally for conditional branches).
+        EMIT_CONTROL(CHAIN, taken, target);
+        if (!taken)
+            CHAIN_NEXT();
+        noteControlTarget(target);
         nextPC = target;
         edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_DirBranch:
-    {
-        const Addr target = t->inst.branchTarget(pc);
-        writeReg(t->inst.ra, pc + 4);
-        CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            CHAIN_EMIT_BASE();
-            eout->isAppControl = true;
-            eout->taken = true;
-            eout->actualTarget = target;
-            ++eout;
-        }
-        if (errorAddr_ != 0 && target == errorAddr_)
-            ++result_.acfDetections;
-        nextPC = target;
-        edge = &blk->side[t->side].chain;
-        goto chain;
-    }
     lbl_Jump:
     {
-        // Target read before the link write (execute() order; the two
-        // may name the same register).
-        const Addr target = readReg(t->inst.rb) & ~Addr(3);
+        // A jump reads its target before the link write (execute()
+        // order; the two may name the same register).
+        const Addr target = t->handler == OpHandler::Jump
+                                ? readReg(t->inst.rb) & ~Addr(3)
+                                : t->inst.branchTarget(pc);
         writeReg(t->inst.ra, pc + 4);
         CHAIN_RETIRE();
-        if constexpr (kEmit) {
-            CHAIN_EMIT_BASE();
-            eout->isAppControl = true;
-            eout->taken = true;
-            eout->actualTarget = target;
-            ++eout;
-        }
-        if (errorAddr_ != 0 && target == errorAddr_)
-            ++result_.acfDetections;
+        EMIT_CONTROL(CHAIN, true, target);
+        noteControlTarget(target);
         nextPC = target;
         edge = &blk->side[t->side].chain;
         goto chain;
@@ -1695,9 +1428,8 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         const bool taken = executeFused(t->inst, pc, fdyn);
         dyn += 2;
         app += 2;
-        inspected += 2 * haveEngine;
-        loads += fdyn.isMem && !fdyn.isStore;
-        stores += fdyn.isStore;
+        result_.loads += fdyn.isMem && !fdyn.isStore;
+        result_.stores += fdyn.isStore;
         ++statFusedPairs_;
         ++statFusedFamily_[fusedFamilyIndex(t->inst.op)];
         if constexpr (kEmit) {
@@ -1725,74 +1457,47 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
     }
     lbl_Engine:
     {
-        pc_ = pc;
-        CHAIN_FLUSH();
-        {
-            DiseEngine &eng = controller_->engine();
-            SlotSide &side = blk->side[t->side];
-            bool expanded;
-            if (eng.expandFast(side.memo)) {
-                expanded = side.memo.kind == ExpandMemo::Expanded;
-                if (expanded)
-                    adoptMemo(side.memo);
-            } else {
-                // Full inspection; refresh the slot's memo from its
-                // outcome so the next dynamic instance takes the
-                // memoized path.
-                const ExpandResult r = eng.expand(t->inst, pc);
-                eng.fillMemo(side.memo, t->inst, r);
-                expanded = r.expanded;
-                if (expanded)
-                    adoptExpansion(r);
+        DiseEngine &de = controller_->engine();
+        SlotSide &side = blk->side[t->side];
+        if (de.expandFast(side.memo)) {
+            if (side.memo.kind == ExpandMemo::NoMatch)
+                goto engine_plain;
+            seqMissed = false;
+        } else {
+            // Full inspection; refresh the slot's memo from its outcome
+            // so the next dynamic instance takes the memoized path.
+            const ExpandResult r = de.expand(t->inst, pc);
+            de.fillMemo(side.memo, t->inst, r);
+            if (!r.expanded)
+                goto engine_plain;
+            if (side.memo.kind != ExpandMemo::Expanded) {
+                // Not replayable (a scratch-backed or garbled span, or
+                // corruption resident): the generic slot path runs it.
+                pc_ = pc;
+                CHAIN_FLUSH();
+                adoptExpansion(r);
+                goto seq_generic;
             }
-            if (!expanded) {
-                // Pass-through (or trap: checked below via trapped_).
-                if constexpr (kEmit) {
-                    if (execAppInst<true>(t->inst, emit_))
-                        ++emit_;
-                } else {
-                    execAppInst<false>(t->inst, nullptr);
-                }
-            } else {
-                if (SeqTrans *sq = seqTransFor(side.seq, t->inst.cls)) {
-                    runSeqFast<kEmit>(*sq, maxInsts);
-                } else {
-                    while (seqSpec_ && result_.dynInsts < maxInsts &&
-                           !cancelPollDue(result_.dynInsts)) {
-                        if constexpr (kEmit) {
-                            if (execSeqSlot<true>(emit_))
-                                ++emit_;
-                        } else {
-                            execSeqSlot<false>(nullptr);
-                        }
-                    }
-                }
-            }
+            seqMissed = true;
+            seqPtMiss_ = r.ptMiss;
+            seqRtMiss_ = r.rtMiss;
+            seqMissPenalty_ = r.missPenalty;
         }
-        CHAIN_RELOAD();
-        if (exited_ || trapped_)
-            goto exit_flush;
-        if (seqSpec_) {
-            // Budget or deadline mid-sequence: the dispatcher drains
-            // the rest, then re-enters after this slot if the sequence
-            // fell through. epoch0, not the live epoch: a store the
-            // sequence already made into this block must kill the
-            // cursor, since the block may now be parked for freeing.
-            resume_ = {blk, t + 1, pc + 4, epoch0, blk->engineGen};
-            goto exit_flush;
+        // The memo's span: run its lowered slots in this loop. The
+        // trigger retires as one application instruction.
+        ++result_.appInsts;
+        ++result_.expansions;
+        if (side.seq.empty())
+            lowerSeq(side);
+        if constexpr (kEmit) {
+            if (side.tmpl.empty())
+                buildSeqTemplates(side, t->inst.cls);
+            tmpl = side.tmpl.data();
         }
-        if (traceEpoch_ != epoch0)
-            goto exit_flush; // a sequence store rewrote text (pc_ set)
-        if (pc_ == pc + 4) {
-            ++t;
-            pc += 4;
-            CHAIN_DISPATCH();
-        }
-        // Expansion redirect: chain straight into the successor block,
-        // so a hot memoized expansion costs zero dispatcher trips.
-        nextPC = pc_;
-        edge = &blk->side[t->side].chain;
-        goto chain;
+        eng = t;
+        pc_ = pc + 4;
+        t = side.seq.data();
+        goto *kTab[static_cast<size_t>(t->handler)];
     }
     lbl_End:
     {
@@ -1800,8 +1505,205 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         edge = &blk->fallChain;
         goto chain;
     }
-lbl_bad:
-    fatal("runChain: handler outside the block repertoire");
+
+    ROW_PLAIN(SEQ, SeqNop, (void)0)
+    DISE_ADDR_OPS(SEQ_ADDR)
+    DISE_OPERATE_OPS(SEQ_OPERATE)
+    DISE_CMOV_OPS(SEQ_CMOV)
+    DISE_LOAD_OPS(SEQ_LOAD)
+    DISE_STORE_OPS(SEQ_STORE)
+    lbl_SeqCondBranch:
+    {
+        SEQ_CHECK();
+        const bool taken = condTaken(t->inst.op, readReg(t->inst.ra));
+        const Addr target = t->inst.branchTarget(pc);
+        SEQ_RETIRE();
+        EMIT_CONTROL(SEQ, taken, target);
+        if (taken)
+            noteControlTarget(target);
+        if (t->trigger) {
+            // Trigger branch: later slots ride its path; its outcome
+            // applies when the sequence ends.
+            pc_ = taken ? target : pc + 4;
+            SEQ_NEXT();
+        }
+        if (!taken)
+            SEQ_NEXT();
+        // Non-trigger branch: post-branch slots belong to the
+        // non-taken path, so a taken branch discards them.
+        if constexpr (kEmit)
+            eout[-1].lastOfSeq = true;
+        pc_ = target;
+        goto seq_done;
+    }
+    lbl_SeqDirBranch:
+    lbl_SeqJump:
+    {
+        SEQ_CHECK();
+        const Addr target = t->handler == OpHandler::SeqJump
+                                ? readReg(t->inst.rb) & ~Addr(3)
+                                : t->inst.branchTarget(pc);
+        writeReg(t->inst.ra, pc + 4);
+        SEQ_RETIRE();
+        EMIT_CONTROL(SEQ, true, target);
+        noteControlTarget(target);
+        pc_ = target;
+        if (t->trigger)
+            SEQ_NEXT();
+        if constexpr (kEmit)
+            eout[-1].lastOfSeq = true;
+        goto seq_done;
+    }
+    lbl_DiseBranch:
+    {
+        SEQ_CHECK();
+        const bool taken = t->inst.op == Opcode::DBR ||
+                           condTaken(t->inst.op, readReg(t->inst.ra));
+        SEQ_RETIRE();
+        if (!taken) {
+            if constexpr (kEmit) {
+                SEQ_EMIT_BASE();
+                ++eout;
+            }
+            SEQ_NEXT();
+        }
+        const int64_t offset = 1 + t->inst.imm;
+        if constexpr (kEmit) {
+            SEQ_EMIT_BASE();
+            eout->taken = true;
+            eout->diseTarget = static_cast<uint16_t>(t->side + offset);
+            ++eout;
+        }
+        // Lowering proved the target in [0, length]; length lands on
+        // SeqEnd. Only a backward branch can loop, so it alone polls
+        // for a cancel (DESIGN.md section 13.4).
+        t += offset;
+        if (offset <= 0 && cancelPollDue(dyn))
+            goto seq_park;
+        goto *kTab[static_cast<size_t>(t->handler)];
+    }
+    lbl_DiseBranchTrap:
+    {
+        SEQ_CHECK();
+        const bool taken = t->inst.op == Opcode::DBR ||
+                           condTaken(t->inst.op, readReg(t->inst.ra));
+        SEQ_RETIRE();
+        if (!taken) {
+            if constexpr (kEmit) {
+                SEQ_EMIT_BASE();
+                ++eout;
+            }
+            SEQ_NEXT();
+        }
+        // The slot retires but emits nothing: step() counts the
+        // retirement, then returns false without writing a record
+        // (execSeqSlotBody traps before its *out store).
+        const int64_t target = int64_t(t->side) + 1 + t->inst.imm;
+        const size_t len = blk->side[eng->side].seq.size() - 1;
+        raiseTrap(TrapCause::DiseBranchOutOfRange, pc, t->side + 1u,
+                  static_cast<uint64_t>(target),
+                  strFormat("DISE branch target %lld outside sequence of "
+                            "length %zu",
+                            (long long)target, len));
+        pc_ = pc;
+        goto exit_flush;
+    }
+    lbl_SeqGeneric:
+        goto seq_park;
+    lbl_SeqEnd:
+    {
+        // Running off the end completes the sequence: step() marks the
+        // final retiring slot lastOfSeq (slot 0 always retires first).
+        if constexpr (kEmit)
+            eout[-1].lastOfSeq = true;
+        goto seq_done;
+    }
+
+seq_done:
+    // The sequence completed: go on after its Engine slot, or chain to
+    // its redirect target.
+    t = eng;
+    goto engine_next;
+
+seq_park:
+    // A lowered sequence leaves the loop at slot t: write the in-flight
+    // state the generic slot path (execSeqSlot) resumes from. The span
+    // and spec are the memo's, which the Engine slot just replayed or
+    // refilled.
+    {
+        const ExpandMemo &m = blk->side[eng->side].memo;
+        seqInsts_ = m.insts;
+        seqLen_ = m.numInsts;
+        seqSpec_ = m.seq;
+        seqIdx_ = t->side;
+        seqTriggerPC_ = pc;
+        seqNext_ = pc_;
+        if (!seqMissed) {
+            seqPtMiss_ = false;
+            seqRtMiss_ = false;
+            seqMissPenalty_ = 0;
+        }
+        pc_ = pc;
+        const bool generic = t->handler == OpHandler::SeqGeneric;
+        t = eng;
+        if (!generic)
+            goto seq_suspended; // budget or deadline
+    }
+    CHAIN_FLUSH();
+    goto seq_generic;
+
+engine_plain:
+    // Pass-through (or trap: checked below via trapped_).
+    pc_ = pc;
+    CHAIN_FLUSH();
+    if constexpr (kEmit) {
+        if (execAppInst<true>(t->inst, emit_))
+            ++emit_;
+    } else {
+        execAppInst<false>(t->inst, nullptr);
+    }
+    goto engine_reload;
+
+seq_generic:
+    // The in-flight sequence runs on the generic slot path (counters
+    // flushed; t is its Engine slot).
+    while (seqSpec_ && result_.dynInsts < maxInsts &&
+           !cancelPollDue(result_.dynInsts)) {
+        if constexpr (kEmit) {
+            if (execSeqSlot<true>(emit_))
+                ++emit_;
+        } else {
+            execSeqSlot<false>(nullptr);
+        }
+    }
+engine_reload:
+    CHAIN_RELOAD();
+    if (exited_ || trapped_)
+        goto exit_flush;
+    if (seqSpec_)
+        goto seq_suspended;
+engine_next:
+    if (traceEpoch_ != epoch0)
+        goto exit_flush; // a sequence store rewrote text (pc_ set)
+    if (pc_ == pc + 4) {
+        ++t;
+        pc += 4;
+        CHAIN_DISPATCH();
+    }
+    // Expansion redirect: chain straight into the successor block, so
+    // a hot memoized expansion costs zero dispatcher trips.
+    nextPC = pc_;
+    edge = &blk->side[t->side].chain;
+    goto chain;
+
+seq_suspended:
+    // Budget or deadline mid-sequence: the dispatcher drains the rest,
+    // then re-enters after the Engine slot t if the sequence fell
+    // through. epoch0, not the live epoch: a store the sequence already
+    // made into this block must kill the cursor, since the block may
+    // now be parked for freeing.
+    resume_ = {blk, t + 1, pc + 4, epoch0, blk->engineGen};
+    goto exit_flush;
 
 chain:
     // Block exit with a known successor PC: follow (or patch) the
@@ -1846,32 +1748,48 @@ chain:
     CHAIN_DISPATCH();
 
 budget_stop:
-    // Usually mid-block (a fill batch ends every 64 records): the
-    // cursor lets the next dispatcher trip carry on in this block.
+    // Usually mid-block (a fill batch ends every kFeedBatch records):
+    // the cursor lets the next dispatcher trip carry on in this block.
     pc_ = pc;
     resume_ = {blk, t, pc, epoch0, blk->engineGen};
 exit_flush:
     CHAIN_FLUSH();
     statChainFollows_ += chainFollows;
-    if (inspected != 0)
+    if (haveEngine && inspected != 0)
         controller_->engine().noteInspected(inspected);
 
 #undef CHAIN_FLUSH
 #undef CHAIN_RELOAD
-#undef CHAIN_EMIT_BASE
-#undef CHAIN_EMIT
 #undef CHAIN_DISPATCH
+#undef CHAIN_CHECK
 #undef CHAIN_RETIRE
-#undef CHAIN_PLAIN
+#undef CHAIN_EMIT_BASE
+#undef CHAIN_TEXT_STORE
+#undef CHAIN_NEXT
 #undef CHAIN_ADDR
 #undef CHAIN_OPERATE
 #undef CHAIN_CMOV
 #undef CHAIN_LOAD
 #undef CHAIN_STORE
+#undef SEQ_CHECK
+#undef SEQ_RETIRE
+#undef SEQ_EMIT_BASE
+#undef SEQ_TEXT_STORE
+#undef SEQ_NEXT
+#undef SEQ_ADDR
+#undef SEQ_OPERATE
+#undef SEQ_CMOV
+#undef SEQ_LOAD
+#undef SEQ_STORE
+#undef ROW_PLAIN
+#undef ROW_LOAD
+#undef ROW_STORE
+#undef EMIT_CONTROL
+#undef ROW_LABELS
+#undef ROW_LABEL_
+#undef ROW_LABEL_Seq
 }
 
-#undef TABLE_LABEL
-#undef TABLE_LABELS
 #undef SLOT_ADDR
 #undef SLOT_OPERATE
 #undef SLOT_CMOV

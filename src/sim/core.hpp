@@ -28,7 +28,6 @@
 #define DISE_SIM_CORE_HPP
 
 #include <array>
-#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -339,28 +338,6 @@ class ExecCore
     bool beginExpansion(const DecodedInst &fetched);
     /** Adopt a just-produced expansion as the in-flight sequence. */
     void adoptExpansion(const ExpandResult &r);
-    /**
-     * Adopt the Expanded outcome an expandFast() hit on @p m replays —
-     * what expand() returns for a clean hit on the memoized span: no
-     * PT/RT miss, no penalty. Writes the in-flight sequence fields
-     * directly; no ExpandResult is built.
-     */
-    void
-    adoptMemo(const ExpandMemo &m)
-    {
-        seqInsts_ = m.insts;
-        seqLen_ = m.numInsts;
-        seqSpec_ = m.seq;
-        seqIdx_ = 0;
-        seqTriggerPC_ = pc_;
-        seqHasPendingOutcome_ = false;
-        seqMemoized_ = true;
-        seqPtMiss_ = false;
-        seqRtMiss_ = false;
-        seqMissPenalty_ = 0;
-        ++result_.expansions;
-        ++result_.appInsts;
-    }
     /** Drop the in-flight sequence: it ended, trapped, or was discarded. */
     void clearSeq();
     /**
@@ -374,13 +351,16 @@ class ExecCore
     /**
      * Execute the superblock chain starting at slot @p start of
      * @p block, the slot of guest PC @p pc (pc_): the direct-threaded
-     * interpreter runs the block's slots and follows patched ChainEdges
-     * block-to-block until a budget expiry, a cancellation poll, an
-     * untranslatable successor, a chain invalidation, or termination.
+     * interpreter runs the block's slots, jumps into the lowered slots
+     * of every memoized expansion and back, and follows patched
+     * ChainEdges block-to-block until a budget expiry, a cancellation
+     * poll, an untranslatable successor, a chain invalidation, or
+     * termination.
      * The caller must hold @p block alive (dispatch-cache shared_ptr,
      * or traces_ for a valid resume cursor); chain successors are kept
      * alive by traces_ plus the retired_ graveyard. A stop inside a
-     * block on the budget, or after a suspended sequence, leaves the
+     * block on the budget, or inside a sequence (which it hands to the
+     * in-flight sequence state execSeqSlot resumes from), leaves the
      * resume cursor behind.
      *
      * kEmit (the fillTrace feed): every retirement additionally writes
@@ -419,46 +399,6 @@ class ExecCore
         nextCancelPoll_ = dynInsts + 1024;
         return cancelRequested();
     }
-    /**
-     * Pre-translated form of the just-begun expansion (the in-flight
-     * sequence), cached in an Engine slot's side entry @p st; @p
-     * triggerCls is the slot's instruction class. Null when the
-     * expansion is not memoized or a slot falls outside the fast-path
-     * repertoire — the caller then drains the sequence through
-     * execSeqSlot instead. Inline: on every expansion but the first
-     * per slot, this is a span and generation compare.
-     */
-    SeqTrans *
-    seqTransFor(SeqTrans &st, OpClass triggerCls)
-    {
-        if (!seqMemoized_)
-            return nullptr; // span contents may differ call to call
-        if (st.insts != seqInsts_ || st.numInsts != seqLen_ ||
-            st.gen != controller_->engine().generation())
-            translateSeq(st, triggerCls);
-        return st.usable ? &st : nullptr;
-    }
-    /**
-     * Lower the in-flight sequence into @p st (seqTransFor's miss
-     * path). Leaves st.usable false when a slot is outside the
-     * repertoire: syscalls, codewords, invalid encodings.
-     */
-    void translateSeq(SeqTrans &st, OpClass triggerCls);
-    /**
-     * Drain the in-flight replacement sequence through its
-     * pre-translated form. Equivalent to looping execSeqSlot<false>:
-     * identical retirement counters, PC outcome, trap points, and
-     * self-modifying-store invalidations. Suspends (leaving seqSpec_
-     * and seqIdx_ consistent for a later generic resume) when the
-     * instruction budget expires mid-sequence. kEmit mirrors
-     * runChain: each retiring slot writes its trace record through
-     * emit_ (equivalent to looping execSeqSlot<true>); its first such
-     * run on @p st builds the sequence's record templates
-     * (SeqTrans::tmpl).
-     */
-    template <bool kEmit>
-    void runSeqFast(SeqTrans &st, uint64_t maxInsts);
-
     /**
      * Execute @p inst, recording outcome fields into @p dyn (the fast
      * path passes a scratch DynInst whose inst field is not populated;
@@ -519,6 +459,18 @@ class ExecCore
         return true;
     }
     void doSyscall(DynInst &dyn);
+    /**
+     * A taken control transfer to @p target: one into the program's
+     * "error" symbol is the architected signature of an ACF-detected
+     * violation (MFI segment matching, watchpoint assertions), counted
+     * so callers can tell a detected fault from a normal exit.
+     */
+    void
+    noteControlTarget(Addr target)
+    {
+        if (errorAddr_ != 0 && target == errorAddr_)
+            ++result_.acfDetections;
+    }
     /** A plain load: every write path (writeReg, setReg) skips the
      *  zero register, so regs_[kZeroReg] stays 0. */
     uint64_t readReg(RegIndex r) const { return regs_[r]; }
@@ -528,17 +480,15 @@ class ExecCore
         if (r != kZeroReg)
             regs_[r] = value;
     }
-    /** @name Operands of a DecodedInst or SeqOp slot @p s. */
+    /** @name Operands of instruction @p s. */
     /// @{
     /** Memory-format effective address: rb + displacement. */
-    template <typename Slot>
-    Addr effAddr(const Slot &s) const
+    Addr effAddr(const DecodedInst &s) const
     {
         return readReg(s.rb) + static_cast<uint64_t>(s.imm);
     }
     /** Second operate operand: the rb value or the literal. */
-    template <typename Slot>
-    uint64_t operandB(const Slot &s) const
+    uint64_t operandB(const DecodedInst &s) const
     {
         return s.useLit ? static_cast<uint64_t>(s.imm) : readReg(s.rb);
     }
@@ -569,15 +519,19 @@ class ExecCore
 
     /** @name In-flight replacement sequence.
      *
-     * The instantiated instructions are a non-owning span into the DISE
-     * engine's expansion cache (see ExpandResult); it stays valid for
-     * the whole sequence because the engine is not consulted again
-     * until the sequence retires. When a run RETURNS with the sequence
-     * still in flight (budget expiry, cooperative cancel) that
-     * assumption breaks — the caller may install productions or flush
-     * tables, freeing the storage under the span — so every public
-     * entry point that can exit mid-sequence calls pinSuspendedSeq()
-     * to copy the span and spec into the core-owned backing below.
+     * The state of the generic slot path (execSeqSlot): step()'s, and
+     * the translated path's for an expansion it does not lower or a
+     * lowered sequence it stops in (runChain runs a lowered sequence
+     * in locals and writes these only then). The instantiated
+     * instructions are a non-owning span into the DISE engine's
+     * expansion cache (see ExpandResult); it stays valid for the whole
+     * sequence because the engine is not consulted again until the
+     * sequence retires. When a run RETURNS with the sequence still in
+     * flight (budget expiry, cooperative cancel) that assumption
+     * breaks — the caller may install productions or flush tables,
+     * freeing the storage under the span — so every public entry point
+     * that can exit mid-sequence calls pinSuspendedSeq() to copy the
+     * span and spec into the core-owned backing below.
      */
     /// @{
     const DecodedInst *seqInsts_ = nullptr;
@@ -585,12 +539,9 @@ class ExecCore
     const ReplacementSeq *seqSpec_ = nullptr;
     uint32_t seqIdx_ = 0;
     Addr seqTriggerPC_ = 0;
-    bool seqHasPendingOutcome_ = false; ///< trigger branch seen, deferred
-    bool seqPendingTaken_ = false;
-    Addr seqPendingTarget_ = 0;
-    /** The span is the engine's memoized one (ExpandResult::memoized),
-     *  so the Engine slot may cache its translation. */
-    bool seqMemoized_ = false;
+    /** Where fetch resumes when the sequence runs off its end: the
+     *  trigger's successor, or a trigger branch's deferred outcome. */
+    Addr seqNext_ = 0;
     /** The expansion's miss outcome, carried by slot 0's record. */
     bool seqPtMiss_ = false;
     bool seqRtMiss_ = false;
@@ -688,10 +639,9 @@ class ExecCore
     ChainCursor resume_;
     /**
      * fillTrace emission cursor: the next free ring slot. Non-null
-     * only while a fillTrace call is on the stack; the kEmit
-     * interpreter variants keep a local copy and sync it here at
-     * every flush point (CHAIN_FLUSH / SEQ_FLUSH / handler calls that
-     * leave the interpreter).
+     * only while a fillTrace call is on the stack; runChain<true>
+     * keeps a local copy and syncs it here at every flush point
+     * (CHAIN_FLUSH, before the calls that emit through it).
      */
     DynInst *emit_ = nullptr;
     /** @name Fast-path counters (traceCacheStats; not architectural). */

@@ -9,10 +9,11 @@
  * direct-threaded interpreter in ExecCore (see core.cpp) that bypasses
  * the per-instruction fetch/decode/DISE-inspection machinery of step().
  * Every slot ends in one computed-goto jump to its handler, and every
- * slot array ends in an OpHandler::End sentinel so the inner loop needs
- * no bounds check. The straight-line handlers are generated from the op
- * tables of src/isa/semantics.hpp, the same rows step()'s execute()
- * expands, so the tiers share one definition of each instruction.
+ * slot array ends in a sentinel (OpHandler::End, or SeqEnd for a
+ * lowered sequence) so the inner loop needs no bounds check. The
+ * straight-line handlers are generated from the op tables of
+ * src/isa/semantics.hpp, the same rows step()'s execute() expands, so
+ * the tiers share one definition of each instruction.
  *
  * Slots hold nothing that changes at run time. The mutable state of the
  * few slots that need it lives out of line, in the block's side array
@@ -42,8 +43,9 @@
  * while no RT entry has been filled, evicted, invalidated or corrupted
  * since the sequence's slots last hit (see DiseEngine::expandFast). A
  * replayed memo costs the PT and RT LRU stamp refreshes and nothing
- * else; the slot adopts the sequence straight from the memo's fields
- * and runs its pre-translated form (SeqTrans, also in the side entry).
+ * else; the interpreter then jumps straight into the sequence's lowered
+ * slots (SlotSide::seq, also in the side entry), whose SeqEnd sentinel
+ * resumes after the Engine slot or chains to its redirect target.
  * Instructions the fast path cannot model (syscalls, codewords, invalid
  * encodings, DISE branches in the application stream) terminate
  * translation and execute through the ordinary step() fallback.
@@ -82,14 +84,15 @@ struct TransOp;
 /**
  * Flat dispatch handler of one translated slot: one indirect jump per
  * slot selects the full behavior (opcode and addressing mode folded
- * in), with no nested switch. Shared by the block interpreter and the
- * pre-translated replacement-sequence interpreter; each implements the
- * subset that can appear in its slot stream.
+ * in), with no nested switch. One interpreter (ExecCore::runChain) and
+ * one handler table serve both slot streams: the slots of translated
+ * blocks and the lowered slots of memoized replacement sequences.
  */
 enum class OpHandler : uint8_t {
-    /** @name Straight-line compute, loads and stores (both
-     *  interpreters), one per semantics-table row. */
+    /** @name Block slots. */
     /// @{
+    /** Straight-line compute, loads and stores, one per semantics-table
+     *  row. */
     Nop,
 #define DISE_X(name, ...) name,
     DISE_ADDR_OPS(DISE_X)
@@ -98,26 +101,45 @@ enum class OpHandler : uint8_t {
     DISE_LOAD_OPS(DISE_X)
     DISE_STORE_OPS(DISE_X)
 #undef DISE_X
-    /// @}
-    /** @name Control (block: terminators; sequence: trigger-relative). */
-    /// @{
+    /** Control terminators. */
     CondBranch, DirBranch, Jump,
-    /// @}
     /** Opcode covered by the DISE production set: consult the engine
-     *  at run time (block interpreter only). */
+     *  at run time. */
     Engine,
-    /** @name DISE branches (sequence interpreter only). */
-    /// @{
-    DiseCond, DiseBr,
-    /// @}
-    /** A fused pair (macro-op fusion ACF; block interpreter only —
-     *  fused ops never appear in replacement sequences). */
+    /** A fused pair (macro-op fusion ACF). */
     Fused,
-    /** Sentinel closing every slot array: block fall-through exit /
-     *  replacement-sequence end. */
+    /** Sentinel closing every block: the fall-through exit. */
     End,
+    /// @}
+    /** @name Replacement-sequence slots: the twin of each block handler
+     *  from Nop through Jump, in the same order, with the sequence's
+     *  retire accounting and trigger-relative control. */
+    /// @{
+    SeqNop,
+#define DISE_X(name, ...) Seq##name,
+    DISE_ADDR_OPS(DISE_X)
+    DISE_OPERATE_OPS(DISE_X)
+    DISE_CMOV_OPS(DISE_X)
+    DISE_LOAD_OPS(DISE_X)
+    DISE_STORE_OPS(DISE_X)
+#undef DISE_X
+    SeqCondBranch, SeqDirBranch, SeqJump,
+    /** A DISE branch whose target lies in [0, length]. */
+    DiseBranch,
+    /** A DISE branch whose target does not: traps when taken. */
+    DiseBranchTrap,
+    /** The only slot of a sequence outside the lowered repertoire (a
+     *  syscall, a codeword, an invalid word): step()'s slot path runs
+     *  it. */
+    SeqGeneric,
+    /** Sentinel closing every lowered sequence: the sequence ends. */
+    SeqEnd,
+    /// @}
     NUM,
 };
+static_assert(size_t(OpHandler::SeqJump) - size_t(OpHandler::SeqNop) ==
+                  size_t(OpHandler::Jump) - size_t(OpHandler::Nop),
+              "each block handler from Nop to Jump has a sequence twin");
 
 /**
  * A patchable successor edge: the direct-threaded jump from one block
@@ -193,7 +215,7 @@ struct alignas(64) DynInst
 
     /**
      * inst's timing descriptor (DecodedInst::timingRegs). Translation
-     * stamps it into TransOp, SeqTrans::tmpl copies it in, and the
+     * stamps it into TransOp, SlotSide::tmpl copies it in, and the
      * generic emitters compute it only when they emit, so the feed's
      * timeBatch reads it instead of walking the op table per record.
      */
@@ -209,60 +231,11 @@ static_assert(kMaxSeqLen <=
               "DynInst::disepc/seqLen/diseTarget must hold every slot "
               "position of the longest sequence setProductions accepts");
 
-/** One pre-translated slot of a memoized replacement sequence. */
-struct SeqOp
-{
-    OpHandler handler = OpHandler::End;
-    Opcode op = Opcode::NOP;
-    RegIndex ra = 0;
-    RegIndex rb = 0;
-    RegIndex rc = 0;
-    bool useLit = false;
-    /** Slot retires as the application's own instruction (T.INSN /
-     *  T.OP re-emission), not DISE-inserted work. */
-    bool trigger = false;
-    bool diseValid = false;  ///< DISE-branch target is within range
-    int64_t imm = 0;         ///< pre-sign-extended immediate / literal
-    uint32_t diseTarget = 0; ///< resolved DISE-branch target slot
-};
-
 /**
- * Pre-translated form of one memoized replacement sequence, cached in an
- * Engine slot's side entry. Valid while the engine still hands out the
- * same span (same insts pointer/length) at the same table generation;
- * expansions that are not memoized (scratch-backed or fault-garbled)
- * never use it. @c ops holds numInsts real slots plus the End sentinel.
- */
-struct SeqTrans
-{
-    const DecodedInst *insts = nullptr;
-    uint32_t numInsts = 0;
-    uint64_t gen = 0;
-    /** False when a slot is outside the fast-path repertoire (e.g. a
-     *  syscall): the generic per-slot path runs instead. */
-    bool usable = false;
-    /** Sequence-level prediction class (DynInst::seqPredClass), a
-     *  translation-time constant of (trigger, sequence). */
-    OpClass predCls = OpClass::Nop;
-    std::vector<SeqOp> ops;
-    /**
-     * Pre-built trace records, one per real slot: every field that is
-     * static for the sequence (slot position, decoded instruction and
-     * its timing descriptor, expansion flags, slot 0's prediction class)
-     * is stamped once, so the emitting interpreter copies a record and
-     * fills in only the trigger PC, the slot-0 expansion outcome, and
-     * per-execution extras. Built by the first emitting run
-     * (runSeqFast<true>), so functional runs never build them;
-     * translation clears them. Same validity as @c ops.
-     */
-    std::vector<DynInst> tmpl;
-};
-
-/**
- * One pre-resolved slot of a translated basic block: exactly what the
- * dispatch and the trace record read, two slots to a cache line.
- * Direct-branch targets are recomputed from inst (branchTarget) rather
- * than stored.
+ * One pre-resolved slot of a translated basic block or of a lowered
+ * replacement sequence: exactly what the dispatch and the trace record
+ * read, two slots to a cache line. Direct-branch targets are recomputed
+ * from inst (branchTarget) rather than stored.
  */
 struct TransOp
 {
@@ -272,8 +245,16 @@ struct TransOp
     /** inst.timingRegs(), copied into the slot's trace records. */
     TimingRegs regs;
     OpHandler handler = OpHandler::End;
-    /** Engine and terminator slots: the slot's TransBlock::side entry.
-     *  Straight-line slots own none (and leave it 0). */
+    /** Sequence slots: the slot retires as the application's own
+     *  instruction (T.INSN, or a T.OP re-emission), not DISE-inserted
+     *  work. False in blocks. */
+    bool trigger = false;
+    /**
+     * Block slots: an Engine or terminator slot's TransBlock::side
+     * entry (straight-line slots own none and leave it 0). Sequence
+     * slots: the slot's position in the sequence (DISEPC - 1), which
+     * kMaxSeqLen keeps below 2^16.
+     */
     uint16_t side = 0;
 };
 static_assert(sizeof(TransOp) == 32,
@@ -296,9 +277,25 @@ struct SlotSide
      *  match, the cache hash and, through the RT way cache, the RT
      *  probe on repeated clean hits). */
     ExpandMemo memo;
-    /** Engine slots: cached translation of this slot's memoized
-     *  replacement sequence (see SeqTrans). */
-    SeqTrans seq;
+    /**
+     * Engine slots: the memoized replacement sequence lowered into
+     * slots that runChain dispatches like block slots — one per
+     * sequence instruction plus the SeqEnd sentinel, or one SeqGeneric
+     * slot. Empty until the slot's first memoized expansion. The block
+     * lives at one engine generation, where the engine hands this
+     * trigger one memoized span, so it is lowered once.
+     */
+    std::vector<TransOp> seq;
+    /**
+     * Pre-built trace records, one per lowered sequence slot: every
+     * field that is static for the sequence (slot position, decoded
+     * instruction and its timing descriptor, expansion flags, slot 0's
+     * prediction class) is stamped once, so the emitting interpreter
+     * copies a record and fills in only the trigger PC, a missed
+     * expansion's slot-0 outcome, and per-execution extras. Built by
+     * the first emitting run, so functional runs never build them.
+     */
+    std::vector<DynInst> tmpl;
 };
 
 /**

@@ -12,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -214,6 +215,43 @@ TEST(SimServer, RunStatsAndErrorStatuses)
     EXPECT_EQ(live["stats"]["server"]["status_ok"].asUInt(), 1u);
     EXPECT_EQ(live["stats"]["server"]["status_malformed"].asUInt(), 1u);
     EXPECT_EQ(live["stats"]["server"]["status_error"].asUInt(), 2u);
+}
+
+TEST(SimServer, AcceptedTcpConnectionsSetNoDelay)
+{
+    // Each response is one small send; with Nagle's algorithm on, a
+    // response written while the previous one is unacknowledged waits
+    // for the client's delayed ACK (in practice, its next request). The
+    // server's end of every accepted TCP connection must set
+    // TCP_NODELAY: find it among this process's sockets — bound to the
+    // server's port and connected to a peer, unlike the listener.
+    ServerFixture fx;
+    Client client(fx.server.port());
+    client.sendLine(std::string("not json"));
+    EXPECT_EQ(client.readLine()["status"].asString(), "malformed");
+    int accepted = 0;
+    for (int fd = 0; fd < 1024; ++fd) {
+        sockaddr_in local = {};
+        sockaddr_in peer = {};
+        socklen_t len = sizeof(local);
+        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&local),
+                          &len) != 0 ||
+            local.sin_family != AF_INET ||
+            ntohs(local.sin_port) != fx.server.port())
+            continue;
+        len = sizeof(peer);
+        if (::getpeername(fd, reinterpret_cast<sockaddr *>(&peer),
+                          &len) != 0)
+            continue; // the listening socket
+        int noDelay = 0;
+        socklen_t optLen = sizeof(noDelay);
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &noDelay,
+                               &optLen),
+                  0);
+        EXPECT_NE(noDelay, 0) << "accepted fd " << fd;
+        ++accepted;
+    }
+    EXPECT_EQ(accepted, 1);
 }
 
 TEST(SimServer, OversizedLineFailsOnlyThatRequest)

@@ -475,9 +475,9 @@ TEST(Trace, CancelDeadlineStopsTightChainedLoop)
 TEST(Trace, CancelDeadlineStopsDiseBranchLoop)
 {
     // A replacement sequence that is itself an infinite loop (dbr
-    // self-branch): the per-slot poll inside the sequence interpreter
-    // must observe the deadline — chain-boundary polling alone never
-    // fires because the sequence never ends.
+    // self-branch): the poll after each taken backward DISE branch must
+    // observe the deadline — chain-boundary polling alone never fires
+    // because the sequence never ends.
     const Program prog = assemble(".text\n"
                                   "main:\n"
                                   "    laq buf, t5\n"
@@ -814,9 +814,9 @@ TEST(Trace, PerOpEdgeValuesIdenticalAcrossTiers)
     ASSERT_EQ(oracle.result.outcome, RunOutcome::Exit);
     // Tier 2: the chained block interpreter.
     expectIdentical(runTier(inlineProg, true), oracle);
-    // Tier 3: runSeqFast, on the memoized expansion of the marker
-    // (every pass after the first hits the expansion cache), checked
-    // against the same program on the step() path.
+    // Tier 3: the lowered sequence slots, on the memoized expansion of
+    // the marker (every pass after the first hits the expansion cache),
+    // checked against the same program on the step() path.
     const RunSnapshot seq = runTier(seqProg, true, set);
     expectIdentical(seq, runTier(seqProg, false, set));
     EXPECT_EQ(seq.result.expansions, 64u);

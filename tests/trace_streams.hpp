@@ -3,7 +3,8 @@
  * Retire-record stream helpers shared by the trace tests: drain a core
  * through step() or through fillTrace, and compare two records field
  * by field, the timing descriptor included (translation stamps it into
- * TransOp and SeqTrans templates; step() computes it per emission).
+ * TransOp and the lowered sequences' record templates; step() computes
+ * it per emission).
  */
 
 #ifndef DISE_TESTS_TRACE_STREAMS_HPP

@@ -88,7 +88,9 @@
  *                            --gen-seed base, default 2003) and check
  *                            native-vs-fused architectural identity
  *                            and fast-vs-slow bit-identity for each,
- *                            sharded over --jobs threads. Prints a
+ *                            natively and under MFI (whose expansions
+ *                            the summary counts), sharded over --jobs
+ *                            threads. Prints a
  *                            worker-count-independent result digest;
  *                            any failure dumps the reproducing seed and
  *                            writes the program listing next to the
@@ -657,13 +659,16 @@ runBatch(const Options &opts)
 /**
  * Generator differential harness (--gen-diff N).
  *
- * For each of N derived seeds, runs the generated program under four
- * functional regimes — {native, fused} x {slow step loop, chained
- * trace-cache fast path} — and requires all four architectural
- * results to be bit-identical (same outcome, counters, and printed
- * checksum). A generated program that traps or hangs fails the run
- * too: the generator guarantees clean termination, so either is a
- * generator bug worth a reproducing seed.
+ * For each of N derived seeds, runs the generated program under six
+ * functional regimes — {native, fused, MFI} x {slow step loop, chained
+ * trace-cache fast path}. The native and fused results must be
+ * bit-identical (same outcome, counters, and printed checksum); MFI
+ * inserts instructions, so its two regimes must match each other. The
+ * MFI regimes are the ones that install productions, so they alone
+ * run the translated Engine slots and lowered sequences; the summary
+ * counts their expansions. A generated program that traps or hangs
+ * natively fails the run too: the generator guarantees clean
+ * termination, so either is a generator bug worth a reproducing seed.
  *
  * Work is sharded over --jobs threads; results land in a seed-indexed
  * array, so the summary digest is independent of the worker count —
@@ -675,15 +680,18 @@ runGenDiff(const Options &opts)
 {
     struct Regime
     {
-        bool fusion;
+        const char *acf; ///< the one ACF installed; null: native
         bool fast;
         const char *name;
+        size_t reference; ///< the regime whose result this one must match
     };
-    static const std::array<Regime, 4> kRegimes = {{
-        {false, false, "native-slow"},
-        {false, true, "native-fast"},
-        {true, false, "fused-slow"},
-        {true, true, "fused-fast"},
+    static const std::array<Regime, 6> kRegimes = {{
+        {nullptr, false, "native-slow", 0},
+        {nullptr, true, "native-fast", 0},
+        {"fusion", false, "fused-slow", 0},
+        {"fusion", true, "fused-fast", 0},
+        {"mfi", false, "mfi-slow", 4},
+        {"mfi", true, "mfi-fast", 4},
     }};
 
     const uint64_t count = opts.genDiff;
@@ -695,6 +703,7 @@ runGenDiff(const Options &opts)
         std::string canonical; ///< native-slow result JSON
         uint64_t fusedPairs = 0;
         uint64_t fusedDynInsts = 0;
+        uint64_t mfiExpansions = 0;
     };
     std::vector<Row> rows(count);
     std::atomic<size_t> nextIndex{0};
@@ -711,19 +720,20 @@ runGenDiff(const Options &opts)
             gen.seed = row.seed;
             const std::string src = generateRandomSource(gen);
 
-            std::array<std::string, 4> results;
+            std::array<std::string, kRegimes.size()> results;
             for (size_t k = 0; k < kRegimes.size(); ++k) {
+                const Regime &regime = kRegimes[k];
+                const std::string acf = regime.acf ? regime.acf : "";
                 RunRequest req;
                 req.source = src;
                 req.maxInsts = 20000000; // generous Hang backstop
-                req.traceCache = kRegimes[k].fast;
-                if (kRegimes[k].fusion) {
+                req.traceCache = regime.fast;
+                if (!acf.empty()) {
                     req.acfsExplicit = true;
-                    req.acfs = {{"fusion", "", AcfCompose::Append}};
+                    req.acfs = {{acf, "", AcfCompose::Append}};
                 }
                 SimOptions simOpts;
-                const bool wantCoverage =
-                    kRegimes[k].fusion && kRegimes[k].fast;
+                const bool wantCoverage = acf == "fusion" && regime.fast;
                 simOpts.registry = wantCoverage;
                 const FunctionalOutcome out =
                     runFunctionalSim(prepareJob(req), simOpts);
@@ -744,12 +754,15 @@ runGenDiff(const Options &opts)
                     row.fusedPairs += fz.at("fused_pairs").asUInt();
                     row.fusedDynInsts += out.arch.dynInsts;
                 }
-                if (k > 0 && results[k] != results[0]) {
+                if (acf == "mfi" && regime.fast)
+                    row.mfiExpansions += out.arch.expansions;
+                const size_t ref = regime.reference;
+                if (k != ref && results[k] != results[ref]) {
                     row.failed = true;
-                    row.why += std::string(kRegimes[k].name) +
-                               " diverged from native-slow:\n  " +
-                               results[0] + "\n  vs\n  " + results[k] +
-                               "\n";
+                    row.why += std::string(regime.name) +
+                               " diverged from " + kRegimes[ref].name +
+                               ":\n  " + results[ref] + "\n  vs\n  " +
+                               results[k] + "\n";
                 }
             }
             row.canonical = results[0];
@@ -783,6 +796,7 @@ runGenDiff(const Options &opts)
     // identical across worker counts or the sharding leaked state.
     uint64_t digest = 14695981039346656037ull;
     uint64_t failures = 0, fusedPairs = 0, fusedDynInsts = 0;
+    uint64_t mfiExpansions = 0;
     for (const Row &row : rows) {
         for (const char c : row.canonical) {
             digest ^= static_cast<unsigned char>(c);
@@ -791,9 +805,11 @@ runGenDiff(const Options &opts)
         failures += row.failed ? 1 : 0;
         fusedPairs += row.fusedPairs;
         fusedDynInsts += row.fusedDynInsts;
+        mfiExpansions += row.mfiExpansions;
     }
     std::printf("gen-diff: programs=%llu regimes=%zu failures=%llu "
-                "fused_pairs=%llu coverage=%.2f%% digest=%016llx\n",
+                "fused_pairs=%llu coverage=%.2f%% mfi_expansions=%llu "
+                "digest=%016llx\n",
                 (unsigned long long)count, kRegimes.size(),
                 (unsigned long long)failures,
                 (unsigned long long)fusedPairs,
@@ -801,6 +817,7 @@ runGenDiff(const Options &opts)
                     ? 100.0 * 2.0 * double(fusedPairs) /
                           double(fusedDynInsts)
                     : 0.0,
+                (unsigned long long)mfiExpansions,
                 (unsigned long long)digest);
     return failures == 0 ? 0 : 1;
 }

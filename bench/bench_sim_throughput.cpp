@@ -9,9 +9,6 @@
  *
  *   functional               no DISE, trace cache on
  *   functional_mfi           MFI (DISE3) productions, trace cache on
- *   functional_mfi_nochain   trace cache on, superblock chaining off
- *                            (every block exit routes through the
- *                            dispatcher — isolates the chaining win)
  *   functional_mfi_slowpath  same run with the trace cache disabled
  *                            (the --no-trace-cache escape hatch)
  *   timing_mfi               baseline 4-wide machine, MFI productions,
@@ -106,7 +103,7 @@ mfiSet(const Program &prog)
 Measured
 runFunctional(const Program &prog,
               std::shared_ptr<const ProductionSet> set, bool traceCache,
-              const std::string &what, bool chaining = true)
+              const std::string &what)
 {
     std::unique_ptr<DiseController> controller;
     if (set) {
@@ -117,7 +114,6 @@ runFunctional(const Program &prog,
     if (controller)
         initMfiRegisters(core, prog);
     core.setTraceCacheEnabled(traceCache);
-    core.setChainingEnabled(chaining);
     const auto t0 = std::chrono::steady_clock::now();
     const RunResult r = core.run();
     Measured m;
@@ -264,10 +260,9 @@ runSimThroughput()
     std::printf("==========================================================\n\n");
 
     const auto specs = selectedSpecs();
-    TextTable table({"bench", "func", "func+MFI", "no-chain",
-                     "MFI-slowpath", "speedup", "t-step", "t-feed",
-                     "t-spdup", "t-sampled", "cpi-err%", "fuse-cov%",
-                     "fuse-ipc%"});
+    TextTable table({"bench", "func", "func+MFI", "MFI-slowpath",
+                     "speedup", "t-step", "t-feed", "t-spdup",
+                     "t-sampled", "cpi-err%", "fuse-cov%", "fuse-ipc%"});
     struct Row
     {
         std::vector<std::string> cells;
@@ -280,17 +275,13 @@ runSimThroughput()
             prog, nullptr, true, spec.name + " functional");
         const Measured fast = runFunctional(
             prog, set, true, spec.name + " functional_mfi");
-        const Measured nochain = runFunctional(
-            prog, set, true, spec.name + " functional_mfi_nochain",
-            false);
         const Measured slow = runFunctional(
             prog, set, false, spec.name + " functional_mfi_slowpath");
-        if (fast.insts != slow.insts || fast.insts != nochain.insts) {
+        if (fast.insts != slow.insts) {
             fatal(strFormat(
                 "BENCH FAILURE: %s trace cache changed retirement: "
-                "%llu insts fast vs %llu no-chain vs %llu slow",
+                "%llu insts fast vs %llu slow",
                 spec.name.c_str(), (unsigned long long)fast.insts,
-                (unsigned long long)nochain.insts,
                 (unsigned long long)slow.insts));
         }
 
@@ -335,9 +326,6 @@ runSimThroughput()
             BenchJson::instance().record(spec.name, "functional_mfi",
                                          throughputEntry(fast));
             BenchJson::instance().record(spec.name,
-                                         "functional_mfi_nochain",
-                                         throughputEntry(nochain));
-            BenchJson::instance().record(spec.name,
                                          "functional_mfi_slowpath",
                                          throughputEntry(slow));
             Json feedEntry = throughputEntry(feed.m);
@@ -363,7 +351,6 @@ runSimThroughput()
         row.cells = {spec.name,
                      TextTable::num(func.mips(), 1),
                      TextTable::num(fast.mips(), 1),
-                     TextTable::num(nochain.mips(), 1),
                      TextTable::num(slow.mips(), 1),
                      TextTable::num(slow.mips() > 0.0
                                         ? fast.mips() / slow.mips()

@@ -464,9 +464,8 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
         // ---- Commit: in order, width per cycle. ----
         const uint64_t prevCommitClock = h.lastCommit;
         const uint64_t commit =
-            claimSlot(std::max(complete + 1, h.lastCommit), h.commitCycleCur,
+            claimSlot(std::max(complete + 1, h.lastCommit), h.lastCommit,
                       h.commitSlots, width);
-        h.lastCommit = commit;
         commitRing[robIdx] = commit;
 
         // ---- Cycle accounting (see CycleBreakdown): charge this
@@ -574,8 +573,15 @@ void
 PipelineSim::warmBatch(const DynInst *recs, size_t n)
 {
     // The current-line latch and the tally live in locals for the whole
-    // run, as in timeBatch.
+    // run, as in timeBatch. A redirect still pending from a detail
+    // window's last records becomes the latch's pending redirect here;
+    // left pending, the next window would honour it with a stale cycle.
     uint64_t curLine = hot_.curLine;
+    if (hot_.pendingRedirect != 0) {
+        curLine = kRedirect;
+        hot_.pendingRedirect = 0;
+        hot_.redirectCause = StallCause::None;
+    }
     Tally c;
     for (const DynInst *rec = recs, *const end = recs + n; rec != end;
          ++rec) {
@@ -844,7 +850,6 @@ PipelineSim::saveSnapshot(TimingSnapshot &out) const
                    hot_.instIndex,
                    hot_.dispatchCycleCur,
                    hot_.dispatchSlots,
-                   hot_.commitCycleCur,
                    hot_.commitSlots,
                    hot_.lastCommit,
                    uint64_t(seqPredCls_),
@@ -876,7 +881,7 @@ PipelineSim::restoreSnapshot(const TimingSnapshot &snap)
     mem_.adoptState(*snap.mem);
     bpred_ = *snap.bpred;
     const uint64_t *p = snap.scalars.data();
-    DISE_ASSERT(snap.scalars.size() == 30 + regReady_.size() +
+    DISE_ASSERT(snap.scalars.size() == 29 + regReady_.size() +
                                            commitRing_.size() +
                                            issueRing_.size(),
                 "timing snapshot shape mismatch (different machine "
@@ -895,7 +900,6 @@ PipelineSim::restoreSnapshot(const TimingSnapshot &snap)
     hot_.instIndex = *p++;
     hot_.dispatchCycleCur = *p++;
     hot_.dispatchSlots = uint32_t(*p++);
-    hot_.commitCycleCur = *p++;
     hot_.commitSlots = uint32_t(*p++);
     hot_.lastCommit = *p++;
     seqPredCls_ = OpClass(*p++);

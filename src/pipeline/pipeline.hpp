@@ -331,8 +331,8 @@ class PipelineSim
         uint64_t instIndex = 0;
         uint64_t dispatchCycleCur = 0;
         uint32_t dispatchSlots = 0;
-        uint64_t commitCycleCur = 0;
         uint32_t commitSlots = 0;
+        /** The commit stage's current cycle: the last commit's. */
         uint64_t lastCommit = 0;
         /**
          * Incremental commit/issue-ring cursors for the kFast hazard

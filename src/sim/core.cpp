@@ -12,7 +12,9 @@ namespace dise {
 
 namespace {
 
-/** Longest straight-line run one translated block may cover. */
+/** Most slots one translated block may hold. A slot covers one word, or
+ *  two for a fused pair, so a block spans at most 2 * kMaxBlockLen
+ *  words. */
 constexpr size_t kMaxBlockLen = 128;
 static_assert(kMaxBlockLen <= 0xffff, "TransOp::side is 16 bits");
 
@@ -89,6 +91,7 @@ ExecCore::ExecCore(const Program &prog, DiseController *controller)
     brk_ = (prog.dataBase + prog.data.size() + 0xffff) & ~Addr(0xffff);
     decoded_.resize(prog.text.size());
     decodedValid_.assign(prog.text.size(), 0);
+    blocks_.resize(prog.text.size());
     const auto errorSym = prog.symbols.find("error");
     if (errorSym != prog.symbols.end())
         errorAddr_ = errorSym->second;
@@ -128,12 +131,7 @@ ExecCore::invalidateDecodeCache()
 {
     decodedValid_.assign(decodedValid_.size(), 0);
     clearFusionMap();
-    ++traceEpoch_;
-    for (auto &kv : traces_) {
-        if (kv.second)
-            retired_.push_back(std::move(kv.second));
-    }
-    traces_.clear();
+    retireBlocks();
 }
 
 void
@@ -238,27 +236,49 @@ ExecCore::fusionStatGroup() const
 }
 
 void
+ExecCore::retireBlocks()
+{
+    ++traceEpoch_;
+    if (resident_ == 0)
+        return;
+    for (std::unique_ptr<TransBlock> &b : blocks_) {
+        if (b)
+            retired_.push_back(std::move(b));
+    }
+    resident_ = 0;
+}
+
+void
 ExecCore::invalidateTraceRange(Addr addr, unsigned size)
 {
-    // The epoch bump orphans every dispatch entry and chain edge, so
-    // nothing re-enters a dropped block; the graveyard keeps the
-    // storage alive in case the interpreter is currently *inside* one
-    // (SMC invalidation runs mid-chain). See the retired_ member doc.
+    // The epoch bump kills the resume cursor and makes a running block
+    // exit; the graveyard keeps a dropped block alive in case the
+    // interpreter is currently *inside* it (SMC invalidation runs
+    // mid-chain). See the retired_ member doc.
     ++traceEpoch_;
-    if (traces_.empty())
-        return;
-    const Addr end = addr + size;
-    // With fusion on, a block's last slot also read the word past
-    // coveredEnd() to decide "no fuse"; a store there must drop the
+    // With fusion on, a block's last slot also read the word past the
+    // ones it covers to decide "no fuse"; a store there must drop the
     // block with the decision (invalidateFusionRange).
     const Addr reach = fusionEnabled_ ? 4 : 0;
-    for (auto it = traces_.begin(); it != traces_.end();) {
-        const TransBlock &b = *it->second;
-        if (b.entryPC < end && b.coveredEnd() + reach > addr) {
-            retired_.push_back(std::move(it->second));
-            it = traces_.erase(it);
-        } else {
-            ++it;
+    // A block spans at most 2 * kMaxBlockLen words, so only entries
+    // that close before the written range (which noteTextStore saw
+    // overlap text) can overlap it.
+    const Addr span = 2 * kMaxBlockLen * 4 + reach;
+    const size_t first = addr > prog_.textBase + span
+                             ? (addr - span - prog_.textBase) >> 2
+                             : 0;
+    const Addr end = std::min<Addr>(addr + size, prog_.textEnd());
+    for (size_t i = first; prog_.textBase + 4 * i < end; ++i) {
+        std::unique_ptr<TransBlock> &b = blocks_[i];
+        if (!b)
+            continue;
+        // Entry i covers numInsts words from its own (a placeholder for
+        // an untranslatable word, that one word).
+        const Addr coveredEnd =
+            prog_.textBase + 4 * (i + std::max(b->numInsts, 1u));
+        if (coveredEnd + reach > addr) {
+            retired_.push_back(std::move(b));
+            --resident_;
         }
     }
 }
@@ -818,17 +838,7 @@ ExecCore::advanceToAppInst(uint64_t target)
     // advance wherever it stands (the caller observes the flag).
     while (!exited_ && !trapped_ && result_.appInsts < target &&
            !cancelRequested()) {
-        const uint64_t budget =
-            result_.dynInsts + (target - result_.appInsts);
-        if (traceEnabled_) {
-            runTranslated<false>(budget);
-        } else {
-            DynInst dyn;
-            while (result_.dynInsts < budget && stepUnpinned(dyn)) {
-                if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
-                    break;
-            }
-        }
+        runUntil<false>(result_.dynInsts + (target - result_.appInsts));
     }
     // Drain any in-flight replacement sequence: the target application
     // instruction may have expanded, and its effects are complete only
@@ -920,13 +930,22 @@ ExecCore::resumeAt(Addr pc, uint32_t disepc)
     seqMissPenalty_ = 0; // already charged before the trap
 }
 
-std::shared_ptr<const TransBlock>
+TransBlock *
 ExecCore::translateBlock(Addr entry)
 {
-    auto block = std::make_shared<TransBlock>();
-    block->entryPC = entry;
-    block->engineGen =
-        controller_ ? controller_->engine().generation() : 0;
+    if (resident_ >= traceBlockCap_) {
+        // Cache pressure: retire the whole table (rare — the cap is far
+        // above any real text footprint) rather than keep an LRU. This
+        // runs mid-chain too, where the graveyard keeps the running
+        // block alive.
+        ++statTraceEvictions_;
+        retireBlocks();
+    }
+    std::unique_ptr<TransBlock> &block =
+        blocks_[static_cast<size_t>((entry - prog_.textBase) >> 2)];
+    block = std::make_unique<TransBlock>();
+    ++statBlocksTranslated_;
+    ++resident_;
 
     // Slots collect in the reused scratch vector; the block gets one
     // exactly sized copy at the end instead of a doubling regrowth.
@@ -963,9 +982,9 @@ ExecCore::translateBlock(Addr entry)
                 break;
             }
         }
-        // Engine slots and control terminators keep run-time state
-        // (memo, sequence translation, chain edge) out of line.
-        if (op.handler == OpHandler::Engine || d.isControl())
+        // Engine slots keep run-time state (memo, lowered sequence) out
+        // of line.
+        if (op.handler == OpHandler::Engine)
             op.side = numSide++;
         ops.push_back(op);
         pc += fz ? 8 : 4;
@@ -973,8 +992,8 @@ ExecCore::translateBlock(Addr entry)
             break; // branches, jumps and fused compare+branch end a block
     }
     // Words covered, not slots: every translated slot advanced pc by
-    // its own width (4, or 8 for a fused pair), so coveredEnd() keeps
-    // seeing the fused second words for SMC overlap checks.
+    // its own width (4, or 8 for a fused pair), so SMC overlap checks
+    // keep seeing the fused second words.
     block->numInsts = static_cast<uint32_t>((pc - entry) / 4);
     if (!ops.empty()) {
         // Close the slot array with the End sentinel (the fall-through
@@ -985,58 +1004,7 @@ ExecCore::translateBlock(Addr entry)
         block->ops.assign(ops.begin(), ops.end());
         block->side.resize(numSide);
     }
-    return block;
-}
-
-std::shared_ptr<const TransBlock>
-ExecCore::lookupBlock(Addr pc)
-{
-    const uint64_t gen =
-        controller_ ? controller_->engine().generation() : 0;
-    auto it = traces_.find(pc);
-    if (it == traces_.end()) {
-        if (traces_.size() >= traceBlockCap_) {
-            // Cache pressure: evict the whole map (rare — the cap is
-            // far above any real text footprint) rather than maintain
-            // an LRU on the hot path. The epoch bump orphans every
-            // dispatch entry and chain edge into the evicted blocks;
-            // the graveyard keeps them alive through any chain
-            // currently on the stack (this path runs mid-chain via
-            // chainTarget).
-            ++traceEpoch_;
-            ++statTraceEvictions_;
-            for (auto &kv : traces_) {
-                if (kv.second)
-                    retired_.push_back(std::move(kv.second));
-            }
-            traces_.clear();
-        }
-        it = traces_.emplace(pc, nullptr).first;
-    }
-    if (!it->second || it->second->engineGen != gen) {
-        if (it->second) {
-            // Generation-stale block: park it rather than destroy it.
-            // Its stale stamp already keeps every edge and dispatch
-            // entry from re-entering it, but the interpreter may still
-            // be executing it right now (a mid-chain engine-generation
-            // bump), and pre-chaining code destroyed it here — the
-            // DispatchEntry::block dangle this PR's bugfix sweep
-            // closes.
-            retired_.push_back(std::move(it->second));
-        }
-        it->second = translateBlock(pc);
-        ++statBlocksTranslated_;
-    }
-    return it->second;
-}
-
-const TransBlock *
-ExecCore::chainTarget(Addr pc)
-{
-    if ((pc & 3) != 0 || pc < prog_.textBase || pc >= prog_.textEnd())
-        return nullptr; // out-of-text successors run through step()
-    const TransBlock *b = lookupBlock(pc).get();
-    return b->numInsts == 0 ? nullptr : b;
+    return block.get();
 }
 
 namespace {
@@ -1154,17 +1122,15 @@ buildSeqTemplates(SlotSide &side, OpClass triggerCls)
  */
 template <bool kEmit>
 void
-ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
+ExecCore::runChain(TransBlock *block, const TransOp *start, Addr pc,
                    uint64_t maxInsts)
 {
-    const bool haveEngine = controller_ != nullptr;
-    const TransBlock *blk = block;
+    TransBlock *blk = block;
     const TransOp *t = start;
     // Trace epoch the running block was entered at (the cursor stamp).
     uint64_t epoch0 = traceEpoch_;
-    // Successor hand-off registers for the `chain` trampoline.
+    // The successor PC handed to the `chain` trampoline.
     Addr nextPC = 0;
-    ChainEdge *edge = nullptr;
     // dyn is the absolute count the budget is tested against; app and
     // dise are deltas since the last flush (loads and stores, off the
     // per-slot path, go to result_ directly). app counts the block
@@ -1400,7 +1366,6 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
             CHAIN_NEXT();
         noteControlTarget(target);
         nextPC = target;
-        edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_DirBranch:
@@ -1416,7 +1381,6 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
         EMIT_CONTROL(CHAIN, true, target);
         noteControlTarget(target);
         nextPC = target;
-        edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_Fused:
@@ -1452,7 +1416,6 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
             CHAIN_DISPATCH();
         }
         nextPC = fdyn.actualTarget;
-        edge = &blk->side[t->side].chain;
         goto chain;
     }
     lbl_Engine:
@@ -1502,7 +1465,6 @@ ExecCore::runChain(const TransBlock *block, const TransOp *start, Addr pc,
     lbl_End:
     {
         nextPC = pc; // pc is already past the last covered slot
-        edge = &blk->fallChain;
         goto chain;
     }
 
@@ -1693,7 +1655,6 @@ engine_next:
     // Expansion redirect: chain straight into the successor block, so
     // a hot memoized expansion costs zero dispatcher trips.
     nextPC = pc_;
-    edge = &blk->side[t->side].chain;
     goto chain;
 
 seq_suspended:
@@ -1702,46 +1663,25 @@ seq_suspended:
     // through. epoch0, not the live epoch: a store the sequence already
     // made into this block must kill the cursor, since the block may
     // now be parked for freeing.
-    resume_ = {blk, t + 1, pc + 4, epoch0, blk->engineGen};
+    resume_ = {blk, t + 1, pc + 4, epoch0};
     goto exit_flush;
 
 chain:
-    // Block exit with a known successor PC: follow (or patch) the
-    // taken/fall-through edge and keep executing without a dispatcher
-    // round trip.
-    if (!chainEnabled_) {
-        pc_ = nextPC;
-        goto exit_flush;
-    }
+    // Block exit with a known successor PC: look the successor up and
+    // keep executing without a dispatcher round trip.
     if (cancelPollDue(dyn)) {
         // Deadline observed at a block boundary — a precise
         // instruction boundary; run() classifies the outcome.
         pc_ = nextPC;
         goto exit_flush;
     }
-    {
-        const uint64_t gen =
-            haveEngine ? controller_->engine().generation() : 0;
-        if (edge->next == nullptr || edge->epoch != traceEpoch_ ||
-            edge->gen != gen || edge->target != nextPC) {
-            // Patch (or re-patch) the edge. chainTarget may evict or
-            // retranslate — either bumps traceEpoch_, so the stamps
-            // are read only after it returns. (The engine generation
-            // cannot move inside a run.)
-            const TransBlock *nb = chainTarget(nextPC);
-            if (nb == nullptr) {
-                pc_ = nextPC; // untranslatable successor: dispatcher
-                goto exit_flush;
-            }
-            edge->next = nb;
-            edge->first = nb->ops.data();
-            edge->epoch = traceEpoch_;
-            edge->gen = gen;
-            edge->target = nextPC;
-        }
-        blk = edge->next;
-        t = edge->first;
+    // blockAt may translate, and evict the table (an epoch bump).
+    blk = blockAt(nextPC);
+    if (blk == nullptr) {
+        pc_ = nextPC; // untranslatable successor: dispatcher
+        goto exit_flush;
     }
+    t = blk->ops.data();
     ++chainFollows;
     pc = nextPC;
     epoch0 = traceEpoch_;
@@ -1751,11 +1691,11 @@ budget_stop:
     // Usually mid-block (a fill batch ends every kFeedBatch records):
     // the cursor lets the next dispatcher trip carry on in this block.
     pc_ = pc;
-    resume_ = {blk, t, pc, epoch0, blk->engineGen};
+    resume_ = {blk, t, pc, epoch0};
 exit_flush:
     CHAIN_FLUSH();
     statChainFollows_ += chainFollows;
-    if (haveEngine && inspected != 0)
+    if (controller_ != nullptr && inspected != 0)
         controller_->engine().noteInspected(inspected);
 
 #undef CHAIN_FLUSH
@@ -1796,12 +1736,37 @@ exit_flush:
 
 template <bool kEmit>
 void
+ExecCore::runUntil(uint64_t maxInsts)
+{
+    if (traceEnabled_) {
+        runTranslated<kEmit>(maxInsts);
+        return;
+    }
+    // step() output when not emitting; fillTrace writes into its ring.
+    DynInst scratch;
+    while (result_.dynInsts < maxInsts &&
+           stepUnpinned(kEmit ? *emit_ : scratch)) {
+        if constexpr (kEmit)
+            ++emit_;
+        if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
+            break;
+    }
+}
+
+template <bool kEmit>
+void
 ExecCore::runTranslated(uint64_t maxInsts)
 {
-    // step() output when not emitting; fillTrace writes into its ring.
     DynInst scratch;
     while (!exited_ && !trapped_ && result_.dynInsts < maxInsts &&
            !cancelRequested()) {
+        // Every block records which slots expand under the tables it
+        // was translated against; the generation cannot move inside
+        // runChain, so one compare per trip keeps the table current.
+        if (controller_ && controller_->engine().generation() != blockGen_) {
+            blockGen_ = controller_->engine().generation();
+            retireBlocks();
+        }
         // Dispatcher top is the one point provably outside any chain
         // (no runChain frame live), so retired blocks parked by
         // invalidation/eviction can finally be freed.
@@ -1813,31 +1778,17 @@ ExecCore::runTranslated(uint64_t maxInsts)
                 ++emit_;
             continue;
         }
-        const uint64_t gen =
-            controller_ ? controller_->engine().generation() : 0;
         if (resume_.block != nullptr) {
-            // The ChainEdge validity rule: same PC, same trace epoch,
-            // same engine generation. Anything else discards it.
+            // Valid while pc_ and the trace epoch still match; anything
+            // else discards it.
             const ChainCursor c = std::exchange(resume_, ChainCursor{});
-            if (c.pc == pc_ && c.epoch == traceEpoch_ && c.gen == gen) {
+            if (c.pc == pc_ && c.epoch == traceEpoch_) {
                 runChain<kEmit>(c.block, c.op, c.pc, maxInsts);
                 continue;
             }
         }
-        const TransBlock *block = nullptr;
-        if ((pc_ & 3) == 0 && pc_ >= prog_.textBase &&
-            pc_ < prog_.textEnd()) {
-            DispatchEntry &de =
-                dispatch_[(pc_ >> 2) & (kDispatchEntries - 1)];
-            if (de.pc != pc_ || de.epoch != traceEpoch_ || de.gen != gen) {
-                de.block = lookupBlock(pc_);
-                de.pc = pc_;
-                de.epoch = traceEpoch_;
-                de.gen = gen;
-            }
-            block = de.block.get();
-        }
-        if (block == nullptr || block->numInsts == 0) {
+        TransBlock *block = blockAt(pc_);
+        if (block == nullptr) {
             // Out-of-text (traps) and unaligned fetches, and a leading
             // untranslatable instruction (syscall, codeword, ...): the
             // full machinery.
@@ -1856,24 +1807,12 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
 {
     if (exited_ || trapped_ || cap == 0)
         return 0;
-    // Budget in retirement units: every retired instruction emits at
-    // most one record, so bounding dynInsts bounds the ring too.
-    const uint64_t budget =
-        std::min(maxDyn, result_.dynInsts + cap);
     // emit_ is live for the duration of the call; every exit from the
-    // interpreters syncs it.
+    // interpreters syncs it. The budget is in retirement units: every
+    // retired instruction emits at most one record, so bounding
+    // dynInsts bounds the ring too.
     emit_ = ring;
-    if (traceEnabled_) {
-        runTranslated<true>(budget);
-    } else {
-        // Reference path: step() straight into the ring, with the slow
-        // loop's cancel-poll stride.
-        while (result_.dynInsts < budget && stepUnpinned(*emit_)) {
-            ++emit_;
-            if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
-                break;
-        }
-    }
+    runUntil<true>(std::min(maxDyn, result_.dynInsts + cap));
     pinSuspendedSeq();
     const size_t n = static_cast<size_t>(emit_ - ring);
     emit_ = nullptr;
@@ -1883,15 +1822,7 @@ ExecCore::fillTrace(DynInst *ring, size_t cap, uint64_t maxDyn)
 RunResult
 ExecCore::run(uint64_t maxInsts)
 {
-    if (traceEnabled_) {
-        runTranslated<false>(maxInsts);
-    } else {
-        DynInst dyn;
-        while (result_.dynInsts < maxInsts && stepUnpinned(dyn)) {
-            if ((result_.dynInsts & 0x3ff) == 0 && cancelRequested())
-                break;
-        }
-    }
+    runUntil<false>(maxInsts);
     // Watchdog expiry is an architected, classifiable outcome: the
     // instruction budget ran out — or an external deadline cancelled
     // the run — with the program still live.

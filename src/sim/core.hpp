@@ -31,7 +31,6 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/acf/fusion.hpp"
@@ -227,21 +226,10 @@ class ExecCore
     bool traceCacheEnabled() const { return traceEnabled_; }
 
     /**
-     * Superblock chaining (DESIGN.md section 13): follow patched
-     * successor edges block-to-block instead of returning to the
-     * dispatch cache at every block boundary. On by default; the off
-     * switch exists for differential benchmarking (bench_sim_throughput
-     * reports both) and as a second-stage escape hatch behind
-     * --no-trace-cache.
-     */
-    void setChainingEnabled(bool on) { chainEnabled_ = on; }
-    bool chainingEnabled() const { return chainEnabled_; }
-
-    /**
      * Translated-block residency cap (test hook; the default is ample
-     * for every real workload). Crossing the cap evicts the whole block
-     * map — with the epoch bump and graveyard parking that make
-     * eviction safe mid-chain — so a tiny cap stress-tests the
+     * for every real workload). Translating past the cap retires every
+     * resident block — with the epoch bump and graveyard parking that
+     * make eviction safe mid-chain — so a tiny cap stress-tests the
      * invalidation machinery.
      */
     void setTraceBlockCap(size_t cap) { traceBlockCap_ = cap ? cap : 1; }
@@ -250,7 +238,7 @@ class ExecCore
     struct TraceCacheStats
     {
         uint64_t blocksTranslated = 0;
-        uint64_t evictions = 0; ///< whole-map cache-pressure evictions
+        uint64_t evictions = 0; ///< whole-table cache-pressure evictions
         uint64_t chainFollows = 0;
     };
     TraceCacheStats traceCacheStats() const
@@ -341,27 +329,33 @@ class ExecCore
     /** Drop the in-flight sequence: it ended, trapped, or was discarded. */
     void clearSeq();
     /**
-     * The translated-path dispatcher, shared by run()/advanceToAppInst
-     * (!kEmit) and fillTrace (kEmit: every retirement also writes its
-     * record through emit_). Runs until termination, a cancel, or
-     * @p maxInsts retired instructions; re-enters a block at the resume
-     * cursor when it still applies (see ChainCursor).
+     * Execute until termination, a cancel, or @p maxInsts retired
+     * instructions: through the translated dispatcher when the trace
+     * cache is on, through step() (polling for a cancel every 1K
+     * retirements) otherwise. kEmit (fillTrace): every retirement also
+     * writes its record through emit_. Shared by run(),
+     * advanceToAppInst and fillTrace.
+     */
+    template <bool kEmit> void runUntil(uint64_t maxInsts);
+    /**
+     * The translated-path dispatcher (runUntil with the trace cache
+     * on). Retires every block when the engine generation moved since
+     * the last trip, and re-enters a block at the resume cursor when it
+     * still applies (see ChainCursor).
      */
     template <bool kEmit> void runTranslated(uint64_t maxInsts);
     /**
      * Execute the superblock chain starting at slot @p start of
      * @p block, the slot of guest PC @p pc (pc_): the direct-threaded
      * interpreter runs the block's slots, jumps into the lowered slots
-     * of every memoized expansion and back, and follows patched
-     * ChainEdges block-to-block until a budget expiry, a cancellation
-     * poll, an untranslatable successor, a chain invalidation, or
-     * termination.
-     * The caller must hold @p block alive (dispatch-cache shared_ptr,
-     * or traces_ for a valid resume cursor); chain successors are kept
-     * alive by traces_ plus the retired_ graveyard. A stop inside a
-     * block on the budget, or inside a sequence (which it hands to the
-     * in-flight sequence state execSeqSlot resumes from), leaves the
-     * resume cursor behind.
+     * of every memoized expansion and back, and goes on block-to-block
+     * through blockAt until a budget expiry, a cancellation poll, an
+     * untranslatable successor, a text store, or termination.
+     * Blocks removed meanwhile stay alive on the retired_ graveyard
+     * until the dispatcher's next trip. A stop inside a block on the
+     * budget, or inside a sequence (which it hands to the in-flight
+     * sequence state execSeqSlot resumes from), leaves the resume
+     * cursor behind.
      *
      * kEmit (the fillTrace feed): every retirement additionally writes
      * its DynInst record through the emit_ cursor, bit-identical to
@@ -370,17 +364,29 @@ class ExecCore
      * retired instruction emits at most one record).
      */
     template <bool kEmit>
-    void runChain(const TransBlock *block, const TransOp *start, Addr pc,
+    void runChain(TransBlock *block, const TransOp *start, Addr pc,
                   uint64_t maxInsts);
     /**
-     * Chainable block entered at @p pc, translating on miss: null when
-     * the target is unaligned, outside text, or untranslatable (the
-     * chain exits to the dispatcher, which routes through step()).
+     * The block entered at @p pc, translating on a miss: null when @p pc
+     * is unaligned or outside text, or its first instruction is
+     * untranslatable (the caller goes through step()). The dispatcher's
+     * lookup and every block exit's.
      */
-    const TransBlock *chainTarget(Addr pc);
-    /** Current-generation block entered at @p pc (translating on miss). */
-    std::shared_ptr<const TransBlock> lookupBlock(Addr pc);
-    std::shared_ptr<const TransBlock> translateBlock(Addr entry);
+    TransBlock *
+    blockAt(Addr pc)
+    {
+        const Addr off = pc - prog_.textBase;
+        if ((off & 3) != 0 || off >= prog_.textBytes())
+            return nullptr;
+        TransBlock *b = blocks_[static_cast<size_t>(off >> 2)].get();
+        if (b == nullptr)
+            b = translateBlock(pc);
+        return b->numInsts != 0 ? b : nullptr;
+    }
+    /** Translate the block entered at @p entry into its table entry. */
+    TransBlock *translateBlock(Addr entry);
+    /** Park every resident block on the graveyard (bumps the epoch). */
+    void retireBlocks();
     /** Drop translated blocks overlapping [addr, addr+size). */
     void invalidateTraceRange(Addr addr, unsigned size);
     /**
@@ -580,36 +586,41 @@ class ExecCore
     /** @name Translated basic-block trace cache. */
     /// @{
     bool traceEnabled_ = true;
-    bool chainEnabled_ = true;
-    /** Blocks keyed by entry PC; validated against the engine
-     *  generation at dispatch. shared_ptr keeps the block a store
-     *  inside it invalidates alive until the block exits. */
-    std::unordered_map<Addr, std::shared_ptr<const TransBlock>> traces_;
+    /**
+     * The translated blocks, one entry per text word: the block entered
+     * at that word, or null when none is. The only record of what is
+     * translated; the dispatcher and every block exit look their
+     * successor up here (blockAt).
+     */
+    std::vector<std::unique_ptr<TransBlock>> blocks_;
+    /** Non-null entries of blocks_ (the count setTraceBlockCap bounds). */
+    size_t resident_ = 0;
+    /** The engine generation every resident block was translated at. */
+    uint64_t blockGen_ = 0;
     /** Bumped on every trace invalidation; a running block exits when
      *  it observes a change (a replacement-sequence store may have
      *  rewritten text the block itself covers). */
     uint64_t traceEpoch_ = 0;
     /**
-     * Graveyard for blocks removed from traces_ while translated code
-     * may still be on the stack: SMC invalidation, cache-pressure
-     * eviction, and generation-stale replacement all happen mid-chain,
-     * when the interpreter holds raw pointers (the running block, its
-     * ops cursor, patched chain edges) into blocks that traces_ no
-     * longer owns. Every removal parks the shared_ptr here instead of
-     * destroying it; the dispatcher clears the graveyard at the top of
-     * its loop, the one point provably outside any chain. Reachability
-     * is separately severed by the epoch bump / generation stamp, so
-     * parked blocks are garbage the moment they land here — the
-     * graveyard only defers destruction, never revival.
+     * Graveyard for blocks removed from blocks_ while translated code
+     * may still be on the stack: SMC invalidation and cache-pressure
+     * eviction both happen mid-chain, when the interpreter holds raw
+     * pointers (the running block, its ops cursor) into blocks the
+     * table no longer owns. Every removal parks the block here instead
+     * of destroying it; the dispatcher clears the graveyard at the top
+     * of its loop, the one point provably outside any chain. Nothing
+     * finds a parked block again (the table entry is null, and the
+     * epoch bump kills the resume cursor), so the graveyard only defers
+     * destruction, never revival.
      */
-    std::vector<std::shared_ptr<const TransBlock>> retired_;
+    std::vector<std::unique_ptr<TransBlock>> retired_;
     /** translateBlock's slot buffer, reused across translations. */
     std::vector<TransOp> blockScratch_;
     /**
-     * Cache-pressure bound on traces_ (see setTraceBlockCap). At the
+     * Cache-pressure bound on resident_ (see setTraceBlockCap). At the
      * default, fig-scale workloads never evict; the cap exists so a
-     * pathological or adversarial text footprint cannot grow the block
-     * map without bound.
+     * pathological or adversarial text footprint cannot keep
+     * translations without bound.
      */
     size_t traceBlockCap_ = 65536;
     /** Next dynInsts value at which the fast path polls cancelFlag_. */
@@ -619,22 +630,20 @@ class ExecCore
      * stopped inside a block — on its instruction budget, or just after
      * an Engine slot whose replacement sequence it left suspended (the
      * dispatcher drains the rest through execSeqSlot first). Stamped
-     * like a ChainEdge: the trace epoch the block was ENTERED at (so a
-     * sequence store that invalidated the running block leaves a dead
-     * cursor) and the block's engine generation. The dispatcher
-     * re-enters at @c op when pc_ and both stamps still match, instead
-     * of translating a fresh suffix block at pc_ whose expansion memos
-     * would start cold. Matching stamps prove the block is still owned
-     * by traces_ (every removal bumps the epoch or leaves a stale
-     * generation), so the raw pointers are safe to follow.
+     * with the trace epoch the block was ENTERED at, so a sequence
+     * store that invalidated the running block leaves a dead cursor.
+     * The dispatcher re-enters at @c op when pc_ and the epoch still
+     * match, instead of translating a fresh suffix block at pc_ whose
+     * expansion memos would start cold. A matching epoch proves the
+     * block is still in the table (every removal, a generation change's
+     * included, bumps it), so the raw pointers are safe to follow.
      */
     struct ChainCursor
     {
-        const TransBlock *block = nullptr;
+        TransBlock *block = nullptr;
         const TransOp *op = nullptr; ///< next slot to execute
         Addr pc = 0;                 ///< guest PC of @c op
         uint64_t epoch = ~uint64_t(0);
-        uint64_t gen = 0;
     };
     ChainCursor resume_;
     /**
@@ -650,21 +659,6 @@ class ExecCore
     uint64_t statTraceEvictions_ = 0;
     uint64_t statChainFollows_ = 0;
     /// @}
-    /**
-     * Direct-mapped dispatch cache in front of traces_: entry PC ->
-     * block, validated against the trace epoch and engine generation.
-     * Entries own their block (shared_ptr), so a block invalidated
-     * while executing stays alive until its entry is reused.
-     */
-    struct DispatchEntry
-    {
-        Addr pc = 0;
-        uint64_t epoch = ~uint64_t(0);
-        uint64_t gen = 0;
-        std::shared_ptr<const TransBlock> block;
-    };
-    static constexpr size_t kDispatchEntries = 1024;
-    std::array<DispatchEntry, kDispatchEntries> dispatch_{};
     /// @}
 };
 

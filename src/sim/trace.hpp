@@ -17,21 +17,18 @@
  *
  * Slots hold nothing that changes at run time. The mutable state of the
  * few slots that need it lives out of line, in the block's side array
- * (TransBlock::side, indexed by TransOp::side): only Engine slots and
- * control terminators own an entry, so straight-line slots stay two to
- * a cache line.
+ * (TransBlock::side, indexed by TransOp::side): only Engine slots own an
+ * entry, so straight-line slots stay two to a cache line.
  *
- * Steady-state execution additionally follows **superblock chain
- * edges**: each terminator's side entry (and the block-level
- * fall-through) carries a patchable ChainEdge naming its successor
- * block and that block's first slot, stamped with the trace epoch and
- * engine generation at patch time. A valid edge jumps block-to-block
- * without consulting the dispatch cache or the block map at all; a
- * stale stamp falls back to a lookup and re-patch. See DESIGN.md
- * section 13 for the edge-invalidation rules and the pointer-stability
- * contract (every block erasure either bumps the trace epoch or
- * strictly advances the generation, and erased blocks are parked on a
- * graveyard until the interpreter is outside any chain).
+ * ExecCore keeps the blocks in one table indexed by text word, the only
+ * record of what is translated. Steady-state execution **chains**: every
+ * block exit (a terminator, the End sentinel, an Engine slot's redirect)
+ * looks its successor up in that table by PC and jumps to its first
+ * slot, translating on a miss, without a trip through the dispatcher.
+ * See DESIGN.md section 13 for the invalidation rules and the
+ * pointer-stability contract (every removal bumps the trace epoch, and
+ * removed blocks are parked on a graveyard until the interpreter is
+ * outside any chain).
  *
  * Slots whose opcode the active DISE production set covers are kept as
  * Engine slots: they consult the engine at run time (exactly like the
@@ -51,17 +48,15 @@
  * translation and execute through the ordinary step() fallback.
  *
  * Invalidation (see DESIGN.md sections 9 and 13):
- *  - blocks are keyed by entry PC and stamped with the DISE engine's
- *    table generation; any production install, table flush, or injected
- *    table corruption bumps the generation and orphans stale blocks and
- *    chain edges;
+ *  - any production install, table flush, or injected table corruption
+ *    advances the DISE engine's table generation; the dispatcher sees
+ *    the change at its next trip and retires every block;
  *  - stores into the text segment route through
- *    ExecCore::invalidateDecodedRange, which bumps the trace epoch
- *    (orphaning every chain edge and dispatch entry) and drops every
- *    block overlapping the written range;
- *  - cache-pressure eviction (the block map is bounded) also bumps the
- *    trace epoch, so no cached pointer ever outlives its target's
- *    residency unnoticed.
+ *    ExecCore::invalidateDecodedRange, which bumps the trace epoch and
+ *    drops the blocks overlapping the written range (only entries within
+ *    one block's reach before it can);
+ *  - cache-pressure eviction (setTraceBlockCap bounds the resident
+ *    blocks) retires every block and bumps the trace epoch too.
  */
 
 #ifndef DISE_SIM_TRACE_HPP
@@ -140,29 +135,6 @@ enum class OpHandler : uint8_t {
 static_assert(size_t(OpHandler::SeqJump) - size_t(OpHandler::SeqNop) ==
                   size_t(OpHandler::Jump) - size_t(OpHandler::Nop),
               "each block handler from Nop to Jump has a sequence twin");
-
-/**
- * A patchable successor edge: the direct-threaded jump from one block
- * exit to the next block's first slot. Valid iff the stamped (epoch,
- * gen) pair still matches the core's live trace epoch and the engine's
- * table generation AND the recorded target PC equals the dynamic
- * successor PC (indirect jumps and expansion redirects patch a
- * monomorphic target; a mispredicted target re-patches). The pointers
- * are raw by design — they are only dereferenced after the stamps
- * validate, and the core guarantees no block is destroyed without
- * either a trace-epoch bump or a generation advance (see the
- * graveyard in ExecCore).
- */
-struct ChainEdge
-{
-    const TransBlock *next = nullptr;
-    /** next's first slot (next->ops.data()): following the edge loads
-     *  the successor's first handler without going through the block. */
-    const TransOp *first = nullptr;
-    uint64_t epoch = ~uint64_t(0);
-    uint64_t gen = 0;
-    Addr target = 0;
-};
 
 /**
  * One correct-path dynamic instruction with its execution outcome.
@@ -250,8 +222,8 @@ struct TransOp
      *  work. False in blocks. */
     bool trigger = false;
     /**
-     * Block slots: an Engine or terminator slot's TransBlock::side
-     * entry (straight-line slots own none and leave it 0). Sequence
+     * Block slots: an Engine slot's TransBlock::side entry (other slots
+     * own none and leave it 0). Sequence
      * slots: the slot's position in the sequence (DISEPC - 1), which
      * kMaxSeqLen keeps below 2^16.
      */
@@ -264,21 +236,17 @@ static_assert(std::is_trivially_copyable_v<TransOp>,
               "TransOp must stay trivially copyable");
 
 /**
- * Execution-time state of one Engine or terminator slot, in a block the
- * dispatcher otherwise treats as immutable: patched on first execution,
- * validated by stamps on every use.
+ * Execution-time state of one Engine slot, in a block that is otherwise
+ * immutable once translated.
  */
 struct SlotSide
 {
-    /** The patched successor edge: a terminator's taken exit, or an
-     *  Engine slot's expansion redirect. */
-    ChainEdge chain;
-    /** Engine slots: the engine-side expansion memo (skips the pattern
-     *  match, the cache hash and, through the RT way cache, the RT
-     *  probe on repeated clean hits). */
+    /** The engine-side expansion memo (skips the pattern match, the
+     *  cache hash and, through the RT way cache, the RT probe on
+     *  repeated clean hits). */
     ExpandMemo memo;
     /**
-     * Engine slots: the memoized replacement sequence lowered into
+     * The memoized replacement sequence lowered into
      * slots that runChain dispatches like block slots — one per
      * sequence instruction plus the SeqEnd sentinel, or one SeqGeneric
      * slot. Empty until the slot's first memoized expansion. The block
@@ -301,31 +269,18 @@ struct SlotSide
 /**
  * A translated straight-line micro-trace. @c ops holds numInsts real
  * slots plus one OpHandler::End sentinel; numInsts == 0 marks an entry
- * whose first instruction is untranslatable (the dispatcher remembers
- * the decision and routes the PC through step() without re-probing).
+ * whose first instruction is untranslatable (the table remembers the
+ * decision and the PC goes through step() without re-probing).
  */
 struct TransBlock
 {
-    Addr entryPC = 0;
-    /** Static instruction WORDS covered (excludes the End sentinel).
-     *  A fused slot covers two words, so this can exceed the slot
-     *  count; coveredEnd() depends on it for SMC overlap checks. */
+    /** Static instruction WORDS covered from the entry word (excludes
+     *  the End sentinel). A fused slot covers two words, so this can
+     *  exceed the slot count; text stores check overlap against it. */
     uint32_t numInsts = 0;
-    /** DiseEngine::generation() at build time (0 without a controller). */
-    uint64_t engineGen = 0;
     std::vector<TransOp> ops;
-    /** Side entries of the Engine and terminator slots, indexed by
-     *  TransOp::side. */
-    mutable std::vector<SlotSide> side;
-    /** Patched successor for the fall-through exit (End sentinel). */
-    mutable ChainEdge fallChain;
-
-    /** First address past the last static instruction word covered. */
-    Addr
-    coveredEnd() const
-    {
-        return entryPC + (numInsts == 0 ? 1 : numInsts) * 4;
-    }
+    /** Side entries of the Engine slots, indexed by TransOp::side. */
+    std::vector<SlotSide> side;
 };
 
 } // namespace dise

@@ -8,7 +8,8 @@
  * memory image) on a generated MFI workload, the same identity under
  * tiny RTs and a tiny PT (the expansion memo's stale cases), per-op
  * edge-value identity across the step(), block and replacement-sequence
- * tiers, and fusion decisions invalidated by a store just past a block.
+ * tiers, fusion decisions invalidated by a store just past a block, and
+ * a store into the last word of the longest block a translation holds.
  */
 
 #include <gtest/gtest.h>
@@ -130,8 +131,7 @@ expectIdentical(const RunSnapshot &fast, const RunSnapshot &slow)
 /** Optional fast-path knobs for runMfi (all defaults = stock core). */
 struct MfiKnobs
 {
-    bool chaining = true; ///< superblock chaining on the fast path
-    size_t blockCap = 0;  ///< nonzero: setTraceBlockCap (eviction)
+    size_t blockCap = 0; ///< nonzero: setTraceBlockCap (eviction)
 };
 
 RunSnapshot
@@ -149,7 +149,6 @@ runMfi(const Program &prog, bool traceCache,
     ExecCore core(prog, &controller);
     initMfiRegisters(core, prog);
     core.setTraceCacheEnabled(traceCache);
-    core.setChainingEnabled(knobs.chaining);
     if (knobs.blockCap)
         core.setTraceBlockCap(knobs.blockCap);
     if (midRun) {
@@ -350,37 +349,24 @@ TEST(Trace, SequenceTrapsIdenticalAcrossPaths)
     }
 }
 
-TEST(Trace, ChainingEngagesAndMatchesNoChainRun)
+TEST(Trace, ChainingEngages)
 {
+    // The stats counters prove the fast path did what it claims: blocks
+    // were translated and block exits went on to their successors.
     const Program prog = smallWorkload("bzip2");
-
-    const RunSnapshot chained = runMfi(prog, true);
-    MfiKnobs noChain;
-    noChain.chaining = false;
-    const RunSnapshot unchained =
-        runMfi(prog, true, nullptr, 0, noChain);
-    expectIdentical(chained, unchained);
-
-    // The stats counters prove both modes did what they claim: the
-    // chained run followed patched edges, the unchained run never did.
     ExecCore probe(prog);
     probe.run();
     EXPECT_GT(probe.traceCacheStats().chainFollows, 0u);
     EXPECT_GT(probe.traceCacheStats().blocksTranslated, 0u);
-
-    ExecCore probeOff(prog);
-    probeOff.setChainingEnabled(false);
-    probeOff.run();
-    EXPECT_EQ(probeOff.traceCacheStats().chainFollows, 0u);
 }
 
-TEST(Trace, SmcInChainedSuccessorRepatchesStaleEdge)
+TEST(Trace, SmcInChainedSuccessorRetranslatesBlock)
 {
-    // kSmcCrossBlock under chaining: the `call target` edge is patched
-    // on the first call; the patch loop then rewrites target's first
-    // two instructions (epoch bump), so the second call must fail the
-    // edge's epoch check and re-translate instead of following the
-    // stale block.
+    // kSmcCrossBlock under chaining: the `call target` exit chains into
+    // target's block on the first call; the patch loop then rewrites
+    // target's first two instructions, which drops that block from the
+    // table, so the second call must translate it afresh instead of
+    // running the stale one.
     const Program prog = assemble(kSmcCrossBlock);
 
     ExecCore fast(prog);
@@ -401,7 +387,7 @@ TEST(Trace, SmcInChainedSuccessorRepatchesStaleEdge)
 TEST(Trace, EvictionPressureMidChainStaysIdentical)
 {
     // A two-block trace cache capacity forces a whole-cache eviction
-    // on nearly every translation — including from chainTarget, i.e.
+    // on nearly every translation — including at a block exit, i.e.
     // *inside* a live chain, where the interpreter still holds raw
     // pointers into the just-evicted blocks (kept alive by the
     // graveyard). Everything must still be bit-identical.
@@ -424,9 +410,9 @@ TEST(Trace, MidRunTraceCacheToggleStaysIdentical)
     const Program prog = smallWorkload("bzip2");
     const RunSnapshot slow = runMfi(prog, false);
 
-    // Fast start, drop to the slow path mid-run: dispatch state and
-    // chain edges become unreachable and must not leak into the rest
-    // of the run.
+    // Fast start, drop to the slow path mid-run: the translated blocks
+    // and the resume cursor become unreachable and must not leak into
+    // the rest of the run.
     const RunSnapshot fastThenSlow = runMfi(
         prog, true,
         [](ExecCore &core, DiseController &) {
@@ -508,8 +494,8 @@ TEST(Trace, CancelDeadlineStopsDiseBranchLoop)
 
 TEST(Trace, FastSlowIdentityAcrossWorkerCounts)
 {
-    // The chained fast path keeps all its state (trace cache, chain
-    // edges, graveyard, memo slots) inside the core, so concurrent
+    // The chained fast path keeps all its state (block table,
+    // graveyard, memo slots) inside the core, so concurrent
     // cores on a worker pool must reproduce the single-threaded
     // snapshot exactly.
     const Program prog = smallWorkload("gcc");
@@ -682,6 +668,85 @@ TEST(Trace, FusionSmcPastBlockEndMatchesStep)
         for (size_t i = 0; i < got.size(); ++i) {
             ASSERT_TRUE(sameRecord(got[i], want[i]))
                 << "cap " << cap << " record " << i;
+        }
+    }
+}
+
+/**
+ * A loop whose first block is as long as a translated block gets: 128
+ * slots (the interpreter's kMaxBlockLen) of one word each, or, with
+ * @p fused, of one shift_add pair (two words) each. The next block
+ * stores into the first one's last word, `patch`, 127 or 255 words past
+ * its entry, turning `addq s2, 1, s2` into `addq s2, 11, s2`. The store
+ * must drop the long block, so the next two passes add 138 each and s2
+ * ends at 128 + 2 * 138 = 404; a stale block replays the old word and
+ * ends at 384.
+ */
+Program
+longBlockSmcProgram(bool fused)
+{
+    const std::string slot = std::string(fused ? "    sll s2, 0, s2\n" : "") +
+                             "    addq s2, 1, s2\n";
+    std::string body;
+    for (int i = 0; i < 127; ++i)
+        body += slot;
+    return assemble(".text\n"
+                    "main:\n"
+                    "    laq patch, t0\n"
+                    "    laq donor, t3\n"
+                    "    ldl t1, 0(t3)\n"
+                    "    li 0, s0\n"
+                    "    li 0, s2\n"
+                    "    br zero, loop\n"
+                    "loop:\n" +
+                    body + (fused ? "    sll s2, 0, s2\n" : "") +
+                    "patch:\n"
+                    "    addq s2, 1, s2\n"
+                    "    stl t1, 0(t0)\n"
+                    "    addq s0, 1, s0\n"
+                    "    cmplt s0, 3, t2\n"
+                    "    bne t2, loop\n"
+                    "    mov s2, a0\n"
+                    "    li 0, v0\n"
+                    "    syscall\n"
+                    "donor:\n"
+                    "    addq s2, 11, s2\n");
+}
+
+TEST(Trace, SmcIntoLongestBlockRetranslatesIt)
+{
+    // A text store drops only the blocks whose entries lie within one
+    // block's reach before it; the longest blocks sit at the edge of
+    // that window.
+    for (const bool fused : {false, true}) {
+        const Program prog = longBlockSmcProgram(fused);
+        const Addr loop = prog.symbols.at("loop");
+        ASSERT_EQ(prog.symbols.at("patch") - loop,
+                  fused ? 255u * 4 : 127u * 4);
+
+        ExecCore step(prog);
+        step.setFusionEnabled(fused);
+        step.setTraceCacheEnabled(false);
+        const std::vector<DynInst> want = drainViaStep(step);
+        EXPECT_EQ(step.result().exitCode, 404) << "fused " << fused;
+        // Three passes over 128 pairs, plus the pairs outside the loop.
+        EXPECT_GE(step.fusedPairs(), fused ? 3u * 128 : 0u);
+
+        ExecCore chained(prog);
+        chained.setFusionEnabled(fused);
+        const RunResult r = chained.run();
+        EXPECT_EQ(r.exitCode, 404) << "fused " << fused;
+        EXPECT_EQ(r.dynInsts, step.result().dynInsts);
+        EXPECT_EQ(chained.fusedPairs(), step.fusedPairs());
+
+        ExecCore feed(prog);
+        feed.setFusionEnabled(fused);
+        const std::vector<DynInst> got = drainViaFill(feed, 1);
+        EXPECT_EQ(feed.result().exitCode, 404) << "fused " << fused;
+        ASSERT_EQ(got.size(), want.size()) << "fused " << fused;
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(sameRecord(got[i], want[i]))
+                << "fused " << fused << " record " << i;
         }
     }
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <map>
 
 #include "src/acf/mfi.hpp"
@@ -793,7 +794,9 @@ stripHost(const Json &detail)
  * one) is a cold miss; the 4-entry RT misses on capacity throughout.
  * The gcc and 4-entry RT digests were re-recorded when warming learned
  * the detailed front end's second I-cache access for a PT/RT miss on a
- * pending redirect: only mem.l1i.accesses and its miss rate moved.
+ * pending redirect: only mem.l1i.accesses and its miss rate moved. The
+ * mcf 10000:2000 digest was re-recorded when warming learned to honour
+ * a redirect left pending by a detail window's last records.
  */
 TEST(TraceFeed, SampledGoldenDigests)
 {
@@ -809,7 +812,7 @@ TEST(TraceFeed, SampledGoldenDigests)
         {"bzip2", 1000, 200, 0, 0x40ad924170b9c572ull},
         {"gcc", 10000, 2000, 0, 0x21d2cafc629865f2ull},
         {"gcc", 1000, 200, 0, 0x12e018b3c0af8691ull},
-        {"mcf", 10000, 2000, 0, 0x2634717bfd966ab0ull},
+        {"mcf", 10000, 2000, 0, 0x5a3ff1862fe98e0dull},
         {"mcf", 1000, 200, 0, 0x771b45b26f221801ull},
         {"bzip2", 10000, 2000, 64, 0x05a5aa4b653ba741ull},
         {"bzip2", 1000, 200, 64, 0x40ad924170b9c572ull},
@@ -861,15 +864,21 @@ groupCounters(const Json &registry, const std::string &group)
 TEST(TraceFeed, WarmingTrafficMatchesDetail)
 {
     // Functional warming must drive the caches and the predictor with
-    // the traffic the detailed model generates, so a run that warms
-    // everything after its first record agrees with a full-detail run
-    // on every mem.* and bpred.* counter. The 8-entry direct-mapped RT
-    // lands PT/RT misses on pending redirects, where the detailed front
-    // end accesses the I-cache twice.
+    // the traffic the detailed model generates, so a sampled run agrees
+    // with a full-detail run on every mem.* and bpred.* counter: one
+    // that warms everything after its first record, and ones that
+    // switch phase often, so detail windows end on pending redirects
+    // that warming must honour. The 8-entry direct-mapped RT lands
+    // PT/RT misses on pending redirects, where the detailed front end
+    // accesses the I-cache twice.
+    const struct
+    {
+        uint64_t period, detail; ///< 0:0 runs full detail
+    } windows[] = {{0, 0}, {1000000000, 1}, {300, 100}, {1000, 200}};
     for (const char *workload : {"bzip2", "gcc", "crafty"}) {
         for (const uint32_t rtEntries : {0u, 8u}) {
-            std::map<std::string, uint64_t> counters[2];
-            for (const bool warm : {false, true}) {
+            std::map<std::string, uint64_t> counters[std::size(windows)];
+            for (size_t w = 0; w < std::size(windows); ++w) {
                 RunRequest req;
                 req.workload = workload;
                 req.scale = 0.05;
@@ -879,25 +888,26 @@ TEST(TraceFeed, WarmingTrafficMatchesDetail)
                     req.dise.rtEntries = rtEntries;
                     req.dise.rtAssoc = 1;
                 }
-                if (warm) {
-                    req.samplePeriod = 1000000000;
-                    req.sampleDetail = 1;
-                }
+                req.samplePeriod = windows[w].period;
+                req.sampleDetail = windows[w].detail;
                 SimOptions opts;
                 opts.registry = true;
                 const TimingOutcome out =
                     runTimingSim(prepareJob(req), opts);
-                if (warm) {
+                if (w != 0) {
                     ASSERT_GT(out.timing.sampling.warmedInsts, 0u);
                 }
                 for (const char *group : {"mem", "bpred"}) {
                     const auto c = groupCounters(out.registry, group);
-                    counters[warm].insert(c.begin(), c.end());
+                    counters[w].insert(c.begin(), c.end());
                 }
             }
             ASSERT_FALSE(counters[0].empty());
-            EXPECT_EQ(counters[1], counters[0])
-                << workload << " rt " << rtEntries;
+            for (size_t w = 1; w < std::size(windows); ++w) {
+                EXPECT_EQ(counters[w], counters[0])
+                    << workload << " rt " << rtEntries << " window "
+                    << windows[w].period << ":" << windows[w].detail;
+            }
         }
     }
 }

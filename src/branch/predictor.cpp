@@ -19,25 +19,21 @@ BranchPredictor::BranchPredictor(const PredictorParams &params)
     ras_.assign(params_.rasEntries, 0);
 }
 
-BranchPredictor::Prediction
-BranchPredictor::predict(Addr pc, OpClass cls, Addr fallThrough)
-{
-    stats_.add("predictions");
-    return predictHot(pc, cls, fallThrough);
-}
-
-void
-BranchPredictor::update(Addr pc, OpClass cls, bool taken, Addr target)
-{
-    stats_.add("updates");
-    updateHot(pc, cls, taken, target);
-}
-
 void
 BranchPredictor::pushReturn(Addr returnAddr)
 {
     ras_[rasTop_ & (params_.rasEntries - 1)] = returnAddr;
     ++rasTop_;
+}
+
+const StatGroup &
+BranchPredictor::stats() const
+{
+    if (predictions_)
+        stats_.set("predictions", predictions_);
+    if (updates_)
+        stats_.set("updates", updates_);
+    return stats_;
 }
 
 } // namespace dise

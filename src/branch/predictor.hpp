@@ -2,7 +2,10 @@
  * @file
  * Branch prediction: gshare direction predictor, set-associative BTB,
  * and a return-address stack. Matches the "aggressive branch speculation"
- * of the paper's simulated MIPS R10000-like machine.
+ * of the paper's simulated MIPS R10000-like machine. The predictor
+ * counts its predictions and updates in plain members and writes them
+ * into its StatGroup only when stats() is read, so predict() and
+ * update() are one inline function each for every caller.
  *
  * DISE interaction (paper Section 2.2): DISE-internal branches and
  * non-trigger application branches inside replacement sequences are never
@@ -47,7 +50,8 @@ class BranchPredictor
     };
 
     /**
-     * Predict a control instruction at @p pc.
+     * Predict a control instruction at @p pc. Defined inline below, as
+     * is update(), so both inline into the timing model's record loop.
      * @param cls Its opcode class (drives direction/target policy).
      * @param fallThrough pc + 4.
      */
@@ -62,26 +66,15 @@ class BranchPredictor
      */
     void update(Addr pc, OpClass cls, bool taken, Addr target);
 
-    /**
-     * @name Caller-accounted hot variants.
-     * predict()/update() are implemented as a "predictions"/"updates"
-     * counter bump plus these, so direction, BTB, RAS, and history
-     * behaviour is identical by construction. Hot consumers (the
-     * trace-feed timing path and sampled-mode warming) call these and
-     * bump cached StatGroup::cell() pointers themselves, keeping the
-     * per-branch path free of map lookups. Defined inline below so
-     * they inline into the timing model's per-record loop.
-     */
-    /// @{
-    Prediction predictHot(Addr pc, OpClass cls, Addr fallThrough);
-    void updateHot(Addr pc, OpClass cls, bool taken, Addr target);
-    /// @}
-
     /** Push a return address (on calls). */
     void pushReturn(Addr returnAddr);
 
-    const StatGroup &stats() const { return stats_; }
-    StatGroup &stats() { return stats_; }
+    /**
+     * The "predictions" and "updates" counters as a named group, each
+     * written once it is nonzero, when this is read (as
+     * DiseEngine::stats does).
+     */
+    const StatGroup &stats() const;
 
   private:
     struct BtbEntry
@@ -107,7 +100,12 @@ class BranchPredictor
     std::vector<Addr> ras_;
     size_t rasTop_ = 0;
     uint64_t useCounter_ = 0;
-    StatGroup stats_;
+    /** @name Event counters (see stats()). */
+    /// @{
+    uint64_t predictions_ = 0;
+    uint64_t updates_ = 0;
+    /// @}
+    mutable StatGroup stats_;
 };
 
 inline unsigned
@@ -152,8 +150,9 @@ BranchPredictor::btbInsert(Addr pc, Addr target)
 }
 
 DISE_ALWAYS_INLINE BranchPredictor::Prediction
-BranchPredictor::predictHot(Addr pc, OpClass cls, Addr fallThrough)
+BranchPredictor::predict(Addr pc, OpClass cls, Addr fallThrough)
 {
+    ++predictions_;
     Prediction pred;
     pred.target = fallThrough;
 
@@ -212,8 +211,9 @@ BranchPredictor::predictHot(Addr pc, OpClass cls, Addr fallThrough)
 }
 
 DISE_ALWAYS_INLINE void
-BranchPredictor::updateHot(Addr pc, OpClass cls, bool taken, Addr target)
+BranchPredictor::update(Addr pc, OpClass cls, bool taken, Addr target)
 {
+    ++updates_;
     if (cls == OpClass::CondBranch) {
         const unsigned idx = gshareIndex(pc);
         uint8_t &counter = counters_[idx];

@@ -4,7 +4,10 @@
  *
  * Every simulation component exposes its counters through a StatGroup so
  * that tests and benches can introspect them by name without knowing the
- * component's concrete type. A StatsRegistry aggregates the groups of a
+ * component's concrete type. Components on the per-instruction path (the
+ * DISE engine, caches, the branch predictor) count in plain members and
+ * write them into their group only when stats() is read, so a group is
+ * never updated per event. A StatsRegistry aggregates the groups of a
  * whole simulator instance under hierarchical dotted names ("mem.l1i",
  * "dise", "pipeline"), adds registry-owned scalars (host wall clock,
  * run metadata) and derived ratios (miss rates, CPI), and serializes
@@ -39,16 +42,6 @@ class StatGroup
 
     /** Read a counter; returns 0 when absent. */
     uint64_t get(const std::string &key) const;
-
-    /**
-     * Stable pointer to the counter cell for @p key (created at 0 if
-     * absent). Hot paths bump the cell directly, skipping the map
-     * lookup and string construction of add(); map nodes never move,
-     * so the pointer stays valid until the map itself is replaced
-     * (copy-assignment from another StatGroup, e.g. a snapshot
-     * restore) — holders must re-derive their cells after that.
-     */
-    uint64_t *cell(const std::string &key) { return &counters_[key]; }
 
     /** All counters in insertion-independent (sorted) order. */
     const std::map<std::string, uint64_t> &counters() const

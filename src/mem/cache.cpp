@@ -25,18 +25,6 @@ Cache::Cache(const CacheParams &params, Cache *next, uint32_t memLatency)
 }
 
 uint32_t
-Cache::access(Addr addr, bool write)
-{
-    stats_.add("accesses");
-    if (write)
-        stats_.add("writes");
-    // accessHot() is the whole algorithm (MRU probe inline, the rest
-    // in accessFillPath); access() only adds the per-access counters
-    // the hot callers account for themselves.
-    return accessHot(addr, write);
-}
-
-uint32_t
 Cache::accessFillPath(Addr addr, bool write, uint64_t set, uint64_t tag)
 {
     Line *way = &lines_[set * params_.assoc];
@@ -59,11 +47,11 @@ Cache::accessFillPath(Addr addr, bool write, uint64_t set, uint64_t tag)
         return params_.hitLatency;
     }
 
-    stats_.add("misses");
+    ++misses_;
     uint32_t latency = params_.hitLatency;
     // Write back the victim.
     if (victim->valid && victim->dirty) {
-        stats_.add("writebacks");
+        ++writebacks_;
         if (next_) {
             const uint64_t victimLine =
                 (victim->tag << log2i(numSets_)) | set;
@@ -105,8 +93,7 @@ Cache::invalidateAll()
     // otherwise see at the next level; count each occurrence so runs
     // that invalidate mid-stream can't silently shed writebacks.
     for (auto &line : lines_) {
-        if (line.valid && line.dirty)
-            stats_.add("writebacks_dropped");
+        writebacksDropped_ += line.valid && line.dirty;
         line = Line();
     }
 }
@@ -122,7 +109,27 @@ Cache::adoptState(const Cache &other)
     lines_ = other.lines_;
     mru_ = other.mru_;
     useCounter_ = other.useCounter_;
+    accesses_ = other.accesses_;
+    writes_ = other.writes_;
+    misses_ = other.misses_;
+    writebacks_ = other.writebacks_;
+    writebacksDropped_ = other.writebacksDropped_;
     stats_ = other.stats_;
+}
+
+const StatGroup &
+Cache::stats() const
+{
+    const auto put = [this](const char *key, uint64_t value) {
+        if (value)
+            stats_.set(key, value);
+    };
+    put("accesses", accesses_);
+    put("writes", writes_);
+    put("misses", misses_);
+    put("writebacks", writebacks_);
+    put("writebacks_dropped", writebacksDropped_);
+    return stats_;
 }
 
 MemHierarchy::MemHierarchy(const MemHierarchyParams &params)

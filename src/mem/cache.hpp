@@ -2,7 +2,10 @@
  * @file
  * Set-associative LRU caches and the two-level hierarchy used by the
  * timing model (32 KB split L1s over a unified 1 MB L2 by default,
- * matching the paper's simulated machine).
+ * matching the paper's simulated machine). A cache counts its own
+ * events (accesses, writes, misses, writebacks, dropped writebacks) in
+ * plain members and writes them into its StatGroup only when stats() is
+ * read, so the one inline access() serves every caller.
  */
 
 #ifndef DISE_MEM_CACHE_HPP
@@ -13,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/bits.hpp"
 #include "src/common/stats.hpp"
 #include "src/isa/inst.hpp"
 
@@ -46,27 +50,19 @@ class Cache
     Cache(const CacheParams &params, Cache *next, uint32_t memLatency);
 
     /**
-     * Access one address.
+     * Access one address: write-back, write-allocate, true LRU. The
+     * MRU way is probed inline; other hits and the miss path are out of
+     * line (accessFillPath).
      * @param addr Byte address (the whole access is assumed to fit in
      *             one line).
      * @param write True for stores.
      * @return Total latency in cycles, including lower levels on a miss.
      */
-    uint32_t access(Addr addr, bool write);
-
-    /**
-     * The caller-accounted hot variant of access(): identical line,
-     * LRU, miss, and writeback behaviour (access() is implemented on
-     * top of it), except that the per-access "accesses"/"writes"
-     * counter bumps are the caller's responsibility — hot consumers
-     * (the trace-feed timing path, sampled-mode warming) bump cached
-     * StatGroup::cell() pointers instead, keeping the common
-     * MRU-hit case free of map lookups. Final counter values are
-     * identical either way; miss-side stats stay internal.
-     */
-    uint32_t
-    accessHot(Addr addr, bool write)
+    DISE_ALWAYS_INLINE uint32_t
+    access(Addr addr, bool write)
     {
+        ++accesses_;
+        writes_ += write;
         if (perfect_)
             return params_.hitLatency;
         const uint64_t la = uint64_t(addr) >> lineShift_;
@@ -83,9 +79,6 @@ class Cache
         return accessFillPath(addr, write, set, tag);
     }
 
-    /** Mutable stats access for cell() caching by hot consumers. */
-    StatGroup &statsMutable() { return stats_; }
-
     /** True if @p addr is resident (no state change, no stats). */
     bool probe(Addr addr) const;
 
@@ -99,15 +92,19 @@ class Cache
     bool isPerfect() const { return perfect_; }
     uint32_t lineBytes() const { return params_.lineBytes; }
 
-    uint64_t accesses() const { return stats_.get("accesses"); }
-    uint64_t misses() const { return stats_.get("misses"); }
+    uint64_t accesses() const { return accesses_; }
+    uint64_t misses() const { return misses_; }
     double
     missRate() const
     {
         return safeRatio(double(misses()), double(accesses()));
     }
 
-    const StatGroup &stats() const { return stats_; }
+    /**
+     * The event counters as a named group: each is written once it is
+     * nonzero, when this is read (as DiseEngine::stats does).
+     */
+    const StatGroup &stats() const;
 
     /**
      * Adopt another cache's line/LRU/statistics state (checkpoint
@@ -127,7 +124,7 @@ class Cache
 
     uint64_t lineAddr(Addr addr) const { return addr / params_.lineBytes; }
 
-    /** Non-MRU hits and the whole miss path of accessHot(). */
+    /** Non-MRU hits and the whole miss path of access(). */
     uint32_t accessFillPath(Addr addr, bool write, uint64_t set,
                             uint64_t tag);
 
@@ -147,7 +144,15 @@ class Cache
      */
     std::vector<uint32_t> mru_;
     uint64_t useCounter_ = 0;
-    StatGroup stats_;
+    /** @name Event counters (see stats()). */
+    /// @{
+    uint64_t accesses_ = 0;
+    uint64_t writes_ = 0;
+    uint64_t misses_ = 0;
+    uint64_t writebacks_ = 0;
+    uint64_t writebacksDropped_ = 0;
+    /// @}
+    mutable StatGroup stats_;
 };
 
 /** Configuration of the full hierarchy. */

@@ -33,7 +33,7 @@ constexpr uint64_t kRedirect = ~uint64_t(1);
  * Warming's current-line latch after resolving a control transfer
  * predicted as @p pred: a mispredict raises a redirect, a correctly
  * predicted taken branch starts a new fetch group, and a pending
- * redirect stays pending (as in PipelineSim::resolveControlT).
+ * redirect stays pending (as in PipelineSim::resolveControl).
  */
 uint64_t
 warmRedirect(uint64_t curLine, const BranchPredictor::Prediction &pred,
@@ -104,18 +104,6 @@ PipelineSim::PipelineSim(const Program &prog, const PipelineParams &params,
         2 * (missPenMax + 2 * missChain + feDepth_ +
              params_.syscallLatency + params_.intMultLatency +
              params_.decodeRedirectPenalty + params_.width + 16);
-
-    rebindHotCells();
-}
-
-void
-PipelineSim::rebindHotCells()
-{
-    icAccCell_ = mem_.icache().statsMutable().cell("accesses");
-    dcAccCell_ = mem_.dcache().statsMutable().cell("accesses");
-    dcWrCell_ = mem_.dcache().statsMutable().cell("writes");
-    bpPredCell_ = bpred_.stats().cell("predictions");
-    bpUpdCell_ = bpred_.stats().cell("updates");
 }
 
 void
@@ -141,76 +129,18 @@ PipelineSim::setSampling(uint64_t period, uint64_t detail)
 }
 
 // ---------------------------------------------------------------------
-// Leaf accessors: the ONLY divergence between the step-driven reference
-// (kFast = false: public stat-counting component entry points) and the
-// trace-feed path (kFast = true: inline hot variants + the batch tally
-// of the cached stat cells).
-// ---------------------------------------------------------------------
-
-template <bool kFast>
-DISE_ALWAYS_INLINE uint32_t
-PipelineSim::fetchAccessT(Tally &c, Addr pc)
-{
-    if constexpr (kFast) {
-        ++c.icAccesses;
-        return mem_.icache().accessHot(pc, false);
-    } else {
-        return mem_.fetchAccess(pc);
-    }
-}
-
-template <bool kFast>
-DISE_ALWAYS_INLINE uint32_t
-PipelineSim::dataAccessT(Tally &c, Addr addr, bool write)
-{
-    if constexpr (kFast) {
-        ++c.dcAccesses;
-        c.dcWrites += write;
-        return mem_.dcache().accessHot(addr, write);
-    } else {
-        return mem_.dataAccess(addr, write);
-    }
-}
-
-template <bool kFast>
-DISE_ALWAYS_INLINE BranchPredictor::Prediction
-PipelineSim::predictT(Tally &c, Addr pc, OpClass cls, Addr fallThrough)
-{
-    if constexpr (kFast) {
-        ++c.predictions;
-        return bpred_.predictHot(pc, cls, fallThrough);
-    } else {
-        return bpred_.predict(pc, cls, fallThrough);
-    }
-}
-
-template <bool kFast>
-DISE_ALWAYS_INLINE void
-PipelineSim::updateT(Tally &c, Addr pc, OpClass cls, bool taken,
-                     Addr target)
-{
-    if constexpr (kFast) {
-        ++c.updates;
-        bpred_.updateHot(pc, cls, taken, target);
-    } else {
-        bpred_.update(pc, cls, taken, target);
-    }
-}
-
-// ---------------------------------------------------------------------
 // The timing model proper (shared between both delivery paths).
 // ---------------------------------------------------------------------
 
-template <bool kFast>
 DISE_ALWAYS_INLINE void
-PipelineSim::newFetchGroupT(Hot &h, Tally &c, uint64_t cycle, Addr pc,
-                            bool accessICache)
+PipelineSim::newFetchGroup(Hot &h, uint64_t cycle, Addr pc,
+                           bool accessICache)
 {
     h.feCycle = std::max(h.feCycle, cycle);
     h.feSlots = 0;
     const uint64_t line = fetchLine(pc);
     if (accessICache || line != h.curLine) {
-        const uint32_t lat = fetchAccessT<kFast>(c, pc);
+        const uint32_t lat = mem_.fetchAccess(pc);
         if (lat > params_.mem.l1Latency) {
             h.feCycle += lat - params_.mem.l1Latency;
             h.pend.imiss += lat - params_.mem.l1Latency;
@@ -228,9 +158,8 @@ PipelineSim::raiseRedirect(Hot &h, uint64_t cycle, StallCause cause)
     }
 }
 
-template <bool kFast>
 DISE_ALWAYS_INLINE uint64_t
-PipelineSim::frontendT(Hot &h, Tally &c, const DynInst &dyn)
+PipelineSim::frontend(Hot &h, Tally &c, const DynInst &dyn)
 {
     const bool appBoundary = !dyn.expanded || dyn.firstOfSeq;
 
@@ -253,9 +182,8 @@ PipelineSim::frontendT(Hot &h, Tally &c, const DynInst &dyn)
                     break;
                 }
             }
-            newFetchGroupT<kFast>(h, c,
-                                  std::max(h.pendingRedirect, h.feCycle),
-                                  dyn.pc, true);
+            newFetchGroup(h, std::max(h.pendingRedirect, h.feCycle), dyn.pc,
+                          true);
             h.pendingRedirect = 0;
             h.redirectCause = StallCause::None;
         }
@@ -263,8 +191,7 @@ PipelineSim::frontendT(Hot &h, Tally &c, const DynInst &dyn)
         if (dyn.missPenalty > 0) {
             c.missStallCycles += dyn.missPenalty;
             h.pend.dise += dyn.missPenalty;
-            newFetchGroupT<kFast>(h, c, h.feCycle + dyn.missPenalty,
-                                  dyn.pc, true);
+            newFetchGroup(h, h.feCycle + dyn.missPenalty, dyn.pc, true);
         }
         // Expansion stall placement: one bubble per expansion.
         if (dyn.firstOfSeq && stallPerExpansion_) {
@@ -275,11 +202,10 @@ PipelineSim::frontendT(Hot &h, Tally &c, const DynInst &dyn)
         const uint64_t line = fetchLine(dyn.pc);
         if (line != h.curLine) {
             // Line crossing: new fetch group with an I-cache access.
-            newFetchGroupT<kFast>(
-                h, c, h.feSlots > 0 ? h.feCycle + 1 : h.feCycle, dyn.pc,
-                true);
+            newFetchGroup(h, h.feSlots > 0 ? h.feCycle + 1 : h.feCycle,
+                          dyn.pc, true);
         } else if (h.feSlots >= params_.width) {
-            newFetchGroupT<kFast>(h, c, h.feCycle + 1, dyn.pc, false);
+            newFetchGroup(h, h.feCycle + 1, dyn.pc, false);
         }
     } else {
         // Replacement instruction: consumes a decode slot, no fetch.
@@ -293,12 +219,11 @@ PipelineSim::frontendT(Hot &h, Tally &c, const DynInst &dyn)
     return h.feCycle;
 }
 
-template <bool kFast>
 DISE_ALWAYS_INLINE void
-PipelineSim::resolveControlT(Hot &h, Tally &c, Addr pc, OpClass cls,
-                             bool taken, Addr target, uint64_t resolveCycle,
-                             uint64_t decodeCycle,
-                             const BranchPredictor::Prediction &pred)
+PipelineSim::resolveControl(Hot &h, Tally &c, Addr pc, OpClass cls,
+                            bool taken, Addr target, uint64_t resolveCycle,
+                            uint64_t decodeCycle,
+                            const BranchPredictor::Prediction &pred)
 {
     const bool wrongDir = pred.taken != taken;
     const bool wrongTarget =
@@ -321,40 +246,33 @@ PipelineSim::resolveControlT(Hot &h, Tally &c, Addr pc, OpClass cls,
         h.feSlots = 0;
         h.curLine = ~uint64_t(0);
     }
-    trainT<kFast>(c, pc, cls, taken, target);
+    train(pc, cls, taken, target);
 }
 
-template <bool kFast>
 DISE_ALWAYS_INLINE void
-PipelineSim::trainT(Tally &c, Addr pc, OpClass cls, bool taken, Addr target)
+PipelineSim::train(Addr pc, OpClass cls, bool taken, Addr target)
 {
     if (cls != OpClass::Nop) {
-        updateT<kFast>(c, pc, cls, taken, target);
+        bpred_.update(pc, cls, taken, target);
         if (cls == OpClass::Call || cls == OpClass::CallIndirect)
             bpred_.pushReturn(pc + 4);
     }
 }
 
-template <bool kFast>
 DISE_ALWAYS_INLINE void
-PipelineSim::seqOpenT(Tally &c, const DynInst &dyn)
+PipelineSim::seqOpen(const DynInst &dyn)
 {
-    seqPredCls_ = dyn.seqPredClass;
-    seqTriggerPC_ = dyn.pc;
-    seqTrigTaken_ = false;
-    seqTrigTarget_ = 0;
-    seqRedirected_ = false;
-    seqRedirTarget_ = 0;
-    if (seqPredCls_ != OpClass::Nop) {
-        seqPred_ = predictT<kFast>(c, dyn.pc, seqPredCls_, dyn.pc + 4);
+    seq_ = SeqPrediction{};
+    seq_.cls = dyn.seqPredClass;
+    seq_.triggerPC = dyn.pc;
+    if (seq_.cls != OpClass::Nop) {
+        seq_.pred = bpred_.predict(dyn.pc, seq_.cls, dyn.pc + 4);
     } else {
-        seqPred_ = BranchPredictor::Prediction{};
-        seqPred_.target = dyn.pc + 4;
-        seqPred_.targetKnown = true;
+        seq_.pred.target = dyn.pc + 4;
+        seq_.pred.targetKnown = true;
     }
 }
 
-template <bool kFast>
 DISE_ALWAYS_INLINE void
 PipelineSim::addTally(const Tally &c)
 {
@@ -371,13 +289,6 @@ PipelineSim::addTally(const Tally &c)
     result_.diseMispredicts += c.diseMispredicts;
     result_.expansionStalls += c.expansionStalls;
     result_.missStallCycles += c.missStallCycles;
-    if constexpr (kFast) {
-        *icAccCell_ += c.icAccesses;
-        *dcAccCell_ += c.dcAccesses;
-        *dcWrCell_ += c.dcWrites;
-        *bpPredCell_ += c.predictions;
-        *bpUpdCell_ += c.updates;
-    }
 }
 
 template <bool kFast>
@@ -406,7 +317,7 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
         const DynInst &dyn = *rec;
 
         // ---- Front end: decode timestamp. ----
-        const uint64_t decodeCycle = frontendT<kFast>(h, c, dyn);
+        const uint64_t decodeCycle = frontend(h, c, dyn);
 
         // ---- Dispatch. ----
         uint64_t dispatch = decodeCycle + feDepth;
@@ -452,7 +363,7 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
         uint64_t complete = issue + latency[size_t(dyn.inst.cls)];
         if (dyn.isMem && !dyn.isStore) {
             // Loads: AGU + D-cache access.
-            const uint32_t lat = dataAccessT<kFast>(c, dyn.memAddr, false);
+            const uint32_t lat = mem_.dataAccess(dyn.memAddr, false);
             if (lat > l1Latency)
                 h.pend.dmiss += lat - l1Latency;
             complete = issue + 1 + lat;
@@ -504,7 +415,7 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
         if (dyn.isStore) {
             // Store buffer: D-cache updated at commit, off the critical
             // path.
-            dataAccessT<kFast>(c, dyn.memAddr, true);
+            mem_.dataAccess(dyn.memAddr, true);
         }
         if (dyn.isSyscall) {
             // Syscalls serialize the pipeline.
@@ -522,15 +433,14 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
         if (!dyn.expanded) {
             if (dyn.isAppControl) {
                 const auto pred =
-                    predictT<kFast>(c, dyn.pc, dyn.inst.cls, dyn.pc + 4);
-                resolveControlT<kFast>(h, c, dyn.pc, dyn.inst.cls,
-                                       dyn.taken, dyn.actualTarget,
-                                       complete, decodeCycle, pred);
+                    bpred_.predict(dyn.pc, dyn.inst.cls, dyn.pc + 4);
+                resolveControl(h, c, dyn.pc, dyn.inst.cls, dyn.taken,
+                               dyn.actualTarget, complete, decodeCycle, pred);
             }
         } else {
             if (dyn.firstOfSeq) {
-                seqOpenT<kFast>(c, dyn);
-                seqResolve_ = complete;
+                seqOpen(dyn);
+                seq_.resolve = complete;
             }
             if (dyn.inst.isDiseBranch() && dyn.taken) {
                 // Taken DISE branch: fetch restarts at the same PC, new
@@ -539,15 +449,15 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
                 raiseRedirect(h, complete + 1, StallCause::Dise);
             }
             if (dyn.isAppControl) {
-                seqResolve_ = std::max(seqResolve_, complete);
+                seq_.resolve = std::max(seq_.resolve, complete);
                 if (dyn.taken)
-                    seqNoteTaken(dyn);
+                    seq_.noteTaken(dyn);
             }
             if (dyn.lastOfSeq) {
-                resolveControlT<kFast>(h, c, seqTriggerPC_, seqPredCls_,
-                                       seqTaken(), seqNextPC(dyn),
-                                       std::max(seqResolve_, complete),
-                                       decodeCycle, seqPred_);
+                resolveControl(h, c, seq_.triggerPC, seq_.cls, seq_.taken(),
+                               seq_.nextPC(dyn),
+                               std::max(seq_.resolve, complete), decodeCycle,
+                               seq_.pred);
             }
         }
 
@@ -562,7 +472,7 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
 
     if constexpr (kFast)
         hot_ = h;
-    addTally<kFast>(c);
+    addTally(c);
 }
 
 // ---------------------------------------------------------------------
@@ -572,8 +482,8 @@ PipelineSim::timeBatch(const DynInst *recs, size_t n)
 void
 PipelineSim::warmBatch(const DynInst *recs, size_t n)
 {
-    // The current-line latch and the tally live in locals for the whole
-    // run, as in timeBatch. A redirect still pending from a detail
+    // The current-line latch lives in a local for the whole run, as
+    // Hot does in timeBatch. A redirect still pending from a detail
     // window's last records becomes the latch's pending redirect here;
     // left pending, the next window would honour it with a stale cycle.
     uint64_t curLine = hot_.curLine;
@@ -582,7 +492,6 @@ PipelineSim::warmBatch(const DynInst *recs, size_t n)
         hot_.pendingRedirect = 0;
         hot_.redirectCause = StallCause::None;
     }
-    Tally c;
     for (const DynInst *rec = recs, *const end = recs + n; rec != end;
          ++rec) {
         const DynInst &dyn = *rec;
@@ -599,12 +508,12 @@ PipelineSim::warmBatch(const DynInst *recs, size_t n)
         if (!dyn.expanded || dyn.firstOfSeq) {
             if (dyn.missPenalty > 0) {
                 if (curLine == kRedirect)
-                    fetchAccessT<true>(c, dyn.pc);
+                    mem_.fetchAccess(dyn.pc);
                 curLine = ~uint64_t(0); // PT/RT fill flushes front end
             }
             const uint64_t line = fetchLine(dyn.pc);
             if (line != curLine) {
-                fetchAccessT<true>(c, dyn.pc);
+                mem_.fetchAccess(dyn.pc);
                 curLine = line;
             }
         }
@@ -613,7 +522,7 @@ PipelineSim::warmBatch(const DynInst *recs, size_t n)
         // detailed model orders its calls (loads at issue, stores at
         // commit, both within the same per-instruction pass).
         if (dyn.isMem)
-            dataAccessT<true>(c, dyn.memAddr, dyn.isStore);
+            mem_.dataAccess(dyn.memAddr, dyn.isStore);
 
         // Branch predictor: replicate the detailed model's predict/
         // update/RAS traffic, including sequence-level prediction for
@@ -625,31 +534,29 @@ PipelineSim::warmBatch(const DynInst *recs, size_t n)
         if (!dyn.expanded) {
             if (dyn.isAppControl) {
                 const auto pred =
-                    predictT<true>(c, dyn.pc, dyn.inst.cls, dyn.pc + 4);
-                trainT<true>(c, dyn.pc, dyn.inst.cls, dyn.taken,
-                             dyn.actualTarget);
+                    bpred_.predict(dyn.pc, dyn.inst.cls, dyn.pc + 4);
+                train(dyn.pc, dyn.inst.cls, dyn.taken, dyn.actualTarget);
                 curLine = warmRedirect(curLine, pred, dyn.taken,
                                        dyn.actualTarget);
             }
         } else {
             if (dyn.firstOfSeq)
-                seqOpenT<true>(c, dyn);
+                seqOpen(dyn);
             if (dyn.inst.isDiseBranch() && dyn.taken)
                 curLine = kRedirect; // unpredicted redirect, refetch
             if (dyn.isAppControl && dyn.taken)
-                seqNoteTaken(dyn);
+                seq_.noteTaken(dyn);
             if (dyn.lastOfSeq) {
-                trainT<true>(c, seqTriggerPC_, seqPredCls_, seqTaken(),
-                             seqNextPC(dyn));
-                curLine = warmRedirect(curLine, seqPred_, seqTaken(),
-                                       seqNextPC(dyn));
+                train(seq_.triggerPC, seq_.cls, seq_.taken(),
+                      seq_.nextPC(dyn));
+                curLine = warmRedirect(curLine, seq_.pred, seq_.taken(),
+                                       seq_.nextPC(dyn));
             }
         }
         if (dyn.isSyscall)
             curLine = kRedirect; // drain forces a refetch
     }
     hot_.curLine = curLine;
-    addTally<true>(c);
 }
 
 // ---------------------------------------------------------------------
@@ -715,8 +622,7 @@ PipelineSim::runFeed(uint64_t maxInsts, uint64_t maxCycles)
         ring_.resize(kFeedBatch);
     const bool sampling = samplePeriod_ != 0;
     // Derived ring cursors for the kFast structural-hazard walk (see
-    // Hot): recomputed here rather than checkpointed, so snapshot
-    // layout stays independent of the feed implementation.
+    // Hot).
     hot_.robIdx = size_t(hot_.instIndex % params_.robEntries);
     hot_.rsIdx = size_t(hot_.instIndex % params_.rsEntries);
     RunStop stop;
@@ -836,94 +742,34 @@ PipelineSim::saveSnapshot(TimingSnapshot &out) const
     out.mem = std::make_unique<MemHierarchy>(params_.mem);
     out.mem->adoptState(mem_);
     out.bpred = std::make_unique<BranchPredictor>(bpred_);
-    out.scalars = {hot_.feCycle,
-                   hot_.feSlots,
-                   hot_.curLine,
-                   hot_.pendingRedirect,
-                   uint64_t(hot_.redirectCause),
-                   hot_.pend.imiss,
-                   hot_.pend.dise,
-                   hot_.pend.branch,
-                   hot_.pend.drain,
-                   hot_.pend.dmiss,
-                   hot_.pend.hazard,
-                   hot_.instIndex,
-                   hot_.dispatchCycleCur,
-                   hot_.dispatchSlots,
-                   hot_.commitSlots,
-                   hot_.lastCommit,
-                   uint64_t(seqPredCls_),
-                   seqPred_.taken,
-                   seqPred_.target,
-                   seqPred_.targetKnown,
-                   seqTriggerPC_,
-                   seqTrigTaken_,
-                   seqTrigTarget_,
-                   seqRedirected_,
-                   seqRedirTarget_,
-                   seqResolve_,
-                   uint64_t(phaseDetail_),
-                   phaseLeft_,
-                   lastCancelPollCommit_};
-    out.scalars.insert(out.scalars.end(), regReady_.begin(),
-                       regReady_.end());
-    out.scalars.insert(out.scalars.end(), commitRing_.begin(),
-                       commitRing_.end());
-    out.scalars.insert(out.scalars.end(), issueRing_.begin(),
-                       issueRing_.end());
+    out.hot = hot_;
+    out.seq = seq_;
+    out.phaseDetail = phaseDetail_;
+    out.phaseLeft = phaseLeft_;
+    out.lastCancelPollCommit = lastCancelPollCommit_;
+    out.regReady = regReady_;
+    out.commitRing = commitRing_;
+    out.issueRing = issueRing_;
 }
 
 void
 PipelineSim::restoreSnapshot(const TimingSnapshot &snap)
 {
+    DISE_ASSERT(snap.commitRing.size() == commitRing_.size() &&
+                    snap.issueRing.size() == issueRing_.size(),
+                "timing snapshot of a machine with another ROB or RS size");
     core_.restoreSnapshot(snap.core);
     result_ = snap.result;
     mem_.adoptState(*snap.mem);
     bpred_ = *snap.bpred;
-    const uint64_t *p = snap.scalars.data();
-    DISE_ASSERT(snap.scalars.size() == 29 + regReady_.size() +
-                                           commitRing_.size() +
-                                           issueRing_.size(),
-                "timing snapshot shape mismatch (different machine "
-                "configuration?)");
-    hot_.feCycle = *p++;
-    hot_.feSlots = uint32_t(*p++);
-    hot_.curLine = *p++;
-    hot_.pendingRedirect = *p++;
-    hot_.redirectCause = StallCause(*p++);
-    hot_.pend.imiss = *p++;
-    hot_.pend.dise = *p++;
-    hot_.pend.branch = *p++;
-    hot_.pend.drain = *p++;
-    hot_.pend.dmiss = *p++;
-    hot_.pend.hazard = *p++;
-    hot_.instIndex = *p++;
-    hot_.dispatchCycleCur = *p++;
-    hot_.dispatchSlots = uint32_t(*p++);
-    hot_.commitSlots = uint32_t(*p++);
-    hot_.lastCommit = *p++;
-    seqPredCls_ = OpClass(*p++);
-    seqPred_.taken = *p++ != 0;
-    seqPred_.target = *p++;
-    seqPred_.targetKnown = *p++ != 0;
-    seqTriggerPC_ = *p++;
-    seqTrigTaken_ = *p++ != 0;
-    seqTrigTarget_ = *p++;
-    seqRedirected_ = *p++ != 0;
-    seqRedirTarget_ = *p++;
-    seqResolve_ = *p++;
-    phaseDetail_ = *p++ != 0;
-    phaseLeft_ = *p++;
-    lastCancelPollCommit_ = *p++;
-    for (uint64_t &r : regReady_)
-        r = *p++;
-    for (uint64_t &r : commitRing_)
-        r = *p++;
-    for (uint64_t &r : issueRing_)
-        r = *p++;
-    // adoptState/copy-assignment above replaced the components' stat
-    // maps; the cached cells point into the old ones.
-    rebindHotCells();
+    hot_ = snap.hot;
+    seq_ = snap.seq;
+    phaseDetail_ = snap.phaseDetail;
+    phaseLeft_ = snap.phaseLeft;
+    lastCancelPollCommit_ = snap.lastCancelPollCommit;
+    regReady_ = snap.regReady;
+    commitRing_ = snap.commitRing;
+    issueRing_ = snap.issueRing;
 }
 
 void

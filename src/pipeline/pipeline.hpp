@@ -31,9 +31,10 @@
  * Trace delivery (DESIGN.md Section 14): by default the model pulls the
  * dynamic stream in batches through ExecCore::fillTrace (the trace
  * feed), which keeps the architectural interpreter in its fast
- * dispatch loop and times each batch with inlined cache/predictor
- * accessors. setTraceFeed(false) falls back to per-instruction
- * ExecCore::step — the bit-identical reference path. On top of the
+ * dispatch loop. setTraceFeed(false) falls back to per-instruction
+ * ExecCore::step — the bit-identical reference path. Both time records
+ * through the same model body, whose cache and predictor calls are the
+ * components' own inline, self-counting entry points. On top of the
  * feed, setSampling enables SMARTS-style sampled timing: periodic
  * detailed windows with functional warming (caches + branch predictor
  * only, zero cycles) in between, reporting measured CPI over the
@@ -47,6 +48,7 @@
 #ifndef DISE_PIPELINE_PIPELINE_HPP
 #define DISE_PIPELINE_PIPELINE_HPP
 
+#include <array>
 #include <memory>
 
 #include "src/branch/predictor.hpp"
@@ -180,31 +182,7 @@ struct TimingResult
     }
 };
 
-/**
- * Complete timing-simulator checkpoint: the architectural SimSnapshot
- * plus every piece of timing state — cache lines/LRU/stats (held in a
- * standalone same-geometry hierarchy), branch-predictor tables, the
- * accumulated TimingResult, and the pipeline's clock/occupancy
- * scalars. PipelineSim::run is resumable (all loop state lives in
- * members), so restoring a checkpoint and running on is bit-identical
- * — cycles, buckets, counters — to a run that never stopped. This
- * holds on the trace-feed path at any batch boundary and under
- * sampling at any point in the phase schedule (the sampling phase
- * position is part of the scalar state); the trace-feed and sampling
- * *configuration* is not checkpointed — configure the restored
- * simulator the same way before restoring.
- */
-struct TimingSnapshot
-{
-    SimSnapshot core;
-    TimingResult result;
-    std::unique_ptr<MemHierarchy> mem;
-    std::unique_ptr<BranchPredictor> bpred;
-    /** Opaque pipeline scalar state (front end, accounting, back end,
-     *  sequence-level prediction, sampling phase); filled by
-     *  PipelineSim. */
-    std::vector<uint64_t> scalars;
-};
+struct TimingSnapshot;
 
 /** The timing simulator. */
 class PipelineSim
@@ -262,6 +240,8 @@ class PipelineSim
      * boundary — in practice: after a run(maxInsts) that stopped on
      * its instruction budget, or before the first run. A restored
      * simulator continues exactly where the checkpoint was taken.
+     * restoreSnapshot panics on a checkpoint of a machine with another
+     * ROB or RS size, before changing any state.
      */
     /// @{
     void saveSnapshot(TimingSnapshot &out) const;
@@ -282,6 +262,8 @@ class PipelineSim
     void registerStats(StatsRegistry &reg);
 
   private:
+    friend struct TimingSnapshot;
+
     /** What raised the pending front-end redirect (for accounting). */
     enum class StallCause : uint8_t { None, Branch, Dise, Drain };
 
@@ -336,8 +318,9 @@ class PipelineSim
         uint64_t lastCommit = 0;
         /**
          * Incremental commit/issue-ring cursors for the kFast hazard
-         * walk: derived (instIndex mod ring size) at runFeed entry,
-         * never checkpointed. The reference path keeps the plain modulo.
+         * walk: re-derived (instIndex mod ring size) at runFeed entry,
+         * so a restored copy is never read. The reference path keeps
+         * the plain modulo.
          */
         size_t robIdx = 0;
         size_t rsIdx = 0;
@@ -346,8 +329,7 @@ class PipelineSim
 
     /**
      * Counters one timeBatch call accumulates in locals and adds to
-     * result_ (and, kFast, to the cached component stat cells) once at
-     * its end.
+     * result_ once at its end.
      */
     struct Tally
     {
@@ -357,31 +339,63 @@ class PipelineSim
         uint64_t diseMispredicts = 0;
         uint64_t expansionStalls = 0;
         uint64_t missStallCycles = 0;
-        /** @name kFast stat-cell counts (see rebindHotCells). */
-        /// @{
-        uint64_t icAccesses = 0;
-        uint64_t dcAccesses = 0;
-        uint64_t dcWrites = 0;
-        uint64_t predictions = 0;
-        uint64_t updates = 0;
-        /// @}
+    };
+
+    /**
+     * Per-expansion (sequence-level) prediction state, shared by
+     * detailed timing and functional warming (a sequence is never split
+     * across a phase switch, so exactly one mode owns it at a time):
+     * opened at an expansion's first slot (seqOpen), told of each taken
+     * application transfer in it, and resolved at its last slot against
+     * where the sequence went.
+     */
+    struct SeqPrediction
+    {
+        OpClass cls = OpClass::Nop; ///< DynInst::seqPredClass
+        BranchPredictor::Prediction pred;
+        Addr triggerPC = 0;
+        bool trigTaken = false;
+        Addr trigTarget = 0;
+        bool redirected = false;
+        Addr redirTarget = 0;
+        uint64_t resolve = 0; ///< latest completion of a deciding slot
+
+        void
+        noteTaken(const DynInst &dyn)
+        {
+            // A taken trigger is deferred to the sequence end, unless a
+            // later non-trigger branch redirects first.
+            if (dyn.triggerSlot) {
+                trigTaken = true;
+                trigTarget = dyn.actualTarget;
+            } else {
+                redirected = true;
+                redirTarget = dyn.actualTarget;
+            }
+        }
+        bool taken() const { return redirected || trigTaken; }
+        Addr
+        nextPC(const DynInst &last) const
+        {
+            return redirected ? redirTarget
+                              : (trigTaken ? trigTarget : last.pc + 4);
+        }
     };
 
     /**
      * @name The timing model proper, shared by both delivery paths.
      *
-     * Every function is templated on kFast, which selects only the leaf
-     * accessors: kFast = false uses the component's public stat-counting
-     * entry points (Cache::access, BranchPredictor::predict/update) —
-     * the frozen reference; kFast = true uses the inline hot variants
-     * plus the batch tally of the cached StatGroup cells, leaving every
-     * timing decision byte-for-byte the same. Registers come from the
-     * record's translation-time descriptor (DynInst::regs) on kFast and
-     * from the op-table walk (DecodedInst::visitSrcRegs, destReg) on
-     * the reference, so every feed-vs-step identity check also checks
-     * the one against the other. The helpers take the batch's local
-     * state by reference and are forced inline, so it never escapes to
-     * memory.
+     * timeBatch's kFast selects only how the model reads its state:
+     * registers come from the record's translation-time descriptor
+     * (DynInst::regs) on kFast and from the op-table walk
+     * (DecodedInst::visitSrcRegs, destReg) on the reference, so every
+     * feed-vs-step identity check also checks the one against the
+     * other; kFast keeps incremental ring cursors where the reference
+     * takes a modulo, and times a batch on a register-resident copy of
+     * Hot. Cache and predictor calls are the components' own (inline,
+     * self-counting) entry points on both. The helpers take the batch's
+     * local state by reference and are forced inline, so it never
+     * escapes to memory.
      */
     /// @{
     /**
@@ -393,72 +407,30 @@ class PipelineSim
      */
     template <bool kFast> void timeBatch(const DynInst *recs, size_t n);
 
-    /** Add one batch's tally to result_ (and, kFast, the stat cells). */
-    template <bool kFast> void addTally(const Tally &c);
+    /** Add one batch's tally to result_. */
+    void addTally(const Tally &c);
 
     /** Front-end delivery: returns the decode cycle of @p dyn. */
-    template <bool kFast>
-    uint64_t frontendT(Hot &h, Tally &c, const DynInst &dyn);
+    uint64_t frontend(Hot &h, Tally &c, const DynInst &dyn);
 
     /** Start a new fetch group at @p cycle fetching @p pc. */
-    template <bool kFast>
-    void newFetchGroupT(Hot &h, Tally &c, uint64_t cycle, Addr pc,
-                        bool accessICache);
+    void newFetchGroup(Hot &h, uint64_t cycle, Addr pc, bool accessICache);
 
     /**
      * Evaluate a resolved control transfer against its prediction,
      * charging redirects and training the predictor.
      */
-    template <bool kFast>
-    void resolveControlT(Hot &h, Tally &c, Addr pc, OpClass cls,
-                         bool taken, Addr target, uint64_t resolveCycle,
-                         uint64_t decodeCycle,
-                         const BranchPredictor::Prediction &pred);
+    void resolveControl(Hot &h, Tally &c, Addr pc, OpClass cls, bool taken,
+                        Addr target, uint64_t resolveCycle,
+                        uint64_t decodeCycle,
+                        const BranchPredictor::Prediction &pred);
 
     /** Train the predictor (and the RAS, for calls) on a resolved
      *  transfer; a Nop class (an unpredicted sequence) trains nothing. */
-    template <bool kFast>
-    void trainT(Tally &c, Addr pc, OpClass cls, bool taken, Addr target);
+    void train(Addr pc, OpClass cls, bool taken, Addr target);
 
-    /**
-     * @name Sequence-level prediction, shared by detailed timing and
-     * functional warming: opened at an expansion's first slot, told of
-     * each taken application transfer in it, and resolved at its last
-     * slot against where the sequence went.
-     */
-    /// @{
-    template <bool kFast> void seqOpenT(Tally &c, const DynInst &dyn);
-    void
-    seqNoteTaken(const DynInst &dyn)
-    {
-        // A taken trigger is deferred to the sequence end, unless a
-        // later non-trigger branch redirects first.
-        if (dyn.triggerSlot) {
-            seqTrigTaken_ = true;
-            seqTrigTarget_ = dyn.actualTarget;
-        } else {
-            seqRedirected_ = true;
-            seqRedirTarget_ = dyn.actualTarget;
-        }
-    }
-    bool seqTaken() const { return seqRedirected_ || seqTrigTaken_; }
-    Addr
-    seqNextPC(const DynInst &last) const
-    {
-        return seqRedirected_ ? seqRedirTarget_
-                              : (seqTrigTaken_ ? seqTrigTarget_ : last.pc + 4);
-    }
-    /// @}
-
-    /** Leaf accessors (see the group comment). */
-    template <bool kFast> uint32_t fetchAccessT(Tally &c, Addr pc);
-    template <bool kFast>
-    uint32_t dataAccessT(Tally &c, Addr addr, bool write);
-    template <bool kFast>
-    BranchPredictor::Prediction predictT(Tally &c, Addr pc, OpClass cls,
-                                         Addr fallThrough);
-    template <bool kFast>
-    void updateT(Tally &c, Addr pc, OpClass cls, bool taken, Addr target);
+    /** Open seq_ at an expansion's first slot @p dyn, predicting it. */
+    void seqOpen(const DynInst &dyn);
     /// @}
 
     /** The reference loop: ExecCore::step per instruction. */
@@ -485,13 +457,6 @@ class PipelineSim
      * advancing the cycle clock by nothing.
      */
     void warmBatch(const DynInst *recs, size_t n);
-
-    /**
-     * Re-resolve the cached StatGroup cell pointers the kFast leaves
-     * bump. Must run after anything that replaces the components' stat
-     * maps (construction, snapshot restore).
-     */
-    void rebindHotCells();
 
     /** Fetch-line number of @p pc (line-crossing detection). */
     uint64_t
@@ -532,20 +497,7 @@ class PipelineSim
     std::vector<uint64_t> issueRing_;  ///< RS occupancy
     /// @}
 
-    /** @name Per-expansion (sequence-level) prediction state.
-     *  Shared by detailed timing and functional warming (a sequence is
-     *  never split across a phase switch, so exactly one mode owns it
-     *  at a time). */
-    /// @{
-    OpClass seqPredCls_ = OpClass::Nop;
-    BranchPredictor::Prediction seqPred_;
-    Addr seqTriggerPC_ = 0;
-    bool seqTrigTaken_ = false;
-    Addr seqTrigTarget_ = 0;
-    bool seqRedirected_ = false;
-    Addr seqRedirTarget_ = 0;
-    uint64_t seqResolve_ = 0;
-    /// @}
+    SeqPrediction seq_;
 
     /** @name Trace-feed and sampling state. */
     /// @{
@@ -570,12 +522,41 @@ class PipelineSim
      */
     uint64_t perInstCycleBound_ = 0;
     std::vector<DynInst> ring_; ///< feed batch buffer (lazy)
-    /** Cached component stat cells (rebindHotCells). */
-    uint64_t *icAccCell_ = nullptr;
-    uint64_t *dcAccCell_ = nullptr;
-    uint64_t *dcWrCell_ = nullptr;
-    uint64_t *bpPredCell_ = nullptr;
-    uint64_t *bpUpdCell_ = nullptr;
+    /// @}
+};
+
+/**
+ * Complete timing-simulator checkpoint: the architectural SimSnapshot
+ * plus every piece of timing state — cache lines/LRU/counters (held in
+ * a standalone same-geometry hierarchy), branch-predictor tables, the
+ * accumulated TimingResult, and the pipeline's own state, held by type
+ * and copied whole in both directions. PipelineSim::run is resumable
+ * (all loop state lives in members), so restoring a checkpoint and
+ * running on is bit-identical — cycles, buckets, counters — to a run
+ * that never stopped. This holds on the trace-feed path at any batch
+ * boundary and under sampling at any point in the phase schedule (the
+ * sampling phase position is part of the state); the trace-feed and
+ * sampling *configuration* is not checkpointed — configure the restored
+ * simulator the same way before restoring.
+ */
+struct TimingSnapshot
+{
+    SimSnapshot core;
+    TimingResult result;
+    std::unique_ptr<MemHierarchy> mem;
+    std::unique_ptr<BranchPredictor> bpred;
+    /** @name PipelineSim's members of the same names. */
+    /// @{
+    PipelineSim::Hot hot;
+    PipelineSim::SeqPrediction seq;
+    bool phaseDetail = true;
+    uint64_t phaseLeft = 0;
+    uint64_t lastCancelPollCommit = 0;
+    std::array<uint64_t, kNumLogicalRegs> regReady{};
+    /** Sized by the machine's ROB and RS: restoreSnapshot refuses a
+     *  checkpoint of another shape. */
+    std::vector<uint64_t> commitRing;
+    std::vector<uint64_t> issueRing;
     /// @}
 };
 

@@ -705,14 +705,8 @@ ExecCore::execSeqSlotBody(DynInst &dyn, DynInst *out)
             dyn.ptMiss = seqPtMiss_;
             dyn.rtMiss = seqRtMiss_;
             dyn.missPenalty = seqMissPenalty_;
-            // Sequence-level prediction class (DynInst::seqPredClass).
-            const DecodedInst &trigger = fetchDecode(seqTriggerPC_);
-            if (isControlClass(trigger.cls)) {
-                dyn.seqPredClass = trigger.cls;
-            } else if (seqLen_ > 0 &&
-                       isControlClass(seqInsts_[seqLen_ - 1].cls)) {
-                dyn.seqPredClass = seqInsts_[seqLen_ - 1].cls;
-            }
+            dyn.seqPredClass = seqPredClassOf(
+                fetchDecode(seqTriggerPC_).cls, seqInsts_[seqLen_ - 1].cls);
         }
     }
     ++seqIdx_;
@@ -1013,8 +1007,9 @@ namespace {
  * Lower @p side's memoized replacement sequence (the span its memo
  * records) into slots runChain dispatches like block slots, closed by
  * the SeqEnd sentinel. A sequence with a slot outside the repertoire
- * (a syscall, a codeword, an invalid word) lowers to one SeqGeneric
- * slot instead.
+ * (a syscall, a codeword, an invalid word, a DISE branch whose target
+ * lies outside [0, length] and so traps when taken) lowers to one
+ * SeqGeneric slot instead.
  */
 void
 lowerSeq(SlotSide &side)
@@ -1039,10 +1034,9 @@ lowerSeq(SlotSide &side)
         const OpHandler h = baseHandler(d.op);
         if (h == OpHandler::DiseBranch) {
             const int64_t target = static_cast<int64_t>(s) + 1 + d.imm;
-            op.handler =
-                target >= 0 && target <= static_cast<int64_t>(m.numInsts)
-                    ? OpHandler::DiseBranch
-                    : OpHandler::DiseBranchTrap;
+            if (target < 0 || target > static_cast<int64_t>(m.numInsts))
+                break;
+            op.handler = OpHandler::DiseBranch;
         } else if (h != OpHandler::NUM) {
             op.handler = static_cast<OpHandler>(
                 static_cast<size_t>(h) +
@@ -1083,13 +1077,9 @@ buildSeqTemplates(SlotSide &side, OpClass triggerCls)
         d.firstOfSeq = s == 0;
         d.seqLen = len;
     }
-    // Sequence-level prediction class (DynInst::seqPredClass), which
-    // execSeqSlotBody derives per visit on the generic path.
     if (len > 0) {
-        const OpClass last = ops[len - 1].inst.cls;
-        side.tmpl[0].seqPredClass = isControlClass(triggerCls) ? triggerCls
-                                    : isControlClass(last)     ? last
-                                                               : OpClass::Nop;
+        side.tmpl[0].seqPredClass =
+            seqPredClassOf(triggerCls, ops[len - 1].inst.cls);
     }
 }
 
@@ -1340,8 +1330,7 @@ ExecCore::runChain(TransBlock *block, const TransOp *start, Addr pc,
         &&lbl_Fused, &&lbl_End,
         ROW_LABELS(Seq)
         &&lbl_SeqCondBranch, &&lbl_SeqDirBranch, &&lbl_SeqJump,
-        &&lbl_DiseBranch, &&lbl_DiseBranchTrap, &&lbl_SeqGeneric,
-        &&lbl_SeqEnd,
+        &&lbl_DiseBranch, &&lbl_SeqGeneric, &&lbl_SeqEnd,
     };
     static_assert(sizeof(kTab) / sizeof(kTab[0]) ==
                       static_cast<size_t>(OpHandler::NUM),
@@ -1543,32 +1532,6 @@ ExecCore::runChain(TransBlock *block, const TransOp *start, Addr pc,
         if (offset <= 0 && cancelPollDue(dyn))
             goto seq_park;
         goto *kTab[static_cast<size_t>(t->handler)];
-    }
-    lbl_DiseBranchTrap:
-    {
-        SEQ_CHECK();
-        const bool taken = t->inst.op == Opcode::DBR ||
-                           condTaken(t->inst.op, readReg(t->inst.ra));
-        SEQ_RETIRE();
-        if (!taken) {
-            if constexpr (kEmit) {
-                SEQ_EMIT_BASE();
-                ++eout;
-            }
-            SEQ_NEXT();
-        }
-        // The slot retires but emits nothing: step() counts the
-        // retirement, then returns false without writing a record
-        // (execSeqSlotBody traps before its *out store).
-        const int64_t target = int64_t(t->side) + 1 + t->inst.imm;
-        const size_t len = blk->side[eng->side].seq.size() - 1;
-        raiseTrap(TrapCause::DiseBranchOutOfRange, pc, t->side + 1u,
-                  static_cast<uint64_t>(target),
-                  strFormat("DISE branch target %lld outside sequence of "
-                            "length %zu",
-                            (long long)target, len));
-        pc_ = pc;
-        goto exit_flush;
     }
     lbl_SeqGeneric:
         goto seq_park;

@@ -121,11 +121,9 @@ enum class OpHandler : uint8_t {
     SeqCondBranch, SeqDirBranch, SeqJump,
     /** A DISE branch whose target lies in [0, length]. */
     DiseBranch,
-    /** A DISE branch whose target does not: traps when taken. */
-    DiseBranchTrap,
     /** The only slot of a sequence outside the lowered repertoire (a
-     *  syscall, a codeword, an invalid word): step()'s slot path runs
-     *  it. */
+     *  syscall, a codeword, an invalid word, an out-of-range DISE
+     *  branch): step()'s slot path runs it. */
     SeqGeneric,
     /** Sentinel closing every lowered sequence: the sequence ends. */
     SeqEnd,
@@ -160,12 +158,9 @@ struct alignas(64) DynInst
     uint16_t seqLen = 0;
     uint16_t diseTarget = 0; ///< taken DISE-branch target slot
     /**
-     * Prediction class of the whole expansion (set on the first slot):
-     * the front end predicts once per fetched trigger PC — the trigger's
-     * own class when the trigger is a control instruction, else the
-     * class of the sequence's final instruction when that is application
-     * control (e.g. the compressed-out branch ending a dictionary
-     * entry), else Nop (predict fall-through).
+     * Prediction class of the whole expansion (set on the first slot,
+     * by seqPredClassOf): the front end predicts once per fetched
+     * trigger PC.
      */
     OpClass seqPredClass : 4 = OpClass::Nop;
     bool expanded : 1 = false;    ///< part of a replacement sequence
@@ -202,6 +197,21 @@ static_assert(kMaxSeqLen <=
                   std::numeric_limits<decltype(DynInst::seqLen)>::max(),
               "DynInst::disepc/seqLen/diseTarget must hold every slot "
               "position of the longest sequence setProductions accepts");
+
+/**
+ * DynInst::seqPredClass of an expansion whose trigger has class
+ * @p trigger and whose last slot has class @p last: the trigger's class
+ * when it is control, else the last slot's when that is control (e.g.
+ * the compressed-out branch ending a dictionary entry), else Nop
+ * (predict fall-through).
+ */
+inline OpClass
+seqPredClassOf(OpClass trigger, OpClass last)
+{
+    return isControlClass(trigger) ? trigger
+           : isControlClass(last)  ? last
+                                   : OpClass::Nop;
+}
 
 /**
  * One pre-resolved slot of a translated basic block or of a lowered

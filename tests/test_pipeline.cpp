@@ -585,5 +585,41 @@ TEST(Pipeline, TimingSnapshotSplitRunMatchesUninterrupted)
     }
 }
 
+/**
+ * A timing checkpoint holds the ROB and RS occupancy rings at the size
+ * of the machine that saved it, so restoring it into a machine with
+ * another ROB or RS size must panic — before the restore changes any
+ * state: the refused machine then runs exactly as a fresh one.
+ */
+TEST(Pipeline, TimingSnapshotRefusesOtherMachineShape)
+{
+    const Program prog = loopProgram(300,
+                                     "    ldq t2, 0(t5)\n"
+                                     "    addq t3, t2, t3\n"
+                                     "    stq t3, 0(t5)\n");
+    const PipelineParams params; // 128-entry ROB, 80 RS entries
+    PipelineSim saved(prog, params);
+    ASSERT_EQ(saved.run(500).arch.outcome, RunOutcome::Hang);
+    TimingSnapshot snap;
+    saved.saveSnapshot(snap);
+
+    PipelineParams smallRob = params;
+    smallRob.robEntries = 64;
+    PipelineParams smallRs = params;
+    smallRs.rsEntries = 40;
+    for (const PipelineParams &other : {smallRob, smallRs}) {
+        PipelineSim refused(prog, other);
+        EXPECT_THROW(refused.restoreSnapshot(snap), PanicError);
+        const TimingResult got = refused.run();
+        const TimingResult want = PipelineSim(prog, other).run();
+        EXPECT_EQ(got.arch.outcome, RunOutcome::Exit);
+        EXPECT_EQ(got.arch.dynInsts, want.arch.dynInsts);
+        EXPECT_EQ(got.cycles, want.cycles);
+    }
+
+    PipelineSim same(prog, params);
+    EXPECT_NO_THROW(same.restoreSnapshot(snap));
+}
+
 } // namespace
 } // namespace dise

@@ -1,8 +1,10 @@
 /**
  * @file
  * BenchConfig — the one validated configuration every benchmark main
- * shares, collapsing the old per-bench DISE_BENCH_* env-var parsing
- * into a single struct with CLI flags layered on top.
+ * shares: the DISE_BENCH_* / DISE_FAULT_* environment with CLI flags
+ * layered on top. Only the bench mains use it; the strict numeric
+ * parsers behind its values live in src/common/strict_parse.hpp,
+ * shared with the tool front-ends.
  *
  * Sources, later wins:
  *   1. defaults (below),
@@ -20,8 +22,8 @@
  * silently running serial.
  */
 
-#ifndef DISE_SERVICE_BENCH_CONFIG_HPP
-#define DISE_SERVICE_BENCH_CONFIG_HPP
+#ifndef DISE_BENCH_BENCH_CONFIG_HPP
+#define DISE_BENCH_BENCH_CONFIG_HPP
 
 #include <cstdint>
 #include <string>
@@ -61,25 +63,6 @@ struct BenchConfig
     bool selected(const std::string &name) const;
 };
 
-/**
- * @name Strict numeric argument parsing.
- *
- * The validated parsers behind every BenchConfig value, shared with the
- * tool front-ends (diserun): the whole token must parse, trailing junk
- * and non-numeric input fatal() with @p what naming the flag. The
- * integer forms go through double, so they also reject fractions
- * ("0.5" is not a trial count) while accepting exponent spellings
- * ("1e6") that fit exactly.
- */
-/// @{
-/** A strictly positive value ("--scale 0.25"). */
-double parsePositiveValue(const char *text, const std::string &what);
-/** A strictly positive integer ("--jobs 4"). */
-uint64_t parsePositiveInt(const char *text, const std::string &what);
-/** A non-negative integer; 0 is meaningful ("--icache 0" = perfect). */
-uint64_t parseNonNegativeInt(const char *text, const std::string &what);
-/// @}
-
 } // namespace dise
 
-#endif // DISE_SERVICE_BENCH_CONFIG_HPP
+#endif // DISE_BENCH_BENCH_CONFIG_HPP

@@ -114,7 +114,8 @@ BM_ExpansionRate(benchmark::State &state)
     DiseConfig config;
     config.rtEntries = 2048;
     config.rtAssoc = 2;
-    config.expansionCache = state.range(0) != 0;
+    if (state.range(0) == 0)
+        config.expansionCacheMaxEntries = 0;
     DiseEngine engine(config);
     engine.setProductions(
         std::make_shared<ProductionSet>(parseProductions(
@@ -184,7 +185,8 @@ BM_DiseSimThroughput(benchmark::State &state)
     auto set =
         std::make_shared<ProductionSet>(makeMfiProductions(prog, mopts));
     DiseConfig config;
-    config.expansionCache = state.range(0) != 0;
+    if (state.range(0) == 0)
+        config.expansionCacheMaxEntries = 0;
     uint64_t simulated = 0;
     for (auto _ : state) {
         DiseController controller(config);
@@ -239,7 +241,7 @@ class RecordingReporter : public benchmark::ConsoleReporter
             // Guest insts/sec only for benchmarks that simulate guest
             // code (they publish sim-MIPS); expansion micros report 0.
             const auto mips = run.counters.find("sim-MIPS");
-            entry["host"] = dise::bench::hostSection(
+            entry["host"] = dise::hostSection(
                 run.real_accumulated_time,
                 mips != run.counters.end()
                     ? uint64_t(double(mips->second) * 1e6 *

@@ -4,7 +4,7 @@
  * workload construction, standard machine configurations, and run
  * wrappers for the native / DISE / rewriting regimes.
  *
- * Configuration comes from BenchConfig (src/service/bench_config.hpp):
+ * Configuration comes from BenchConfig (bench/bench_config.hpp):
  * one validated struct fed by the DISE_BENCH_* / DISE_FAULT_* env vars
  * with --jobs/--scale/--only/--json/--fault-* CLI flags layered on
  * top. Every bench main calls benchInit(argc, argv, name) first.
@@ -28,13 +28,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "bench/bench_config.hpp"
 #include "src/acf/compress.hpp"
 #include "src/acf/mfi.hpp"
 #include "src/acf/rewriter.hpp"
@@ -44,30 +44,10 @@
 #include "src/common/stats.hpp"
 #include "src/common/table.hpp"
 #include "src/pipeline/pipeline.hpp"
-#include "src/service/bench_config.hpp"
 #include "src/service/runner.hpp"
 #include "src/workloads/workloads.hpp"
 
 namespace dise::bench {
-
-// dise::hostSection, reachable qualified as dise::bench::hostSection
-// for benches that predate the service layer.
-using dise::hostSection;
-
-/** Parse a strictly positive number; fatal() on garbage or x <= 0. */
-inline double
-parsePositive(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0') {
-        fatal(std::string(what) + ": cannot parse \"" + text + "\"");
-    }
-    if (!(value > 0)) {
-        fatal(std::string(what) + ": must be > 0, got \"" + text + "\"");
-    }
-    return value;
-}
 
 /**
  * Parse the shared bench flags (and validate the corresponding env

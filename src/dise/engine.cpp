@@ -366,8 +366,9 @@ DiseEngine::expand(const DecodedInst &fetched, Addr pc)
     // PC as well when the sequence reads it), so memoize and hand out a
     // span into the cache. Triggers without an encoding (raw == 0, only
     // synthesized instructions) are not keyable and use the scratch
-    // buffer, as does everything once the cache is full or disabled.
-    if (config_.expansionCache && fetched.raw != 0) {
+    // buffer, as does everything once the cache is full (at once when
+    // its cap is 0).
+    if (fetched.raw != 0) {
         const bool pcDep = seqs_[*seqId].pcDependent;
         const SeqKey key{*seqId, fetched.raw, pcDep ? pc : 0};
         auto it = expCache_.find(key);

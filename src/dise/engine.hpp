@@ -71,11 +71,10 @@ struct DiseConfig
      * Simulator (not architecture) knob: memoize instantiated
      * replacement sequences per (sequence, trigger word, PC class) so
      * repeated dynamic instances of the same static trigger skip the
-     * instantiation logic. Purely a fast path — architectural stats and
-     * results are identical with it off.
+     * instantiation logic. Caching stops once this many entries are
+     * held; 0 turns it off. Purely a fast path — architectural stats
+     * and results are identical at any cap.
      */
-    bool expansionCache = true;
-    /** Cached-instantiation entry cap; caching stops when reached. */
     uint32_t expansionCacheMaxEntries = 1u << 16;
     /**
      * Per-entry parity on the PT and RT. With parity on, a corrupted

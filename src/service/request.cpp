@@ -1,7 +1,9 @@
 #include "src/service/request.hpp"
 
+#include "src/common/bits.hpp"
 #include "src/common/logging.hpp"
 #include "src/common/stats.hpp"
+#include "src/mem/cache.hpp"
 
 namespace dise {
 
@@ -88,6 +90,15 @@ checkUInt(const std::string &key, const Json &value)
     return value.asUInt();
 }
 
+uint32_t
+checkUInt32(const std::string &key, const Json &value)
+{
+    const uint64_t v = checkUInt(key, value);
+    if (v > UINT32_MAX)
+        fatal("RunRequest: \"" + key + "\" must be at most 4294967295");
+    return uint32_t(v);
+}
+
 bool
 checkBool(const std::string &key, const Json &value)
 {
@@ -114,6 +125,36 @@ checkNumber(const std::string &key, const Json &value)
 /// @}
 
 } // namespace
+
+void
+checkICacheGeometry(uint32_t kb, const std::string &what)
+{
+    if (kb == 0)
+        return; // perfect I-cache
+    const MemHierarchyParams mem;
+    const uint64_t setBytes = uint64_t(mem.lineBytes) * mem.l1iAssoc;
+    const uint64_t bytes = uint64_t(kb) * 1024;
+    if (bytes > UINT32_MAX || bytes % setBytes != 0 ||
+        !isPow2(bytes / setBytes)) {
+        fatal(strFormat("%s: a %u KB L1 I-cache (%u-way, %u-byte lines) "
+                        "has no power-of-two set count; use 0 "
+                        "(perfect) or a power of two below 4 GB",
+                        what.c_str(), kb, mem.l1iAssoc, mem.lineBytes));
+    }
+}
+
+void
+checkRtGeometry(uint32_t entries, uint32_t assoc, const std::string &what)
+{
+    if (entries == 0)
+        return; // perfect RT
+    if (assoc == 0 || entries % assoc != 0 || !isPow2(entries / assoc)) {
+        fatal(strFormat("%s: an RT of %u entries in %u ways needs an "
+                        "associativity that divides the entries into a "
+                        "power-of-two set count",
+                        what.c_str(), entries, assoc));
+    }
+}
 
 std::string
 RunRequest::label() const
@@ -159,6 +200,9 @@ RunRequest::validate() const
         fatal("RunRequest: scale applies to workloads only");
     if (width == 0)
         fatal("RunRequest: width must be >= 1");
+    checkICacheGeometry(icacheKB, "RunRequest: \"icache_kb\"");
+    checkRtGeometry(dise.rtEntries, dise.rtAssoc,
+                    "RunRequest: \"rt_entries\"/\"rt_assoc\"");
     if (acfsExplicit &&
         (mfi || watchpoint || rewriteMfi || compress || profile)) {
         fatal("RunRequest: the \"acfs\" list cannot be mixed with the "
@@ -241,7 +285,6 @@ RunRequest::toJson() const
     doc["rt_entries"] = Json(dise.rtEntries);
     doc["rt_assoc"] = Json(dise.rtAssoc);
     doc["placement"] = Json(std::string(placementName(dise.placement)));
-    doc["expansion_cache"] = Json(dise.expansionCache);
     doc["parity_checks"] = Json(dise.parityChecks);
     doc["trace_cache"] = Json(traceCache);
     doc["trace_feed"] = Json(traceFeed);
@@ -321,13 +364,11 @@ RunRequest::fromJson(const Json &doc)
             req.profile = checkBool(key, value);
             legacyAcfKey = key;
         } else if (key == "rt_entries") {
-            req.dise.rtEntries = uint32_t(checkUInt(key, value));
+            req.dise.rtEntries = checkUInt32(key, value);
         } else if (key == "rt_assoc") {
-            req.dise.rtAssoc = uint32_t(checkUInt(key, value));
+            req.dise.rtAssoc = checkUInt32(key, value);
         } else if (key == "placement") {
             req.dise.placement = parsePlacement(checkString(key, value));
-        } else if (key == "expansion_cache") {
-            req.dise.expansionCache = checkBool(key, value);
         } else if (key == "parity_checks") {
             req.dise.parityChecks = checkBool(key, value);
         } else if (key == "trace_cache") {
@@ -339,9 +380,9 @@ RunRequest::fromJson(const Json &doc)
         } else if (key == "sample_detail") {
             req.sampleDetail = checkUInt(key, value);
         } else if (key == "icache_kb") {
-            req.icacheKB = uint32_t(checkUInt(key, value));
+            req.icacheKB = checkUInt32(key, value);
         } else if (key == "width") {
-            req.width = uint32_t(checkUInt(key, value));
+            req.width = checkUInt32(key, value);
         } else if (key == "max_insts") {
             req.maxInsts = checkUInt(key, value);
         } else if (key == "max_cycles") {
@@ -357,7 +398,7 @@ RunRequest::fromJson(const Json &doc)
             if (req.seed != defaults.seed)
                 campaignKey = key;
         } else if (key == "trials") {
-            req.trials = uint32_t(checkUInt(key, value));
+            req.trials = checkUInt32(key, value);
             if (req.trials != defaults.trials)
                 campaignKey = key;
         } else if (key == "fault_targets") {

@@ -41,6 +41,19 @@ const char *runModeName(RunMode mode);
 /** Parse a mode name; fatal() on anything else. */
 RunMode parseRunMode(const std::string &name);
 
+/**
+ * @name Machine geometry checks.
+ * fatal(), with @p what naming the setting, unless the model can be
+ * built: an L1 I-cache of @p kb KB (0 = perfect) on the default line
+ * size and associativity, and an RT of @p entries (0 = perfect) in
+ * @p assoc ways. The models' constructors assert the same rules.
+ */
+/// @{
+void checkICacheGeometry(uint32_t kb, const std::string &what);
+void checkRtGeometry(uint32_t entries, uint32_t assoc,
+                     const std::string &what);
+/// @}
+
 /** One simulation job. */
 struct RunRequest
 {
@@ -153,7 +166,8 @@ struct RunRequest
      */
     std::vector<AcfSpec> normalizedAcfs() const;
 
-    /** fatal() on contradictions (no program, bad scale, ...). */
+    /** fatal() on contradictions (no program, bad scale, machine
+     *  geometry the models cannot build, ...). */
     void validate() const;
 
     Json toJson() const;

@@ -155,9 +155,8 @@ timingEntryJson(PipelineSim &sim, const TimingResult &t,
     entry["buckets"] = std::move(buckets);
     entry["counters"] = reg.toJson();
     if (t.sampling.enabled) {
-        // Single-run sampling section: the bench adds "cpi_error" when
-        // it also holds the full-detail reference; a lone sampled run
-        // reports the measurement and the extrapolation only.
+        // A lone sampled run reports the measurement and the
+        // extrapolation; its error needs a full-detail run to compare.
         Json sampling = Json::object();
         sampling["period"] = Json(t.sampling.period);
         sampling["detail"] = Json(t.sampling.detail);

@@ -38,7 +38,7 @@ namespace dise {
 /**
  * Scale a workload's dynamic-instruction target and kernel iterations.
  * The single implementation behind RunRequest::scale and the bench
- * harness's DISE_BENCH_SCALE / --scale knob.
+ * harness's --scale flag.
  */
 WorkloadSpec scaledSpec(WorkloadSpec spec, double scale);
 

@@ -14,7 +14,7 @@
 #include <unistd.h>
 
 #include "src/common/logging.hpp"
-#include "src/service/bench_config.hpp"
+#include "src/common/strict_parse.hpp"
 
 namespace dise {
 

@@ -130,7 +130,6 @@ void
 ExecCore::invalidateDecodeCache()
 {
     decodedValid_.assign(decodedValid_.size(), 0);
-    clearFusionMap();
     retireBlocks();
 }
 
@@ -144,7 +143,6 @@ ExecCore::invalidateDecodedRange(Addr addr, unsigned size)
         if (idx < decodedValid_.size())
             decodedValid_[idx] = 0;
     }
-    invalidateFusionRange(addr, size);
     invalidateTraceRange(addr, size);
 }
 
@@ -155,72 +153,27 @@ ExecCore::setFusionEnabled(bool on)
         return;
     fusionEnabled_ = on;
     // Translated blocks bake fusion decisions into their slots, so the
-    // whole trace cache (and the memoized decisions) must go.
+    // whole trace cache must go.
     invalidateDecodeCache();
 }
 
-void
-ExecCore::clearFusionMap()
+bool
+ExecCore::fusionAt(Addr pc, DecodedInst &fused)
 {
-    fusionState_.clear();
-    fusionInst_.clear();
-}
-
-void
-ExecCore::invalidateFusionRange(Addr addr, unsigned size)
-{
-    if (fusionState_.empty())
-        return;
-    const Addr end = std::min<Addr>(addr + size, prog_.textEnd());
-    Addr first = std::max(addr, prog_.textBase) & ~Addr(3);
-    // A pair starting one word earlier spans into the written range.
-    if (first >= prog_.textBase + 4)
-        first -= 4;
-    for (Addr a = first; a < end; a += 4) {
-        const size_t idx = static_cast<size_t>((a - prog_.textBase) >> 2);
-        if (idx < fusionState_.size())
-            fusionState_[idx] = 0;
-    }
-}
-
-const DecodedInst *
-ExecCore::fusionAt(Addr pc)
-{
-    if (controller_) {
-        // Coverage feeds the decision, so any table install or flush
-        // (generation bump) restarts the memo from scratch.
-        const uint64_t gen = controller_->engine().generation();
-        if (gen != fusionGen_) {
-            fusionGen_ = gen;
-            clearFusionMap();
-        }
-    }
-    if (fusionState_.empty()) {
-        fusionState_.assign(decoded_.size(), 0);
-        fusionInst_.assign(decoded_.size(), DecodedInst{});
-    }
     const Addr off = pc - prog_.textBase;
-    if ((off & 3) != 0)
-        return nullptr;
-    const size_t idx = static_cast<size_t>(off >> 2);
-    if (idx + 1 >= fusionState_.size())
-        return nullptr; // the pair would cross the end of text
-    if (fusionState_[idx] == 1)
-        return nullptr;
-    if (fusionState_[idx] == 2)
-        return &fusionInst_[idx];
+    // A misaligned pc, or a pair that would cross the end of text.
+    if ((off & 3) != 0 || (off >> 2) + 1 >= decoded_.size())
+        return false;
     const DecodedInst &first = fetchDecode(pc);
     const DecodedInst &second = fetchDecode(pc + 4);
-    bool ok = fusePair(first, second, &fusionInst_[idx]);
-    if (ok && controller_) {
-        // Expansion takes priority over contraction: a covered opcode
-        // must reach the engine exactly as fetched.
-        const DiseEngine &eng = controller_->engine();
-        if (eng.opcodeCovered(first.op) || eng.opcodeCovered(second.op))
-            ok = false;
-    }
-    fusionState_[idx] = ok ? 2 : 1;
-    return ok ? &fusionInst_[idx] : nullptr;
+    if (!fusePair(first, second, &fused))
+        return false;
+    if (!controller_)
+        return true;
+    // Expansion takes priority over contraction: a covered opcode must
+    // reach the engine exactly as fetched.
+    const DiseEngine &eng = controller_->engine();
+    return !eng.opcodeCovered(first.op) && !eng.opcodeCovered(second.op);
 }
 
 const StatGroup &
@@ -258,7 +211,7 @@ ExecCore::invalidateTraceRange(Addr addr, unsigned size)
     ++traceEpoch_;
     // With fusion on, a block's last slot also read the word past the
     // ones it covers to decide "no fuse"; a store there must drop the
-    // block with the decision (invalidateFusionRange).
+    // block with the decision.
     const Addr reach = fusionEnabled_ ? 4 : 0;
     // A block spans at most 2 * kMaxBlockLen words, so only entries
     // that close before the written range (which noteTextStore saw
@@ -645,8 +598,9 @@ ExecCore::stepUnpinned(DynInst &out)
             // Contraction before expansion is safe: fusionAt() refuses
             // any pair touching a covered opcode, so the engine still
             // sees everything it would see natively.
-            if (const DecodedInst *fz = fusionAt(pc_))
-                return execFusedPair<true>(*fz, &out);
+            DecodedInst fused;
+            if (fusionAt(pc_, fused))
+                return execFusedPair<true>(fused, &out);
         }
         if (controller_)
             beginExpansion(fetched);
@@ -950,8 +904,9 @@ ExecCore::translateBlock(Addr entry)
     while (ops.size() < kMaxBlockLen && prog_.inText(pc)) {
         // The same per-PC fusion decision step() takes, baked into one
         // slot covering two words (see the numInsts accounting below).
-        const DecodedInst *fz = fusionEnabled_ ? fusionAt(pc) : nullptr;
-        const DecodedInst &d = fz ? *fz : fetchDecode(pc);
+        DecodedInst fused;
+        const bool fz = fusionEnabled_ && fusionAt(pc, fused);
+        const DecodedInst &d = fz ? fused : fetchDecode(pc);
 
         TransOp op;
         op.inst = d;

@@ -415,12 +415,13 @@ class ExecCore
     /** @name Macro-op fusion internals. */
     /// @{
     /**
-     * The fused pair starting at @p pc, or null when the words there
-     * do not fuse. Memoized per text word; consulted identically by
-     * step() and translateBlock so both tiers see one decision.
+     * Do the words at @p pc and pc + 4 fuse? On true, @p fused holds
+     * the synthesized instruction. Computed from the decode cache and
+     * the engine's live coverage on every call; step() and
+     * translateBlock both ask here, so both tiers see one decision.
      * Requires fusionEnabled_ and prog_.inText(pc).
      */
-    const DecodedInst *fusionAt(Addr pc);
+    bool fusionAt(Addr pc, DecodedInst &fused);
     /**
      * Execute the fused pair at pc_ and retire both constituents as
      * one record. Mirrors execAppInst's contract; @return false on a
@@ -440,9 +441,6 @@ class ExecCore
      * @return For FCMPBR, the taken flag; false otherwise.
      */
     bool executeFused(const DecodedInst &fz, Addr pc, DynInst &dyn);
-    void clearFusionMap();
-    /** Drop fusion decisions for pairs touching [addr, addr+size). */
-    void invalidateFusionRange(Addr addr, unsigned size);
     /// @}
     /** Record an architected trap and halt the core (never throws). */
     void raiseTrap(TrapCause cause, Addr pc, uint32_t disepc,
@@ -568,13 +566,6 @@ class ExecCore
     /** @name Macro-op fusion state. */
     /// @{
     bool fusionEnabled_ = false;
-    /** Lazy per-text-word fusion map: 0 unknown, 1 no-fuse, 2 fused
-     *  (fusionInst_ holds the synthesized instruction). */
-    std::vector<uint8_t> fusionState_;
-    std::vector<DecodedInst> fusionInst_;
-    /** Engine generation the map was computed against; any install or
-     *  flush changes coverage, so a mismatch clears the whole map. */
-    uint64_t fusionGen_ = 0;
     /** Executed fused pairs, total and per family (not architectural —
      *  identical across tiers within a regime, but fused-vs-native
      *  runs differ here by design). */

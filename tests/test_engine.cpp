@@ -500,7 +500,7 @@ TEST(Engine, ExpansionCacheArchStatsMatchSlowPath)
     // instructions) and the produced instruction stream must be
     // bit-identical with the fast path on and off.
     DiseConfig slow;
-    slow.expansionCache = false;
+    slow.expansionCacheMaxEntries = 0; // every expansion from scratch
     DiseConfig fastSmall;
     fastSmall.expansionCacheMaxEntries = 2; // exercise the full-cache path
     for (const DiseConfig &fastConfig : {DiseConfig(), fastSmall}) {

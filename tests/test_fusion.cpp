@@ -206,6 +206,22 @@ TEST(FusionDifferential, FusionNestedWithinMfiIsArchIdentical)
 
     EXPECT_EQ(got.arch.toJson().dump(), ref.arch.toJson().dump());
     EXPECT_EQ(got.arch.acfDetections, ref.arch.acfDetections);
+
+    // The same contract on the cycle-level model: full-length bzip2
+    // under DISE3 MFI, fused against unfused, exit code and output
+    // included.
+    RunRequest timing;
+    timing.workload = "bzip2";
+    timing.mode = RunMode::Timing;
+    timing.acfsExplicit = true;
+    timing.acfs = {{"mfi", "dise3", AcfCompose::Append}};
+    const TimingOutcome unfusedRun = runTimingSim(prepareJob(timing));
+    timing.acfs.push_back({"fusion", "", AcfCompose::Append});
+    const TimingOutcome fusedRun = runTimingSim(prepareJob(timing));
+    EXPECT_TRUE(unfusedRun.timing.arch.exited);
+    EXPECT_EQ(unfusedRun.timing.arch.exitCode, 0);
+    EXPECT_EQ(fusedRun.timing.arch.toJson().dump(),
+              unfusedRun.timing.arch.toJson().dump());
 }
 
 // ---------------------------------------------------------------------

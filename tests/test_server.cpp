@@ -18,6 +18,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -489,6 +490,45 @@ TEST(SimServer, ManyClientsConcurrently)
         t.join();
     for (int c = 1; c < 4; ++c)
         EXPECT_EQ(runs[size_t(c)], runs[0]);
+
+    // A closed-loop mix: four clients, 25 requests each, every client
+    // waiting for each answer. Line i % 10 == 3 is not JSON, line
+    // i % 10 == 7 names an unknown workload, and the rest are twolf
+    // runs with distinct budgets (so each misses the result cache).
+    // The status counts follow from the mix alone.
+    const int clients = 4, perClient = 25;
+    std::vector<std::map<std::string, int>> counts(clients);
+    threads.clear();
+    for (int c = 0; c < clients; ++c) {
+        threads.emplace_back([&fx, &counts, c] {
+            Client client(fx.server.port());
+            for (int i = 0; i < perClient; ++i) {
+                if (i % 10 == 3) {
+                    client.sendLine(std::string("{ this is not json"));
+                } else {
+                    Json doc = runReq("mix-" + std::to_string(c) + "-" +
+                                      std::to_string(i));
+                    if (i % 10 == 7) {
+                        doc["workload"] =
+                            Json(std::string("no_such_workload"));
+                    } else {
+                        doc["max_insts"] =
+                            Json(uint64_t(50000 + 1000 * c + 10 * i));
+                    }
+                    client.sendLine(doc);
+                }
+                ++counts[size_t(c)][client.readLine()["status"].asString()];
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    std::map<std::string, int> total;
+    for (const auto &perClientCounts : counts)
+        for (const auto &[status, n] : perClientCounts)
+            total[status] += n;
+    EXPECT_EQ(total, (std::map<std::string, int>{
+                         {"ok", 80}, {"malformed", 12}, {"error", 8}}));
 }
 
 } // namespace dise

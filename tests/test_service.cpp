@@ -271,6 +271,56 @@ TEST(RunRequest, RejectsUnknownKeysAndBadShapes)
     warmTiming.mode = RunMode::Timing;
     warmTiming.warmupInsts = 100;
     EXPECT_THROW(warmTiming.validate(), FatalError);
+
+    // Machine geometry the models cannot build fails the request (a
+    // FatalError naming the key), never a constructor assert.
+    const auto parse = [](const std::string &text) {
+        return RunRequest::fromJson(Json::parse(text));
+    };
+    const auto expectRefused = [&](const std::string &text,
+                                   const std::string &key) {
+        try {
+            parse(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(key),
+                      std::string::npos)
+                << text << " -> " << err.what();
+        }
+    };
+    // 48 KB, 2-way, 64-byte lines: 384 sets.
+    expectRefused(R"({"workload":"twolf","mode":"timing","icache_kb":48,)"
+                  R"("max_insts":1000})",
+                  "icache_kb");
+    // 3 entries cannot split into 2 ways; 24 entries in 2 ways give
+    // 12 sets; assoc 0 with a finite RT has no sets at all.
+    expectRefused(R"({"workload":"bzip2","mfi":true,"rt_entries":3})",
+                  "rt_entries");
+    expectRefused(R"({"workload":"bzip2","mfi":true,"rt_entries":24,)"
+                  R"("rt_assoc":2})",
+                  "rt_entries");
+    expectRefused(R"({"workload":"bzip2","rt_assoc":0})", "rt_assoc");
+    // 32-bit settings are refused above 2^32-1, not truncated: 2^32+16
+    // would otherwise run as a 16-entry RT.
+    for (const char *key :
+         {"rt_entries", "rt_assoc", "icache_kb", "width"}) {
+        expectRefused(std::string(R"({"workload":"bzip2",")") + key +
+                          R"(":4294967312})",
+                      key);
+    }
+    expectRefused(R"({"workload":"bzip2","mode":"campaign",)"
+                  R"("trials":4294967297})",
+                  "trials");
+    // The removed fast-path switch is an unknown key now.
+    expectRefused(R"({"workload":"bzip2","expansion_cache":false})",
+                  "expansion_cache");
+
+    // The buildable shapes still parse: a perfect I-cache and RT, a
+    // power-of-two I-cache, and a direct-mapped 8-entry RT.
+    EXPECT_NO_THROW(parse(R"({"workload":"bzip2","icache_kb":0,)"
+                          R"("rt_entries":0,"rt_assoc":0})"));
+    EXPECT_NO_THROW(parse(R"({"workload":"bzip2","icache_kb":64,)"
+                          R"("rt_entries":8,"rt_assoc":1})"));
 }
 
 // ---- SimSession ----

@@ -96,11 +96,12 @@
  *                            writes the program listing next to the
  *                            cwd, then exits 1
  *   --trace <n>              print the first n dynamic instructions
- *   --icache <KB>            L1I size (0 = perfect)
+ *   --icache <KB>            L1I size (0 = perfect; else a power of
+ *                            two)
  *   --width <n>              machine width
  *   --rt <entries>           RT capacity (0 = perfect)
- *   --rt-assoc <n>           RT associativity
- *   --no-expansion-cache     disable the memoized expansion fast path
+ *   --rt-assoc <n>           RT associativity (must divide --rt into
+ *                            a power-of-two set count)
  *   --no-trace-cache         disable the translated basic-block fast
  *                            path (functional mode; pure step() loop)
  *   --placement <free|stall|pipe>
@@ -119,10 +120,12 @@
  *                            the replay is bit-identical
  *
  * All numeric flags are strictly validated: the whole token must be a
- * number of the right sign and integrality, so "--jobs 4x" or
- * "--scale banana" exit with usage instead of silently running with a
- * half-parsed value. Unknown --mfi=/--placement spellings are rejected
- * the same way.
+ * number of the right sign and integrality (and fit in 32 bits where
+ * the setting is 32-bit), so "--jobs 4x" or "--scale banana" exit with
+ * usage instead of silently running with a half-parsed value. Unknown
+ * --mfi=/--placement spellings are rejected the same way. An I-cache
+ * or RT geometry the models cannot build is a user error naming the
+ * flag (exit 1).
  *
  *   --dump-asm               print the program source (workloads only)
  *   --stats                  dump engine/cache/predictor counters
@@ -148,8 +151,8 @@
 
 #include "src/common/logging.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/strict_parse.hpp"
 #include "src/isa/disasm.hpp"
-#include "src/service/bench_config.hpp"
 #include "src/service/server.hpp"
 #include "src/service/session.hpp"
 #include "src/workloads/generator.hpp"
@@ -192,10 +195,10 @@ usage(const char *argv0)
 }
 
 /**
- * Run one of the strict bench_config parsers over a flag value; on a
- * malformed token the parser's fatal() diagnostic (naming the flag and
- * the offending text) lands on stderr and we exit with usage, never
- * with a half-parsed value.
+ * Run one of the strict parsers (src/common/strict_parse) over a flag
+ * value; on a malformed token the parser's fatal() diagnostic (naming
+ * the flag and the offending text) lands on stderr and we exit with
+ * usage, never with a half-parsed value.
  */
 template <typename Parse>
 auto
@@ -233,6 +236,15 @@ parseArgs(int argc, char **argv)
             return parseNonNegativeInt(text, flag);
         });
     };
+    // 32-bit settings are refused above 2^32-1, never truncated.
+    auto uint32Of = [&](uint64_t value, const char *flag) {
+        if (value > UINT32_MAX) {
+            std::fprintf(stderr, "%s: must be at most 4294967295, got "
+                         "%llu\n", flag, (unsigned long long)value);
+            usage(argv0);
+        }
+        return static_cast<uint32_t>(value);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--batch") {
@@ -243,7 +255,7 @@ parseArgs(int argc, char **argv)
             opts.server.listen = need(i);
         } else if (arg == "--executors") {
             opts.server.executors =
-                static_cast<unsigned>(positiveInt(i, "--executors"));
+                uint32Of(positiveInt(i, "--executors"), "--executors");
         } else if (arg == "--max-pending") {
             opts.server.maxPending = positiveInt(i, "--max-pending");
         } else if (arg == "--max-pending-per-client") {
@@ -262,8 +274,7 @@ parseArgs(int argc, char **argv)
             opts.server.maxCachedResults =
                 nonNegativeInt(i, "--max-cached-results");
         } else if (arg == "--jobs") {
-            opts.jobs =
-                static_cast<unsigned>(positiveInt(i, "--jobs"));
+            opts.jobs = uint32Of(positiveInt(i, "--jobs"), "--jobs");
         } else if (arg == "--batch-out") {
             opts.batchOutFile = need(i);
         } else if (arg == "--timing") {
@@ -360,18 +371,16 @@ parseArgs(int argc, char **argv)
             opts.traceInsts = nonNegativeInt(i, "--trace");
         } else if (arg == "--icache") {
             opts.req.icacheKB =
-                static_cast<uint32_t>(nonNegativeInt(i, "--icache"));
+                uint32Of(nonNegativeInt(i, "--icache"), "--icache");
+            checkICacheGeometry(opts.req.icacheKB, "--icache");
         } else if (arg == "--width") {
-            opts.req.width =
-                static_cast<uint32_t>(positiveInt(i, "--width"));
+            opts.req.width = uint32Of(positiveInt(i, "--width"), "--width");
         } else if (arg == "--rt") {
             opts.req.dise.rtEntries =
-                static_cast<uint32_t>(nonNegativeInt(i, "--rt"));
+                uint32Of(nonNegativeInt(i, "--rt"), "--rt");
         } else if (arg == "--rt-assoc") {
             opts.req.dise.rtAssoc =
-                static_cast<uint32_t>(positiveInt(i, "--rt-assoc"));
-        } else if (arg == "--no-expansion-cache") {
-            opts.req.dise.expansionCache = false;
+                uint32Of(positiveInt(i, "--rt-assoc"), "--rt-assoc");
         } else if (arg == "--no-trace-cache") {
             opts.req.traceCache = false;
         } else if (arg == "--placement") {
@@ -417,6 +426,9 @@ parseArgs(int argc, char **argv)
             opts.sourceFile = arg;
         }
     }
+    // --rt and --rt-assoc may come in either order.
+    checkRtGeometry(opts.req.dise.rtEntries, opts.req.dise.rtAssoc,
+                    "--rt/--rt-assoc");
     if (opts.req.acfsExplicit &&
         (opts.req.mfi || opts.req.watchpoint || opts.req.rewriteMfi ||
          opts.req.compress || opts.req.profile)) {

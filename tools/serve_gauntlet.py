@@ -15,11 +15,13 @@ on the first broken promise:
    branch-ended idiom jumps farther than a codeword's 15-bit offset
    parameter reaches must run to a clean exit, and an ordinary request
    after it must still be answered.
-3. Hostile assembly: `source` requests holding out-of-range fields
+3. Hostile input: `source` requests holding out-of-range fields
    (memory and branch displacements, a li constant, a codeword tag)
    and malformed or oversized data directives must each be answered
-   `status: "error"` with the assembler's `asm line N: ...` message,
-   and an ordinary request after them must still succeed.
+   `status: "error"` with the assembler's `asm line N: ...` message;
+   requests asking for an I-cache or RT geometry the models cannot
+   build must each be answered `status: "error"` naming the key; and
+   an ordinary request after them must still succeed.
 4. Gauntlet: a burst far past saturation — sent with no pacing at all,
    i.e. an unbounded arrival rate, with 10% malformed lines and 10%
    deadline-busting requests mixed in. Every line must get exactly one
@@ -199,7 +201,19 @@ HOSTILE_SOURCES = [
 ]
 
 
-def phase_hostile_assembly(port):
+# Geometry the cache and RT models cannot build (384 I-cache sets; an
+# RT of 3 entries in 2 ways; a finite RT with no ways), each paired
+# with the key its refusal must name.
+HOSTILE_GEOMETRY = [
+    ({"workload": "twolf", "mode": "timing", "icache_kb": 48,
+      "max_insts": 1000}, "icache_kb"),
+    ({"workload": "bzip2", "scale": 0.01, "mfi": True, "rt_entries": 3},
+     "rt_entries"),
+    ({"workload": "twolf", "rt_assoc": 0, "max_insts": 1000}, "rt_assoc"),
+]
+
+
+def phase_hostile_input(port):
     client = NdjsonClient(port)
     for i, body in enumerate(HOSTILE_SOURCES):
         client.send({"id": f"hostile-{i}",
@@ -209,6 +223,13 @@ def phase_hostile_assembly(port):
         if resp.get("status") != "error" or not error.startswith("asm line"):
             fail(f"hostile source {body!r} answered "
                  f"{resp.get('status')!r}: {error}")
+    for body, key in HOSTILE_GEOMETRY:
+        client.send(body)
+        resp = client.recv()
+        error = resp.get("error", "")
+        if resp.get("status") != "error" or key not in error:
+            fail(f"hostile geometry {body!r} answered "
+                 f"{resp.get('status')!r}: {error}")
     client.send({"id": "after-hostile", "workload": "twolf",
                  "max_insts": 20000})
     resp = client.recv()
@@ -216,8 +237,8 @@ def phase_hostile_assembly(port):
         fail(f"request after the hostile sources answered "
              f"{resp.get('status')!r}")
     client.close()
-    print(f"gauntlet: hostile assembly OK "
-          f"({len(HOSTILE_SOURCES)} sources rejected)")
+    print(f"gauntlet: hostile input OK ({len(HOSTILE_SOURCES)} sources, "
+          f"{len(HOSTILE_GEOMETRY)} geometries rejected)")
 
 
 def gauntlet_line(i):
@@ -305,7 +326,7 @@ def main():
 
         phase_correctness(port, args.diserun)
         phase_far_branch(port)
-        phase_hostile_assembly(port)
+        phase_hostile_input(port)
         phase_gauntlet(port, args.burst)
 
         daemon.send_signal(signal.SIGTERM)

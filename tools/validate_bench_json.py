@@ -6,15 +6,18 @@ Usage: validate_bench_json.py FILE [FILE...]
 
 Three artifact shapes are accepted:
 
-* Bench artifacts (written via DISE_BENCH_JSON): a top-level document
-  with schema_version / bench / kind / host / workloads, where each
-  workload maps regimes to entries whose required keys depend on kind
-  (timing, micro, campaign, throughput). Every entry carries a "host"
-  section (wall-clock seconds + guest insts/sec). Timing entries
-  additionally must satisfy the cycle-accounting invariant: the seven
-  buckets sum exactly to cycles.
+* Bench artifacts (written by a bench run with --json DIR): a
+  top-level document with schema_version / bench / kind / host /
+  workloads, where each workload maps regimes to entries whose
+  required keys depend on kind (timing, micro, campaign). Every entry
+  carries a "host" section (wall-clock seconds + guest insts/sec).
+  Timing entries additionally must satisfy the cycle-accounting
+  invariant: the seven buckets sum exactly to cycles.
 * Run registries (written by `diserun --stats-json`): the nested stats
   registry itself, recognized by its top-level "run"/"host" sections.
+  Its cycle buckets must sum to the cycle count, and an "acf.fusion"
+  group must count two instructions per fused pair and split its pairs
+  exactly across the per-family counts.
 * Batch result streams (written by `diserun --batch`, recognized by the
   .ndjson extension): one JSON object per line with index/id/mode/ok;
   successful lines carry the unified "run" result (and "host"), failed
@@ -27,11 +30,9 @@ legitimately differs between snapshot and full-replay modes), and the
 "sampling" sections (so sampled artifacts compare against full-detail
 reruns on the architectural stream they must share) — wall-clock
 throughput, replay economics, and sampling windows are the only fields
-allowed to differ between reruns. The "fusion" section of
-timing_mfi_fused entries is deliberately NOT stripped: fusion coverage
-and the IPC delta are deterministic and must reproduce exactly. NDJSON streams are compared after sorting by
-index, so two runs that completed jobs in different orders (different
-worker counts) still compare equal.
+allowed to differ between reruns. NDJSON streams are compared after
+sorting by index, so two runs that completed jobs in different orders
+(different worker counts) still compare equal.
 
 Exits 0 when every file validates (or the pair matches), 1 with a
 diagnostic per problem otherwise. Stdlib only.
@@ -72,12 +73,7 @@ CAMPAIGN_KEYS = {
     "host",
 }
 
-THROUGHPUT_KEYS = {"insts", "host"}
-
-# Sampled-timing section (timing_mfi_sampled entries, and any timing
-# entry produced by a sampled run). "cpi_error" is present only when
-# the producer also held the full-detail reference (the bench does; a
-# lone sampled run cannot compute it).
+# Sampled-timing section of any timing entry produced by a sampled run.
 SAMPLING_KEYS = {
     "period",
     "detail",
@@ -87,38 +83,6 @@ SAMPLING_KEYS = {
     "measured_cpi",
     "estimated_cycles",
 }
-
-# Macro-op-fusion section (timing_mfi_fused throughput entries). Fully
-# deterministic — pair counts and IPC derive from the architectural and
-# cycle streams — so --compare does NOT strip it: two reruns must agree
-# on every field, including the IPC delta.
-FUSION_KEYS = {
-    "fused_pairs",
-    "fused_insts",
-    "pairs_cmp_branch",
-    "pairs_addr_const",
-    "pairs_shift_add",
-    "pairs_addr_load",
-    "pairs_addr_store",
-    "pairs_load_op",
-    "coverage",
-    "ipc",
-    "ipc_unfused",
-    "ipc_delta_pct",
-}
-
-SERVICE_KEYS = {
-    "requests",
-    "ok",
-    "error",
-    "malformed",
-    "shed",
-    "deadline",
-    "latency",
-    "open_loop",
-    "host",
-}
-
 
 class ValidationError(Exception):
     pass
@@ -183,11 +147,6 @@ def check_sampling_section(entry, where):
         sampling["measured_cpi"] >= 0,
         f"{where}.sampling: negative measured_cpi",
     )
-    if "cpi_error" in sampling:
-        require(
-            sampling["cpi_error"] >= 0,
-            f"{where}.sampling: negative cpi_error",
-        )
     if "insts" in entry:
         covered = sampling["sampled_insts"] + sampling["warmed_insts"]
         require(
@@ -195,36 +154,6 @@ def check_sampling_section(entry, where):
             f"{where}.sampling: sampled+warmed insts ({covered}) do not "
             f"cover the run ({entry['insts']})",
         )
-
-
-def check_fusion_section(entry, where):
-    """The fusion coverage section of timing_mfi_fused entries."""
-    if "fusion" not in entry:
-        return
-    fusion = entry["fusion"]
-    check_keys(fusion, FUSION_KEYS, f"{where}.fusion")
-    extra = fusion.keys() - FUSION_KEYS
-    require(not extra, f"{where}.fusion: unknown keys {sorted(extra)}")
-    pairs = fusion["fused_pairs"]
-    require(
-        fusion["fused_insts"] == 2 * pairs,
-        f"{where}.fusion: fused_insts ({fusion['fused_insts']}) is not "
-        f"2 * fused_pairs ({pairs})",
-    )
-    family_sum = sum(
-        fusion[k] for k in FUSION_KEYS if k.startswith("pairs_")
-    )
-    require(
-        family_sum == pairs,
-        f"{where}.fusion: per-family counts sum to {family_sum}, "
-        f"fused_pairs is {pairs}",
-    )
-    require(
-        0.0 <= fusion["coverage"] <= 1.0,
-        f"{where}.fusion: coverage out of [0, 1]",
-    )
-    for key in ("ipc", "ipc_unfused"):
-        require(fusion[key] >= 0, f"{where}.fusion: negative {key}")
 
 
 def check_timing_entry(entry, where):
@@ -243,21 +172,6 @@ def check_micro_entry(entry, where):
     check_keys(entry, MICRO_KEYS, where)
     require(entry["iterations"] > 0, f"{where}: zero iterations")
     check_host_section(entry, where)
-
-
-def check_throughput_entry(entry, where):
-    check_keys(entry, THROUGHPUT_KEYS, where)
-    require(entry["insts"] > 0, f"{where}: zero insts")
-    check_host_section(entry, where)
-    # timing_mfi entries carry the feed-vs-step wall-clock ratio inside
-    # the host section (host-relative, so --compare strips it).
-    if "speedup_vs_step" in entry["host"]:
-        require(
-            entry["host"]["speedup_vs_step"] >= 0,
-            f"{where}.host: negative speedup_vs_step",
-        )
-    check_sampling_section(entry, where)
-    check_fusion_section(entry, where)
 
 
 def check_campaign_entry(entry, where):
@@ -288,55 +202,10 @@ def check_campaign_entry(entry, where):
     )
 
 
-def check_service_entry(entry, where):
-    check_keys(entry, SERVICE_KEYS, where)
-    check_host_section(entry, where)
-    statuses = ("ok", "error", "malformed", "shed", "deadline")
-    for key in ("requests",) + statuses:
-        require(
-            isinstance(entry[key], int) and entry[key] >= 0,
-            f"{where}: {key} is not a non-negative integer",
-        )
-    total = sum(entry[key] for key in statuses)
-    require(
-        total == entry["requests"],
-        f"{where}: status counts sum to {total}, "
-        f"requests is {entry['requests']}",
-    )
-    require(entry["ok"] > 0, f"{where}: no successful requests")
-    latency = entry["latency"]
-    check_keys(latency, {"p50_ms", "p99_ms"}, f"{where}.latency")
-    require(
-        0 <= latency["p50_ms"] <= latency["p99_ms"],
-        f"{where}.latency: p50/p99 out of order",
-    )
-    open_loop = entry["open_loop"]
-    check_keys(open_loop, {"saturation_rps", "steps"},
-               f"{where}.open_loop")
-    require(
-        open_loop["saturation_rps"] >= 0,
-        f"{where}.open_loop: negative saturation_rps",
-    )
-    steps = open_loop["steps"]
-    require(
-        isinstance(steps, list) and steps,
-        f"{where}.open_loop: no sweep steps",
-    )
-    for i, step in enumerate(steps):
-        check_keys(
-            step,
-            {"offered_rps", "completed_rps", "requests", "ok", "shed",
-             "deadline", "error"},
-            f"{where}.open_loop.steps[{i}]",
-        )
-
-
 ENTRY_CHECKS = {
     "timing": check_timing_entry,
     "micro": check_micro_entry,
     "campaign": check_campaign_entry,
-    "throughput": check_throughput_entry,
-    "service": check_service_entry,
 }
 
 
@@ -379,6 +248,21 @@ def validate_run_registry(doc, name):
             total == pipeline["cycles"],
             f"{name}: pipeline buckets sum to {total}, "
             f"cycles is {pipeline['cycles']}",
+        )
+    fusion = doc.get("acf", {}).get("fusion")
+    if fusion is not None:
+        pairs = fusion["fused_pairs"]
+        require(
+            fusion["fused_insts"] == 2 * pairs,
+            f"{name}: acf.fusion.fused_insts ({fusion['fused_insts']}) "
+            f"is not 2 * fused_pairs ({pairs})",
+        )
+        family_sum = sum(v for k, v in fusion.items()
+                         if k.startswith("pairs_"))
+        require(
+            family_sum == pairs,
+            f"{name}: acf.fusion per-family counts sum to {family_sum}, "
+            f"fused_pairs is {pairs}",
         )
 
 
@@ -445,15 +329,11 @@ def validate_file(path):
 # design (it measures how much execution the snapshots saved), so it is
 # stripped alongside the host sections: --compare asserts the two modes
 # produce identical classifications, not identical replay economics.
-# "latency" and "open_loop" (service artifacts) are wall-clock
-# measurements: two serve_load runs must agree on every closed-loop
-# status count, not on how fast the host served them. "sampling" is
-# stripped so a sampled artifact compares equal to a full-detail rerun
-# of the same jobs on everything they are required to agree on (the
-# architectural stream); sampled-vs-sampled determinism of the section
-# itself is covered by the test suite.
-HOST_KEYS = {"host", "host_seconds", "replay", "latency", "open_loop",
-             "sampling"}
+# "sampling" is stripped so a sampled artifact compares equal to a
+# full-detail rerun of the same jobs on everything they are required to
+# agree on (the architectural stream); sampled-vs-sampled determinism
+# of the section itself is covered by the test suite.
+HOST_KEYS = {"host", "host_seconds", "replay", "sampling"}
 
 
 def strip_host(value):

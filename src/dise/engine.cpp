@@ -28,45 +28,43 @@ DiseEngine::setProductions(std::shared_ptr<const ProductionSet> set)
     // it was.
     if (set) {
         for (const auto &[id, seq] : set->sequences()) {
-            if (seq.length() > kMaxSeqLen) {
+            if (seq.length() > kMaxSeqLen || id > kMaxSeqId) {
                 fatal(strFormat("replacement sequence '%s' (id %u) has "
-                                "%u instructions; at most %u are "
-                                "supported",
+                                "%u instructions; productions may use "
+                                "at most %u, and ids up to %u",
                                 seq.name.c_str(), id, seq.length(),
-                                kMaxSeqLen));
+                                kMaxSeqLen, kMaxSeqId));
             }
         }
     }
     set_ = std::move(set);
-    flushTables();
     patternsByOpcode_.assign(static_cast<size_t>(Opcode::NUM_OPCODES), {});
     seqs_.clear();
-    rtWaySlots_.clear();
     rtShift_ = 3;
-    if (!set_)
-        return;
-    const auto &prods = set_->productions();
-    for (uint32_t i = 0; i < prods.size(); ++i) {
-        for (const Opcode op : prods[i].pattern.coveredOpcodes())
-            patternsByOpcode_[static_cast<size_t>(op)].push_back(i);
+    if (set_) {
+        const auto &prods = set_->productions();
+        for (uint32_t i = 0; i < prods.size(); ++i) {
+            for (const Opcode op : prods[i].pattern.coveredOpcodes())
+                patternsByOpcode_[static_cast<size_t>(op)].push_back(i);
+        }
+        // Size the RT's per-sequence slot stride to the longest
+        // replacement sequence so no sequence's slots alias a
+        // neighboring id's range, and classify each sequence's PC
+        // dependence for the expansion cache. The floor of 8 slots
+        // matches the paper's machine.
+        uint32_t maxLen = 1;
+        for (const auto &kv : set_->sequences()) {
+            maxLen = std::max(maxLen, kv.second.length());
+            if (kv.first >= seqs_.size())
+                seqs_.resize(kv.first + 1);
+            SeqInfo &info = seqs_[kv.first];
+            info.seq = &kv.second;
+            info.pcDependent = seqDependsOnPC(kv.second);
+        }
+        while ((1u << rtShift_) < maxLen)
+            ++rtShift_;
     }
-    // Size the RT's per-sequence slot stride to the longest replacement
-    // sequence so no sequence's slots alias a neighboring id's range,
-    // and classify each sequence's PC dependence for the expansion
-    // cache. The floor of 8 slots matches the paper's machine.
-    uint32_t maxLen = 1;
-    for (const auto &kv : set_->sequences()) {
-        maxLen = std::max(maxLen, kv.second.length());
-        if (kv.first >= seqs_.size())
-            seqs_.resize(kv.first + 1);
-        SeqInfo &info = seqs_[kv.first];
-        info.seq = &kv.second;
-        info.pcDependent = seqDependsOnPC(kv.second);
-        info.rtWayBase = static_cast<uint32_t>(rtWaySlots_.size());
-        rtWaySlots_.resize(rtWaySlots_.size() + kv.second.length());
-    }
-    while ((1u << rtShift_) < maxLen)
-        ++rtShift_;
+    flushTables();
 }
 
 void
@@ -76,8 +74,11 @@ DiseEngine::flushTables()
     // flush invalidates translated traces built against the old tables.
     ++generation_;
     ++rtEpoch_;
-    opcodeResident_.assign(static_cast<size_t>(Opcode::NUM_OPCODES), false);
-    ptStamp_.assign(set_ ? set_->productions().size() : 0, 0);
+    ops_.assign(patternsByOpcode_.size(), OpState());
+    for (size_t o = 0; o < ops_.size(); ++o)
+        ops_[o].numPatterns =
+            static_cast<uint32_t>(patternsByOpcode_[o].size());
+    ptResident_.assign(set_ ? set_->productions().size() : 0, false);
     ptResidentCount_ = 0;
     for (auto &entry : rt_)
         entry = RtEntry();
@@ -91,12 +92,12 @@ DiseEngine::corruptPatternEntry(uint64_t pick)
 {
     if (ptResidentCount_ == 0)
         return false;
-    // Pick among resident patterns in ascending index order (ptStamp_
-    // is index-ordered already) so the choice is deterministic.
+    // Pick among resident patterns in ascending index order so the
+    // choice is deterministic.
     std::vector<uint32_t> resident;
     resident.reserve(ptResidentCount_);
-    for (uint32_t i = 0; i < ptStamp_.size(); ++i)
-        if (ptStamp_[i] != 0)
+    for (uint32_t i = 0; i < ptResident_.size(); ++i)
+        if (ptResident_[i])
             resident.push_back(i);
     ptCorrupt_.insert(resident[pick % resident.size()]);
     stats_.add("pt_faults_injected");
@@ -135,6 +136,16 @@ DiseEngine::hasCorruptEntries() const
     return false;
 }
 
+void
+DiseEngine::evictPattern(uint32_t idx)
+{
+    // Evicting a pattern clears residency for every opcode it covers.
+    ptResident_[idx] = false;
+    --ptResidentCount_;
+    for (const Opcode cov : set_->productions()[idx].pattern.coveredOpcodes())
+        ops_[static_cast<size_t>(cov)].resident = false;
+}
+
 bool
 DiseEngine::checkPatternTable(Opcode op)
 {
@@ -147,63 +158,66 @@ DiseEngine::checkPatternTable(Opcode op)
     // through unexpanded.
     if (!ptCorrupt_.empty()) {
         for (const uint32_t idx : covering) {
-            if (!ptCorrupt_.count(idx) || ptStamp_[idx] == 0)
+            if (!ptCorrupt_.count(idx) || !ptResident_[idx])
                 continue;
             if (config_.parityChecks) {
                 stats_.add("pt_parity_detected");
                 ptCorrupt_.erase(idx);
-                ptStamp_[idx] = 0;
-                --ptResidentCount_;
-                for (const Opcode cov :
-                     set_->productions()[idx].pattern.coveredOpcodes()) {
-                    opcodeResident_[static_cast<size_t>(cov)] = false;
-                }
+                evictPattern(idx);
             } else {
                 suppressExpand_ = true;
                 return false; // counters still agree: no fill happens
             }
         }
     }
-    if (opcodeResident_[static_cast<size_t>(op)]) {
-        for (const uint32_t idx : covering)
-            ptStamp_[idx] = ++useCounter_; // resident: refresh LRU only
+    // The walk: refresh (or fill) every covering pattern's LRU stamp.
+    OpState &state = ops_[static_cast<size_t>(op)];
+    state.ptClock = useCounter_ + 1;
+    useCounter_ += covering.size();
+    if (state.resident)
         return false;
-    }
 
     // Active and resident pattern counters differ: PT miss. Fill every
     // pattern covering this opcode, evicting LRU patterns if needed.
     stats_.add("pt_misses");
     for (const uint32_t idx : covering) {
-        if (ptStamp_[idx] == 0)
+        if (!ptResident_[idx]) {
+            ptResident_[idx] = true;
             ++ptResidentCount_;
-        ptStamp_[idx] = ++useCounter_;
+        }
     }
-    while (ptResidentCount_ > config_.ptEntries) {
-        uint32_t evicted = 0;
-        uint64_t minStamp = ~uint64_t(0);
-        for (uint32_t i = 0; i < ptStamp_.size(); ++i) {
-            if (ptStamp_[i] != 0 && ptStamp_[i] < minStamp) {
-                minStamp = ptStamp_[i];
-                evicted = i;
+    if (ptResidentCount_ > config_.ptEntries) {
+        // Derive the stamps (see OpState::ptClock).
+        std::vector<uint64_t> stamp(ptResident_.size(), 0);
+        for (size_t o = 0; o < ops_.size(); ++o) {
+            if (ops_[o].ptClock == 0)
+                continue;
+            for (uint32_t i = 0; i < patternsByOpcode_[o].size(); ++i) {
+                uint64_t &s = stamp[patternsByOpcode_[o][i]];
+                s = std::max(s, ops_[o].ptClock + i);
             }
         }
-        // Evicting a pattern clears residency for every opcode it covers.
-        ptStamp_[evicted] = 0;
-        --ptResidentCount_;
-        for (const Opcode cov :
-             set_->productions()[evicted].pattern.coveredOpcodes()) {
-            opcodeResident_[static_cast<size_t>(cov)] = false;
+        while (ptResidentCount_ > config_.ptEntries) {
+            uint32_t evicted = 0;
+            uint64_t minStamp = ~uint64_t(0);
+            for (uint32_t i = 0; i < ptResident_.size(); ++i) {
+                if (ptResident_[i] && stamp[i] < minStamp) {
+                    minStamp = stamp[i];
+                    evicted = i;
+                }
+            }
+            evictPattern(evicted);
         }
     }
-    opcodeResident_[static_cast<size_t>(op)] = true;
+    state.resident = true;
     // Re-derive residency: an opcode is resident iff all covering
     // patterns are in the PT (evictions above may have split groups).
     for (size_t o = 0; o < patternsByOpcode_.size(); ++o) {
-        if (!opcodeResident_[o])
+        if (!ops_[o].resident)
             continue;
         for (const uint32_t idx : patternsByOpcode_[o]) {
-            if (ptStamp_[idx] == 0) {
-                opcodeResident_[o] = false;
+            if (!ptResident_[idx]) {
+                ops_[o].resident = false;
                 break;
             }
         }
@@ -222,24 +236,33 @@ DiseEngine::rtIndex(SeqId id, uint32_t disepc) const
                                  (rtSets_ - 1));
 }
 
+DiseEngine::RtEntry *
+DiseEngine::rtFind(SeqId id, uint32_t disepc)
+{
+    RtEntry *way = &rt_[size_t(rtIndex(id, disepc)) * config_.rtAssoc];
+    for (uint32_t w = 0; w < config_.rtAssoc; ++w) {
+        if (way[w].valid && way[w].seqId == id && way[w].disepc == disepc)
+            return &way[w];
+    }
+    return nullptr;
+}
+
 bool
 DiseEngine::checkReplacementTable(SeqId id, const ReplacementSeq &seq)
 {
+    // The walk: refresh (or fill) every slot's LRU stamp (see
+    // SeqInfo::rtClock). The walking sequence's slots this walk has not
+    // reached yet still hold its previous walk's stamps.
+    SeqInfo &walking = seqs_[id];
+    const uint64_t prevClock = walking.rtClock;
+    walking.rtClock = useCounter_ + 1;
+    useCounter_ += seq.length();
     if (config_.rtEntries == 0)
         return false; // perfect RT
 
     bool miss = false;
     for (uint32_t slot = 0; slot < seq.length(); ++slot) {
-        const unsigned set = rtIndex(id, slot);
-        RtEntry *way = &rt_[size_t(set) * config_.rtAssoc];
-        RtEntry *hit = nullptr;
-        for (uint32_t w = 0; w < config_.rtAssoc; ++w) {
-            if (way[w].valid && way[w].seqId == id &&
-                way[w].disepc == slot) {
-                hit = &way[w];
-                break;
-            }
-        }
+        RtEntry *hit = rtFind(id, slot);
         if (hit && hit->corrupt) {
             if (config_.parityChecks) {
                 // Parity trips on use: invalidate and fall through to
@@ -256,27 +279,31 @@ DiseEngine::checkReplacementTable(SeqId id, const ReplacementSeq &seq)
                 corruptSlotsHit_.emplace_back(slot, hit->corruptBit);
             }
         }
-        if (hit) {
-            hit->lastUse = ++useCounter_;
-        } else {
-            miss = true;
-            // Fill this slot, evicting LRU within the set.
-            RtEntry *victim = &way[0];
-            for (uint32_t w = 0; w < config_.rtAssoc; ++w) {
-                if (!way[w].valid) {
-                    victim = &way[w];
-                    break;
-                }
-                if (way[w].lastUse < victim->lastUse)
-                    victim = &way[w];
+        if (hit)
+            continue;
+        miss = true;
+        // Fill this slot: the first invalid way, else the LRU way.
+        RtEntry *way = &rt_[size_t(rtIndex(id, slot)) * config_.rtAssoc];
+        RtEntry *victim = &way[0];
+        uint64_t oldest = ~uint64_t(0);
+        for (uint32_t w = 0; w < config_.rtAssoc; ++w) {
+            if (!way[w].valid) {
+                victim = &way[w];
+                break;
             }
-            victim->valid = true;
-            victim->seqId = id;
-            victim->disepc = slot;
-            victim->lastUse = ++useCounter_;
-            victim->corrupt = false;
-            ++rtEpoch_;
+            const uint64_t clock = way[w].seqId == id && way[w].disepc > slot
+                                       ? prevClock
+                                       : seqs_[way[w].seqId].rtClock;
+            if (clock + way[w].disepc < oldest) {
+                oldest = clock + way[w].disepc;
+                victim = &way[w];
+            }
         }
+        victim->valid = true;
+        victim->seqId = id;
+        victim->disepc = slot;
+        victim->corrupt = false;
+        ++rtEpoch_;
     }
     return miss;
 }
@@ -414,26 +441,15 @@ DiseEngine::expand(const DecodedInst &fetched, Addr pc)
 }
 
 bool
-DiseEngine::recordRtWays(const ExpandMemo &memo)
+DiseEngine::probeRt(const ExpandMemo &memo)
 {
-    SeqInfo &info = seqs_[memo.seqId];
-    uint32_t *ways = &rtWaySlots_[info.rtWayBase];
-    for (uint32_t slot = 0; slot < memo.numInsts; ++slot) {
-        const size_t first =
-            size_t(rtIndex(memo.seqId, slot)) * config_.rtAssoc;
-        size_t hit = first + config_.rtAssoc;
-        for (size_t w = first; w < first + config_.rtAssoc; ++w) {
-            if (rt_[w].valid && rt_[w].seqId == memo.seqId &&
-                rt_[w].disepc == slot) {
-                hit = w;
-                break;
-            }
-        }
-        if (hit == first + config_.rtAssoc || rt_[hit].corrupt)
+    for (uint32_t slot = 0; config_.rtEntries != 0 && slot < memo.numInsts;
+         ++slot) {
+        const RtEntry *hit = rtFind(memo.seqId, slot);
+        if (!hit || hit->corrupt)
             return false;
-        ways[slot] = static_cast<uint32_t>(hit);
     }
-    info.rtEpoch = rtEpoch_;
+    seqs_[memo.seqId].rtEpoch = rtEpoch_;
     return true;
 }
 

@@ -98,6 +98,14 @@ struct DiseConfig
 constexpr uint32_t kMaxSeqLen = 65535;
 
 /**
+ * Largest sequence id DiseEngine::setProductions accepts: the engine
+ * keeps its per-sequence state dense over [0, largest id]. Codeword
+ * tags are 11 bits (kMaxCodewordTag) and composed sets stay in the
+ * low thousands.
+ */
+constexpr SeqId kMaxSeqId = 65535;
+
+/**
  * Per-static-trigger expansion memo, owned by the caller (one per
  * translated Engine slot, see SlotSide::memo). Records the outcome of a
  * clean expand() of one static instruction — either "covered opcode but
@@ -176,7 +184,8 @@ class DiseEngine
     /**
      * Install (activate) a production set; cold PT/RT.
      * @throws FatalError, with no state changed, when a sequence is
-     *         longer than kMaxSeqLen instructions.
+     *         longer than kMaxSeqLen instructions or its id is above
+     *         kMaxSeqId.
      */
     void setProductions(std::shared_ptr<const ProductionSet> set);
 
@@ -214,17 +223,19 @@ class DiseEngine
      * generation AND the tables are in the state the memo assumes (PT
      * residency intact, every RT slot of the sequence still a clean
      * hit), performs the inspection with bit-identical counter and LRU
-     * evolution to expand() — PT stamp refreshes, RT lastUse updates,
+     * evolution to expand() — the PT walk, the RT walk, the
      * inspected/expansions/cache-hit counters — and returns true: the
      * outcome is then exactly the one @p memo records. Returns false
      * (with no state touched) whenever any check fails or any injected
      * corruption may be resident; the caller then runs the full
      * expand() and may re-fill the memo.
      *
-     * The RT check costs no probe while the sequence's RT way cache
-     * (see rtWaySlots_) is current. Header-inline: the hit is the
-     * translated interpreter's per-expansion cost. Only the probe that
-     * re-records the ways (recordRtWays) is a call.
+     * A walk stores one clock (see OpState::ptClock, SeqInfo::rtClock),
+     * so replaying both walks is two stores and a clock advance. The RT
+     * check costs no probe while the sequence's residency epoch is
+     * current. Header-inline: the hit is the translated interpreter's
+     * per-expansion cost. Only the probe that re-takes the epoch
+     * (probeRt) is a call.
      */
     DISE_ALWAYS_INLINE bool
     expandFast(const ExpandMemo &memo)
@@ -234,34 +245,27 @@ class DiseEngine
         // unchanged; the dynamic preconditions (PT residency, clean RT
         // hits) are verified before any state is touched, so a bail-out
         // leaves the tables exactly as expand() expects to find them.
+        OpState &op = ops_[static_cast<size_t>(memo.op)];
         if (memo.gen != generation_ || memo.kind == ExpandMemo::Unknown ||
-            corruptResident_ ||
-            !opcodeResident_[static_cast<size_t>(memo.op)])
+            corruptResident_ || !op.resident)
             return false;
         const bool expanded = memo.kind == ExpandMemo::Expanded;
-        const uint32_t *ways = nullptr;
-        if (expanded && config_.rtEntries != 0) {
+        SeqInfo *info = nullptr;
+        if (expanded) {
             // Every RT slot must still be a clean resident hit: a
-            // way-cache record at the live RT epoch proves it.
-            const SeqInfo &info = seqs_[memo.seqId];
-            if (info.rtEpoch != rtEpoch_ && !recordRtWays(memo))
+            // probe at the live RT epoch proves it.
+            info = &seqs_[memo.seqId];
+            if (info->rtEpoch != rtEpoch_ && !probeRt(memo))
                 return false; // miss (or fault): the full path fills it
-            ways = &rtWaySlots_[info.rtWayBase];
         }
-        // Commit the PT stamp refreshes and RT lastUse updates in
-        // expand()'s exact order so the shared LRU clock evolves
-        // bit-identically. The clock stays in a local: the stamp stores
-        // could alias useCounter_ as far as the compiler knows.
-        uint64_t clock = useCounter_;
-        for (const uint32_t idx :
-             patternsByOpcode_[static_cast<size_t>(memo.op)])
-            ptStamp_[idx] = ++clock;
+        // Replay expand()'s PT walk, then its RT walk, on the shared
+        // LRU clock.
+        op.ptClock = useCounter_ + 1;
+        uint64_t clock = useCounter_ + op.numPatterns;
         ++inspected_;
         if (expanded) {
-            if (ways != nullptr) {
-                for (uint32_t slot = 0; slot < memo.numInsts; ++slot)
-                    rt_[ways[slot]].lastUse = ++clock;
-            }
+            info->rtClock = clock + 1;
+            clock += memo.numInsts;
             ++cacheHits_; // the memoized span is still in expCache_
             ++expansions_;
             replacementInsts_ += memo.numInsts;
@@ -311,7 +315,7 @@ class DiseEngine
     opcodeCovered(Opcode op) const
     {
         return set_ && !set_->empty() &&
-               !patternsByOpcode_[static_cast<size_t>(op)].empty();
+               ops_[static_cast<size_t>(op)].numPatterns != 0;
     }
 
     /**
@@ -367,33 +371,56 @@ class DiseEngine
     /** Check/maintain PT residency; returns true on a PT miss. */
     bool checkPatternTable(Opcode op);
 
+    /** Drop pattern @p idx from the PT. */
+    void evictPattern(uint32_t idx);
+
     /** Check/maintain RT residency; returns true on an RT miss. */
     bool checkReplacementTable(SeqId id, const ReplacementSeq &seq);
 
     /**
-     * expandFast's RT probe, with no state changes: record the rt_
-     * entry each slot of @p memo's sequence hits into the sequence's
-     * way cache, stamped with the live RT epoch. @return false when a
-     * slot misses or hits a corrupt entry.
+     * expandFast's RT probe: when every slot of @p memo's sequence hits
+     * a clean entry, stamp the sequence with the live RT epoch (always,
+     * for a perfect RT). @return false when a slot misses or hits a
+     * corrupt entry.
      */
-    bool recordRtWays(const ExpandMemo &memo);
+    bool probeRt(const ExpandMemo &memo);
 
     DiseConfig config_;
     std::shared_ptr<const ProductionSet> set_;
+
+    /*
+     * LRU order. Both tables share one clock, useCounter_, and are
+     * stamped in walks: a PT walk refreshes (or fills) every pattern
+     * covering one opcode, an RT walk every slot of one sequence, each
+     * in order with consecutive ticks. So a walk keeps one clock, the
+     * stamp its first element gets, and stamps are derived only where
+     * a miss picks a victim.
+     */
 
     /** @name PT model. */
     /// @{
     /** Pattern indices covering each opcode (derived from the set). */
     std::vector<std::vector<uint32_t>> patternsByOpcode_;
-    /** True when all patterns for the opcode are PT-resident. */
-    std::vector<bool> opcodeResident_;
-    /**
-     * Per-pattern PT LRU stamp, indexed by pattern index; 0 means not
-     * resident (useCounter_ pre-increments, so live stamps are >= 1).
-     * Dense so the hit path touches no hash table.
-     */
-    std::vector<uint64_t> ptStamp_;
-    /** Number of nonzero ptStamp_ entries. */
+    /** What the engine keeps per opcode (expandFast reads all three). */
+    struct OpState
+    {
+        /**
+         * The opcode's last PT walk stamped patternsByOpcode_[op][i]
+         * with ptClock + i; 0 when not walked since the last flush. A
+         * pattern's stamp is the largest over its covering opcodes: a
+         * later walk outranks an earlier one, which consumed as many
+         * ticks as it stamped.
+         */
+        uint64_t ptClock = 0;
+        /** Number of patterns covering the opcode. */
+        uint32_t numPatterns = 0;
+        /** True when all patterns for the opcode are PT-resident. */
+        bool resident = false;
+    };
+    std::vector<OpState> ops_;
+    /** Per-pattern PT residency, indexed by pattern index. */
+    std::vector<bool> ptResident_;
+    /** Number of resident patterns. */
     uint32_t ptResidentCount_ = 0;
     /// @}
 
@@ -401,10 +428,9 @@ class DiseEngine
     /// @{
     struct RtEntry
     {
-        bool valid = false;
         SeqId seqId = 0;
         uint32_t disepc = 0;
-        uint64_t lastUse = 0;
+        bool valid = false;
         /** Injected single-bit fault (cleared on invalidate/refill). */
         bool corrupt = false;
         unsigned corruptBit = 0;
@@ -414,19 +440,10 @@ class DiseEngine
     /**
      * RT content epoch: bumped by every change to which (sequence,
      * slot) pairs the RT holds — a fill (and the eviction it makes), a
-     * parity invalidation, an injected corruption, a flush. LRU stamp
-     * refreshes do not bump it.
+     * parity invalidation, an injected corruption, a flush. Walks do
+     * not bump it.
      */
     uint64_t rtEpoch_ = 0;
-    /**
-     * RT way cache: for each sequence, the rt_ index of the entry each
-     * of its slots hit on its last clean probe (expandFast), at
-     * rtWaySlots_[SeqInfo::rtWayBase + slot] and valid while
-     * SeqInfo::rtEpoch equals rtEpoch_. A valid record lets expandFast
-     * skip the associative probe and refresh the recorded entries' LRU
-     * stamps directly.
-     */
-    std::vector<uint32_t> rtWaySlots_;
     /**
      * log2 of the per-sequence slot stride in the RT index: derived
      * from the active set's longest replacement sequence (rounded up to
@@ -435,6 +452,8 @@ class DiseEngine
      */
     unsigned rtShift_ = 3;
     unsigned rtIndex(SeqId id, uint32_t disepc) const;
+    /** The valid entry holding (@p id, @p disepc), or nullptr. */
+    RtEntry *rtFind(SeqId id, uint32_t disepc);
     /// @}
 
     /** @name Expansion fast path (simulator-level memoization). */
@@ -474,17 +493,19 @@ class DiseEngine
         /** The sequence (a pointer into the active set, valid while
          *  set_ is held); nullptr marks unbound ids. */
         const ReplacementSeq *seq = nullptr;
-        /** rtEpoch_ at which the RT way-cache record was taken. */
+        /** rtEpoch_ at which every slot last probed as a clean hit. */
         uint64_t rtEpoch = ~uint64_t(0);
-        /** The sequence's first slot in rtWaySlots_. */
-        uint32_t rtWayBase = 0;
+        /**
+         * The sequence's last RT walk stamped slot d with rtClock + d,
+         * so a valid entry's stamp is rtClock + disepc of its sequence.
+         */
+        uint64_t rtClock = 0;
         /** PC-dependence class (see seqDependsOnPC). */
         bool pcDependent = false;
     };
     /**
-     * Dense over [0, max seqId] — ids are small (explicit dictionary
-     * tags are 11 bits) — so an expansion never walks the set's
-     * std::map.
+     * Dense over [0, max seqId] — ids are at most kMaxSeqId — so an
+     * expansion never walks the set's std::map.
      */
     std::vector<SeqInfo> seqs_;
     /** Reused instantiation buffer for uncacheable expansions. */
@@ -520,6 +541,7 @@ class DiseEngine
     bool corruptResident_ = false;
     /// @}
 
+    /** The shared LRU clock (see "LRU order" above). */
     uint64_t useCounter_ = 0;
     uint64_t generation_ = 0;
     mutable StatGroup stats_;

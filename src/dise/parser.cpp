@@ -1,6 +1,7 @@
 #include "src/dise/parser.hpp"
 
 #include <cctype>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -419,7 +420,7 @@ parseProductions(const std::string &source,
         if (at == std::string::npos)
             return std::nullopt;
         const auto id = parseNumber(name.substr(at + 1));
-        if (!id || *id < 0)
+        if (!id || *id < 0 || *id > std::numeric_limits<SeqId>::max())
             fatal("bad explicit sequence id in '" + name + "'");
         return static_cast<SeqId>(*id);
     };

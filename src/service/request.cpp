@@ -131,15 +131,18 @@ checkICacheGeometry(uint32_t kb, const std::string &what)
 {
     if (kb == 0)
         return; // perfect I-cache
+    // The cache allocates every line up front: at most the L2's size.
     const MemHierarchyParams mem;
     const uint64_t setBytes = uint64_t(mem.lineBytes) * mem.l1iAssoc;
     const uint64_t bytes = uint64_t(kb) * 1024;
-    if (bytes > UINT32_MAX || bytes % setBytes != 0 ||
+    if (bytes > mem.l2Size || bytes % setBytes != 0 ||
         !isPow2(bytes / setBytes)) {
         fatal(strFormat("%s: a %u KB L1 I-cache (%u-way, %u-byte lines) "
-                        "has no power-of-two set count; use 0 "
-                        "(perfect) or a power of two below 4 GB",
-                        what.c_str(), kb, mem.l1iAssoc, mem.lineBytes));
+                        "needs a power-of-two set count and at most the "
+                        "modeled L2's %u KB; use 0 (perfect) or a power "
+                        "of two",
+                        what.c_str(), kb, mem.l1iAssoc, mem.lineBytes,
+                        mem.l2Size / 1024));
     }
 }
 
@@ -148,11 +151,13 @@ checkRtGeometry(uint32_t entries, uint32_t assoc, const std::string &what)
 {
     if (entries == 0)
         return; // perfect RT
-    if (assoc == 0 || entries % assoc != 0 || !isPow2(entries / assoc)) {
-        fatal(strFormat("%s: an RT of %u entries in %u ways needs an "
-                        "associativity that divides the entries into a "
-                        "power-of-two set count",
-                        what.c_str(), entries, assoc));
+    // The engine allocates every entry up front.
+    if (entries > kMaxRtEntries || assoc == 0 || entries % assoc != 0 ||
+        !isPow2(entries / assoc)) {
+        fatal(strFormat("%s: an RT of %u entries in %u ways needs at "
+                        "most %u entries and an associativity that "
+                        "divides them into a power-of-two set count",
+                        what.c_str(), entries, assoc, kMaxRtEntries));
     }
 }
 

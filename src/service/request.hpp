@@ -46,9 +46,13 @@ RunMode parseRunMode(const std::string &name);
  * fatal(), with @p what naming the setting, unless the model can be
  * built: an L1 I-cache of @p kb KB (0 = perfect) on the default line
  * size and associativity, and an RT of @p entries (0 = perfect) in
- * @p assoc ways. The models' constructors assert the same rules.
+ * @p assoc ways. The models' constructors assert the same rules. Both
+ * models allocate every line or entry up front, so sizes are capped:
+ * an I-cache at the modeled L2's size (1,024 KB), an RT at
+ * kMaxRtEntries. Every figure uses at most 64 KB and 2,048 entries.
  */
 /// @{
+constexpr uint32_t kMaxRtEntries = 65536;
 void checkICacheGeometry(uint32_t kb, const std::string &what);
 void checkRtGeometry(uint32_t entries, uint32_t assoc,
                      const std::string &what);

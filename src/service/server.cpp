@@ -701,7 +701,9 @@ SimServer::executeJob(const std::shared_ptr<Job> &job)
         respond(job->conn, resp);
         requestShutdown();
         return;
-    } catch (const FatalError &e) {
+    } catch (const std::exception &e) {
+        // A FatalError (bad input) or a host failure confined to this
+        // request, such as std::bad_alloc: answer it and keep serving.
         const bool deadlined =
             job->cancel.load(std::memory_order_relaxed);
         resp = envelope(job->seq,

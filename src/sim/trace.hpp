@@ -35,13 +35,13 @@
  * slow path), so PT/RT residency state, miss events, and every engine
  * counter evolve bit-identically to a step()-driven run. The slot's
  * side entry holds an ExpandMemo that short-circuits the engine's
- * pattern match and expansion-cache hash lookup for repeated clean
- * hits, and the engine's RT way cache skips the associative RT probe
- * while no RT entry has been filled, evicted, invalidated or corrupted
- * since the sequence's slots last hit (see DiseEngine::expandFast). A
- * replayed memo costs the PT and RT LRU stamp refreshes and nothing
- * else; the interpreter then jumps straight into the sequence's lowered
- * slots (SlotSide::seq, also in the side entry), whose SeqEnd sentinel
+ * pattern match and expansion-cache lookup for repeated clean hits; the
+ * sequence's RT residency epoch skips the RT probe while no RT entry
+ * was filled, evicted, invalidated or corrupted since its slots last
+ * hit (see DiseEngine::expandFast). A replayed memo costs a PT and an
+ * RT walk clock and nothing else; the interpreter then jumps straight
+ * into the sequence's lowered slots (SlotSide::seq, also in the side
+ * entry), whose SeqEnd sentinel
  * resumes after the Engine slot or chains to its redirect target.
  * Instructions the fast path cannot model (syscalls, codewords, invalid
  * encodings, DISE branches in the application stream) terminate
@@ -252,7 +252,7 @@ static_assert(std::is_trivially_copyable_v<TransOp>,
 struct SlotSide
 {
     /** The engine-side expansion memo (skips the pattern match, the
-     *  cache hash and, through the RT way cache, the RT probe on
+     *  cache hash and, through the RT residency epoch, the RT probe on
      *  repeated clean hits). */
     ExpandMemo memo;
     /**

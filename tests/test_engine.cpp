@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+
 #include "src/common/logging.hpp"
 #include "src/dise/controller.hpp"
 #include "src/dise/parser.hpp"
@@ -610,6 +614,379 @@ TEST(Engine, OverlongSequenceRefusedBeforeAnyStateChange)
     const ExpandResult r = controller.engine().expand(aLoad(), 0x4000000);
     ASSERT_TRUE(r.expanded);
     EXPECT_EQ(r.size(), 4u); // still the installed MFI-like sequence
+}
+
+TEST(Engine, SequenceIdsAboveTheCapRefusedBeforeAnyStateChange)
+{
+    // The engine keeps per-sequence state dense over [0, largest id]:
+    // an id above kMaxSeqId must be refused, naming the sequence,
+    // before it sizes anything.
+    DiseEngine engine;
+    engine.setProductions(mfiLikeSet());
+    const uint64_t gen = engine.generation();
+    auto set = std::make_shared<ProductionSet>();
+    set->addSequenceWithId(kMaxSeqId + 1,
+                           ReplacementSeq{"Far", {rTriggerInsn()}});
+    PatternSpec cw;
+    cw.opcode = Opcode::RES0;
+    set->addTagPattern(cw, 0);
+    try {
+        engine.setProductions(set);
+        FAIL() << "sequence id " << kMaxSeqId + 1 << " was installed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'Far'"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(engine.generation(), gen);
+    EXPECT_EQ(engine.expand(aLoad(), 0x4000000).size(), 4u);
+
+    auto edge = std::make_shared<ProductionSet>();
+    edge->addSequenceWithId(kMaxSeqId,
+                            ReplacementSeq{"Edge", {rTriggerInsn()}});
+    edge->addTagPattern(cw, kMaxSeqId);
+    EXPECT_NO_THROW(engine.setProductions(edge));
+    EXPECT_TRUE(
+        engine.expand(decode(makeCodeword(Opcode::RES0, 0, 0, 0, 0)),
+                      0x4000000)
+            .expanded);
+}
+
+/**
+ * The PT/RT LRU order written out eagerly: every walk writes a fresh
+ * stamp into each pattern and RT entry it touches, an RT fill takes the
+ * first invalid way else the smallest stamp, and a PT fill evicts the
+ * resident pattern with the smallest stamp. The engine derives the
+ * same stamps from one clock per walk; this is the reference it must
+ * match miss for miss. It models injected RT corruption as well: with
+ * the LRU order alone, a walk can only pick a different victim after
+ * it has already missed, and LRU content converges by the walk's end;
+ * whether a corrupt slot is evicted or hit is what shows the order.
+ */
+class EagerLruOracle
+{
+  public:
+    struct Outcome
+    {
+        bool expanded = false;
+        bool ptMiss = false;
+        bool rtMiss = false;
+        uint32_t missPenalty = 0;
+    };
+
+    EagerLruOracle(const DiseConfig &config,
+                   std::shared_ptr<const ProductionSet> set)
+        : config_(config), set_(std::move(set)),
+          byOpcode_(static_cast<size_t>(Opcode::NUM_OPCODES)),
+          opResident_(byOpcode_.size(), false)
+    {
+        const auto &prods = set_->productions();
+        for (uint32_t i = 0; i < prods.size(); ++i) {
+            for (const Opcode op : prods[i].pattern.coveredOpcodes())
+                byOpcode_[static_cast<size_t>(op)].push_back(i);
+        }
+        uint32_t maxLen = 1;
+        for (const auto &kv : set_->sequences())
+            maxLen = std::max(maxLen, kv.second.length());
+        while ((1u << shift_) < maxLen)
+            ++shift_;
+        if (config_.rtEntries != 0)
+            sets_ = config_.rtEntries / config_.rtAssoc;
+        flush();
+    }
+
+    void
+    flush()
+    {
+        ptStamp_.assign(set_->productions().size(), 0);
+        opResident_.assign(opResident_.size(), false);
+        rt_.assign(config_.rtEntries, Entry());
+    }
+
+    /** DiseEngine::corruptReplacementEntry's pick and effect. */
+    bool
+    corrupt(uint64_t pick)
+    {
+        std::vector<Entry *> valid;
+        for (Entry &entry : rt_)
+            if (entry.valid)
+                valid.push_back(&entry);
+        if (valid.empty())
+            return false;
+        valid[pick % valid.size()]->corrupt = true;
+        ++counts["rt_faults_injected"];
+        return true;
+    }
+
+    Outcome
+    inspect(const DecodedInst &inst)
+    {
+        Outcome out;
+        ++counts["inspected"];
+        const auto &covering = byOpcode_[static_cast<size_t>(inst.op)];
+        if (!covering.empty() && walkPatternTable(inst.op, covering)) {
+            out.ptMiss = true;
+            out.missPenalty += config_.missPenalty;
+            ++counts["pt_misses"];
+        }
+        const auto id = set_->match(inst);
+        if (!id)
+            return out;
+        const ReplacementSeq &seq = *set_->sequence(*id);
+        if (walkReplacementTable(*id, seq.length())) {
+            out.rtMiss = true;
+            out.missPenalty += seq.composeOnFill
+                                   ? config_.composedMissPenalty
+                                   : config_.missPenalty;
+            ++counts["rt_misses"];
+            if (seq.composeOnFill)
+                ++counts["rt_misses_composed"];
+        }
+        out.expanded = true;
+        ++counts["expansions"];
+        counts["replacement_insts"] += seq.length();
+        return out;
+    }
+
+    std::map<std::string, uint64_t> counts;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        SeqId seqId = 0;
+        uint32_t disepc = 0;
+        uint64_t lastUse = 0;
+        bool corrupt = false;
+    };
+
+    bool
+    walkPatternTable(Opcode op, const std::vector<uint32_t> &covering)
+    {
+        for (const uint32_t idx : covering)
+            ptStamp_[idx] = ++clock_;
+        if (opResident_[static_cast<size_t>(op)])
+            return false;
+        for (;;) {
+            uint32_t resident = 0, victim = 0;
+            uint64_t oldest = ~uint64_t(0);
+            for (uint32_t i = 0; i < ptStamp_.size(); ++i) {
+                if (ptStamp_[i] == 0)
+                    continue;
+                ++resident;
+                if (ptStamp_[i] < oldest) {
+                    oldest = ptStamp_[i];
+                    victim = i;
+                }
+            }
+            if (resident <= config_.ptEntries)
+                break;
+            ptStamp_[victim] = 0;
+        }
+        // An opcode stays resident while all its patterns are: the one
+        // just filled, and any resident one no eviction split.
+        opResident_[static_cast<size_t>(op)] = true;
+        for (size_t o = 0; o < byOpcode_.size(); ++o) {
+            for (const uint32_t idx : byOpcode_[o])
+                if (ptStamp_[idx] == 0)
+                    opResident_[o] = false;
+        }
+        return true;
+    }
+
+    bool
+    walkReplacementTable(SeqId id, uint32_t length)
+    {
+        if (config_.rtEntries == 0)
+            return false;
+        bool miss = false, garbled = false;
+        for (uint32_t slot = 0; slot < length; ++slot) {
+            Entry *way = &rt_[(((uint64_t(id) << shift_) + slot) &
+                               (sets_ - 1)) *
+                              config_.rtAssoc];
+            Entry *use = nullptr;
+            for (uint32_t w = 0; w < config_.rtAssoc; ++w) {
+                if (way[w].valid && way[w].seqId == id &&
+                    way[w].disepc == slot)
+                    use = &way[w];
+            }
+            if (use && use->corrupt && config_.parityChecks) {
+                ++counts["rt_parity_detected"];
+                *use = Entry();
+                use = nullptr;
+            } else if (use && use->corrupt) {
+                garbled = true;
+            }
+            if (!use) {
+                miss = true;
+                // The first invalid way, else the least recently used.
+                for (uint32_t w = 0; w < config_.rtAssoc; ++w) {
+                    if (!way[w].valid) {
+                        use = &way[w];
+                        break;
+                    }
+                    if (!use || way[w].lastUse < use->lastUse)
+                        use = &way[w];
+                }
+                *use = Entry{true, id, slot, 0, false};
+            }
+            use->lastUse = ++clock_;
+        }
+        if (garbled)
+            ++counts["rt_garbage_expansions"];
+        return miss;
+    }
+
+    DiseConfig config_;
+    std::shared_ptr<const ProductionSet> set_;
+    std::vector<std::vector<uint32_t>> byOpcode_;
+    std::vector<bool> opResident_;
+    std::vector<uint64_t> ptStamp_;
+    std::vector<Entry> rt_;
+    uint32_t sets_ = 0;
+    unsigned shift_ = 3;
+    uint64_t clock_ = 0;
+};
+
+/** A seeded random production set over loads and stores. */
+std::shared_ptr<ProductionSet>
+randomLoadStoreSet(std::mt19937 &rng)
+{
+    const Opcode ops[] = {Opcode::LDQ, Opcode::LDL, Opcode::LDBU,
+                          Opcode::STQ, Opcode::STL};
+    auto set = std::make_shared<ProductionSet>();
+    std::vector<SeqId> seqs;
+    const int numSeqs = 1 + int(rng() % 4);
+    for (int s = 0; s < numSeqs; ++s) {
+        ReplacementSeq seq;
+        seq.name = "S" + std::to_string(s);
+        // Up to 12 slots: longer than every small RT's set count.
+        seq.insts.assign(1 + rng() % 12, rTriggerInsn());
+        seq.composeOnFill = rng() % 4 == 0;
+        seqs.push_back(set->addSequence(seq));
+    }
+    const int numPatterns = 2 + int(rng() % 5);
+    for (int p = 0; p < numPatterns; ++p) {
+        PatternSpec pattern;
+        switch (rng() % 4) {
+          case 0: // covers every load opcode
+            pattern.opclass = OpClass::Load;
+            break;
+          case 1:
+            pattern.opclass = OpClass::Store;
+            break;
+          default:
+            pattern.opcode = ops[rng() % std::size(ops)];
+            break;
+        }
+        if (rng() % 3 == 0)
+            pattern.rs = RegIndex(rng() % 3);
+        set->addPattern(pattern, seqs[rng() % seqs.size()]);
+    }
+    return set;
+}
+
+TEST(Engine, DerivedLruOrderMatchesEagerStamps)
+{
+    // Seeded random trigger streams through the eager oracle, through
+    // expand() alone, and through expandFast() with per-static-trigger
+    // memos (expand() and fillMemo when the memo declines), flushing
+    // mid-stream and, in half the streams, corrupting RT entries with
+    // parity on or off. Every inspection's misses and penalty must
+    // agree, and so must every counter at the end.
+    const uint32_t ptSizes[] = {1, 2, 3};
+    const std::pair<uint32_t, uint32_t> rts[] = {
+        {2, 1}, {2, 2}, {4, 1}, {8, 2}, {16, 4}, {0, 1}};
+    const Opcode ops[] = {Opcode::LDQ, Opcode::LDL, Opcode::LDBU,
+                          Opcode::STQ, Opcode::STL, Opcode::ADDQ};
+    uint64_t fastHits = 0, rtMisses = 0, ptMisses = 0;
+    for (const uint32_t pt : ptSizes) {
+        for (const auto &[entries, assoc] : rts) {
+            for (uint32_t seed = 0; seed < 40; ++seed) {
+                SCOPED_TRACE("pt " + std::to_string(pt) + " rt " +
+                             std::to_string(entries) + "/" +
+                             std::to_string(assoc) + " seed " +
+                             std::to_string(seed));
+                std::mt19937 rng(seed * 7919 + pt * 131 + entries);
+                DiseConfig config;
+                config.ptEntries = pt;
+                config.rtEntries = entries;
+                config.rtAssoc = assoc;
+                config.parityChecks = seed % 2 == 0;
+                const auto set = randomLoadStoreSet(rng);
+                EagerLruOracle oracle(config, set);
+                DiseEngine slow(config), fast(config);
+                slow.setProductions(set);
+                fast.setProductions(set);
+
+                // A static program: each trigger keeps its own memo.
+                std::vector<DecodedInst> program;
+                for (int i = 0; i < 24; ++i) {
+                    const Opcode op = ops[rng() % std::size(ops)];
+                    program.push_back(decode(
+                        op == Opcode::ADDQ
+                            ? makeOperate(op, 1, 2, 3)
+                            : makeMemory(op, RegIndex(rng() % 4),
+                                         RegIndex(rng() % 3),
+                                         int64_t(rng() % 64))));
+                }
+                std::vector<ExpandMemo> memos(program.size());
+                size_t pos = 0;
+                for (int step = 0; step < 400; ++step) {
+                    if (rng() % 150 == 0) {
+                        oracle.flush();
+                        slow.flushTables();
+                        fast.flushTables();
+                    }
+                    if (seed % 4 < 2 && rng() % 40 == 0) {
+                        const uint64_t pick = rng();
+                        const bool injected = oracle.corrupt(pick);
+                        ASSERT_EQ(slow.corruptReplacementEntry(pick, 3),
+                                  injected);
+                        ASSERT_EQ(fast.corruptReplacementEntry(pick, 3),
+                                  injected);
+                    }
+                    // Mostly short hops, so triggers repeat.
+                    pos = rng() % 4 == 0 ? rng() % program.size()
+                                         : (pos + rng() % 3) %
+                                               program.size();
+                    const DecodedInst &inst = program[pos];
+                    const Addr pc = 0x4000000 + 4 * pos;
+                    const auto want = oracle.inspect(inst);
+                    const ExpandResult got = slow.expand(inst, pc);
+                    ASSERT_EQ(got.expanded, want.expanded) << step;
+                    ASSERT_EQ(got.ptMiss, want.ptMiss) << step;
+                    ASSERT_EQ(got.rtMiss, want.rtMiss) << step;
+                    ASSERT_EQ(got.missPenalty, want.missPenalty) << step;
+
+                    ExpandMemo &memo = memos[pos];
+                    if (fast.expandFast(memo)) {
+                        ++fastHits;
+                        ASSERT_EQ(memo.kind == ExpandMemo::Expanded,
+                                  want.expanded)
+                            << step;
+                        ASSERT_FALSE(want.ptMiss || want.rtMiss) << step;
+                        continue;
+                    }
+                    const ExpandResult r = fast.expand(inst, pc);
+                    ASSERT_EQ(r.ptMiss, want.ptMiss) << step;
+                    ASSERT_EQ(r.rtMiss, want.rtMiss) << step;
+                    ASSERT_EQ(r.missPenalty, want.missPenalty) << step;
+                    fast.fillMemo(memo, inst, r);
+                }
+                for (const auto &[name, value] : oracle.counts) {
+                    EXPECT_EQ(slow.stats().get(name), value) << name;
+                    EXPECT_EQ(fast.stats().get(name), value) << name;
+                }
+                EXPECT_EQ(slow.stats().counters(), fast.stats().counters());
+                rtMisses += oracle.counts["rt_misses"];
+                ptMisses += oracle.counts["pt_misses"];
+            }
+        }
+    }
+    // The streams really do thrash both tables and replay memos.
+    EXPECT_GT(fastHits, 10000u);
+    EXPECT_GT(rtMisses, 10000u);
+    EXPECT_GT(ptMisses, 10000u);
 }
 
 TEST(Controller, InstallAndDeactivate)

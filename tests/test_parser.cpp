@@ -205,5 +205,19 @@ TEST(ParserErrors, UnknownTargetSymbol)
                  FatalError);
 }
 
+TEST(ParserErrors, ExplicitIdOutsideSeqIdRejected)
+{
+    // 2^32 would otherwise run as sequence id 0.
+    EXPECT_THROW(parseProductions("P1: class == load -> D@4294967296\n"
+                                  "D@4294967296:\n"
+                                  "    T.INSN\n"),
+                 FatalError);
+    const ProductionSet set =
+        parseProductions("P1: class == load -> D@4294967295\n"
+                         "D@4294967295:\n"
+                         "    T.INSN\n");
+    EXPECT_NE(set.sequence(4294967295u), nullptr);
+}
+
 } // namespace
 } // namespace dise

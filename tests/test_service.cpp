@@ -311,6 +311,18 @@ TEST(RunRequest, RejectsUnknownKeysAndBadShapes)
     expectRefused(R"({"workload":"bzip2","mode":"campaign",)"
                   R"("trials":4294967297})",
                   "trials");
+    // Both models allocate every line or entry up front: an RT above
+    // 65,536 entries or an I-cache above the 1 MB L2 is refused.
+    expectRefused(R"({"workload":"twolf","mfi":true,)"
+                  R"("rt_entries":2147483648,"rt_assoc":1,)"
+                  R"("max_insts":1000})",
+                  "rt_entries");
+    expectRefused(R"({"workload":"bzip2","rt_entries":131072})",
+                  "rt_entries");
+    expectRefused(R"({"workload":"twolf","mode":"timing",)"
+                  R"("icache_kb":2097152,"max_insts":1000})",
+                  "icache_kb");
+    expectRefused(R"({"workload":"bzip2","icache_kb":2048})", "icache_kb");
     // The removed fast-path switch is an unknown key now.
     expectRefused(R"({"workload":"bzip2","expansion_cache":false})",
                   "expansion_cache");
@@ -321,6 +333,8 @@ TEST(RunRequest, RejectsUnknownKeysAndBadShapes)
                           R"("rt_entries":0,"rt_assoc":0})"));
     EXPECT_NO_THROW(parse(R"({"workload":"bzip2","icache_kb":64,)"
                           R"("rt_entries":8,"rt_assoc":1})"));
+    EXPECT_NO_THROW(parse(R"({"workload":"bzip2","icache_kb":1024,)"
+                          R"("rt_entries":65536,"rt_assoc":1})"));
 }
 
 // ---- SimSession ----

@@ -542,15 +542,15 @@ counter(const RunSnapshot &snap, const std::string &name)
     return it == snap.engineStats.end() ? 0 : it->second;
 }
 
-TEST(Trace, RtWayCacheStaysExactUnderEviction)
+TEST(Trace, RtResidencyStaysExactUnderEviction)
 {
-    // expandFast skips the RT probe while a sequence's way-cache record
-    // carries the live RT content epoch. The default 2048-entry RT
-    // never evicts on these workloads, so only tiny RTs reach the
-    // stale-record cases (a fill evicting a recorded slot, one
-    // sequence's slots evicting each other). The chained run must
-    // match the step() reference in the result, every register and
-    // every engine counter.
+    // expandFast skips the RT probe while a sequence's residency epoch
+    // is the live RT content epoch. The default 2048-entry RT never
+    // evicts on these workloads, so only tiny RTs reach the stale-epoch
+    // cases (a fill evicting a resident slot, one sequence's slots
+    // evicting each other). The chained run must match the step()
+    // reference in the result, every register and every engine
+    // counter.
     struct AcfCase
     {
         const char *name;

@@ -980,12 +980,17 @@ main(int argc, char **argv)
     // the only exceptions reaching here are host-level, already logged
     // to stderr by fatal()/panic(). Separate the two error classes by
     // exit code: user error (bad input, unreadable file) is 1, a
-    // simulator invariant violation is 2.
+    // simulator invariant violation is 2. Any other exception (a
+    // std::bad_alloc for a machine too large for the host) is reported
+    // as a user error.
     try {
         return runMain(argc, argv);
     } catch (const PanicError &) {
         return 2;
     } catch (const FatalError &) {
+        return 1;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "diserun: %s\n", e.what());
         return 1;
     }
 }

@@ -210,6 +210,16 @@ HOSTILE_GEOMETRY = [
     ({"workload": "bzip2", "scale": 0.01, "mfi": True, "rt_entries": 3},
      "rt_entries"),
     ({"workload": "twolf", "rt_assoc": 0, "max_insts": 1000}, "rt_assoc"),
+    # Tables the models would allocate up front: 2^31 RT entries, 50M
+    # dense sequence ids, a 2 GB I-cache.
+    ({"workload": "twolf", "mfi": True, "rt_entries": 2147483648,
+      "rt_assoc": 1, "max_insts": 1000}, "rt_entries"),
+    ({"workload": "twolf", "max_insts": 1000,
+      "productions":
+          "P1: class == load -> D@50000000\nD@50000000:\n    T.INSN\n"},
+     "productions"),
+    ({"workload": "twolf", "mode": "timing", "icache_kb": 2097152,
+      "max_insts": 1000}, "icache_kb"),
 ]
 
 
